@@ -22,6 +22,7 @@ from .dsge import (
     utility,
 )
 from .errors import (
+    BadEncoding,
     BadNumber,
     BadValue,
     Degenerate,
@@ -79,6 +80,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Ar1",
+    "BadEncoding",
     "BadNumber",
     "BadValue",
     "DEFAULT_REL_TOL",

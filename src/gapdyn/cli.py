@@ -21,7 +21,6 @@ import dataclasses
 import math
 import os
 import sys
-from pathlib import Path
 from typing import Callable
 
 import numpy as np
@@ -36,6 +35,7 @@ from .dsge import (
     steady_state_rate,
 )
 from .errors import (
+    BadEncoding,
     BadNumber,
     BadValue,
     Degenerate,
@@ -50,7 +50,7 @@ from .errors import (
 from .estimation import estimate_ar2, estimate_mle
 from .integrate import RecoveryMetrics, Trajectory, TimeGrid, integrate_euler, integrate_rk4, recovery_metrics
 from .oscillator import OscillatorParams, classify
-from .seriesio import read_series_csv, write_trajectory_csv
+from .seriesio import read_series_csv, read_text, write_trajectory_csv
 from .shocks import Ar1, Impulse, WhiteNoise, realize
 from .svgplot import write_svg
 
@@ -62,6 +62,7 @@ _DATA_ERRORS = (
     MissingHeader,
     NonUniformSpacing,
     BadNumber,
+    BadEncoding,
     ImpulseOutsideGrid,
 )
 
@@ -225,7 +226,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def _load_config(path: str, seed_flag: int | None) -> ScenarioConfig:
-    cfg = parse_config(Path(path).read_text())
+    cfg = parse_config(read_text(path))
     shock = _resolve_seed(seed_flag, cfg.shock)
     if shock is not cfg.shock:
         cfg = dataclasses.replace(cfg, shock=shock)

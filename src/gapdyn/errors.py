@@ -51,3 +51,7 @@ class NonUniformSpacing(GapdynError, ValueError):
 
 class BadNumber(GapdynError, ValueError):
     """A CSV cell could not be parsed as a finite number."""
+
+
+class BadEncoding(GapdynError, ValueError):
+    """An input file is not valid UTF-8 text."""

@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .errors import Degenerate, InvariantViolation, NonStationary
 from .oscillator import OscillatorParams
@@ -31,11 +30,14 @@ _REPEATED_ROOT_GUARD = 1e-10
 
 _EPS = 2.0**-52
 
-# Log-spaced search grid in the dimensionless pairs (gamma*dt, alpha*dt^2).
-_GRID_GAMMA_DT = np.logspace(-3.0, 0.5, 13)
-_GRID_ALPHA_DT2 = np.logspace(-4.0, 0.8, 13)
+# How far the MLE moves a boundary point that no finite gamma >= 0, alpha > 0
+# reaches into the admissible set, in lag-coefficient units.
+_EDGE_NUDGE = 1e-12
 
-_MAX_ITER = 500
+# Gauss-Newton refinement of the interior MLE: step cap and the relative
+# central-difference step (about the cube root of the machine epsilon).
+_GN_STEPS = 5
+_FD_STEP = 6e-6
 
 
 class Method(enum.Enum):
@@ -147,69 +149,140 @@ def estimate_mle(
 ) -> EstimationResult:
     """Maximum-likelihood fit of (gamma, alpha) with sigma concentrated out.
 
-    Searches a coarse log-spaced grid, refines from the starting guess with
-    a Nelder-Mead simplex in (ln gamma, ln alpha), then polishes at machine
-    precision so the refinement cannot end below any point it has seen.  The
-    starting guess is `init` when given, else the least-squares estimate
-    when that converges, else the best grid point.  Hitting the iteration
-    cap reports converged=False with the best point found; a rank-deficient
-    series raises Degenerate.
+    The profile likelihood falls as the residual sum of squares (SSR) rises,
+    SSR is a convex quadratic in the lag coefficients (phi1, phi2), and the
+    set the continuous model reaches with gamma >= 0, alpha > 0,
+
+        S = {-1 <= phi2 < 0,  -2 sqrt(-phi2) <= phi1 < 1 - phi2},
+
+    is convex, so the fit is solved exactly rather than searched for:
+
+    - Interior: when the least-squares point lies in S it is the MLE.  It is
+      mapped to (gamma, alpha) as in estimate_ar2, then a few Gauss-Newton
+      steps and a machine-precision polish undo the rounding of that map.
+      converged=True.
+    - Boundary: otherwise the MLE lies on the boundary of S's closure: the
+      aliasing curve phi = (-2s, -s^2), 0 <= s <= 1 (complex roots at the
+      Nyquist angle, alpha = gamma^2/4 + (pi/dt)^2), or one of the edges
+      alpha -> 0 (phi1 = 1 - phi2), gamma -> infinity (phi2 = 0) and
+      gamma = 0 (phi2 = -1).  Each piece is minimized in closed form and the
+      best is returned.  An edge point that no finite gamma >= 0, alpha > 0
+      reaches is moved just inside S.  converged=False: the likelihood has
+      no interior maximum there.
+
+    The optimum is unique, so `init` no longer affects the result; it is
+    accepted for compatibility.  loglik and sigma_hat are those at the
+    returned (gamma, alpha).  A rank-deficient series raises Degenerate.
     """
     lag2, lag1, target = _lagged(series.values)
-    _assert_full_rank(lag2, lag1, target)
+    phi1, phi2, _ = _ols_two_lags(lag2, lag1, target)
     dt = series.dt
 
+    def residual(gamma: float, alpha: float) -> np.ndarray:
+        p1, p2 = _phi_pair(gamma, alpha, dt)
+        return target - p1 * lag1 - p2 * lag2
+
     def neg_loglik(gamma: float, alpha: float) -> float:
-        phi1, phi2 = _phi_pair(gamma, alpha, dt)
-        resid = target - phi1 * lag1 - phi2 * lag2
+        resid = residual(gamma, alpha)
         return -_profile_loglik(resid.size, float(resid @ resid))
 
-    grid_point, grid_val = None, math.inf
-    for gamma in _GRID_GAMMA_DT / dt:
-        for alpha in _GRID_ALPHA_DT2 / (dt * dt):
-            val = neg_loglik(gamma, alpha)
-            if val < grid_val:
-                grid_point, grid_val = (gamma, alpha), val
-
-    start = None
-    if init is not None:
-        # A zero-damping guess has no logarithm; nudge it into the interior.
-        start = (max(init.gamma, 1e-8), init.alpha)
+    interior = -1.0 <= phi2 < 0.0 and -2.0 * math.sqrt(-phi2) <= phi1 < 1.0 - phi2
+    if interior:
+        gamma, alpha = -math.log(-phi2) / dt, _root_product(phi1, phi2, dt)
+        # Rounding can map a point of S that hugs its boundary to alpha <= 0;
+        # the boundary search then finds the admissible optimum.
+        interior = math.isfinite(alpha) and alpha > 0.0
+    if interior:
+        gamma, alpha = _gauss_newton(residual, gamma, alpha)
+        gamma, alpha, value = _ulp_polish(neg_loglik, gamma, alpha, neg_loglik(gamma, alpha))
     else:
-        try:
-            ar2 = estimate_ar2(series)
-            if ar2.converged:
-                start = (ar2.gamma_hat, ar2.alpha_hat)
-        except NonStationary:
-            start = None
-    if start is None:
-        start = grid_point
+        gamma, alpha, value = min(
+            ((g, a, neg_loglik(g, a)) for g, a in _boundary_candidates(lag2, lag1, target, dt)),
+            key=lambda cand: cand[2],
+        )
 
-    res = minimize(
-        lambda x: neg_loglik(math.exp(x[0]), math.exp(x[1])),
-        np.log(start),
-        method="Nelder-Mead",
-        options=dict(xatol=1e-14, fatol=1e-9, maxiter=_MAX_ITER, maxfev=4 * _MAX_ITER),
-    )
-    best_gamma, best_alpha = math.exp(res.x[0]), math.exp(res.x[1])
-    best_val = float(res.fun)
-    if grid_val < best_val:
-        (best_gamma, best_alpha), best_val = grid_point, grid_val
-    best_gamma, best_alpha, best_val = _ulp_polish(neg_loglik, best_gamma, best_alpha, best_val)
-
-    phi1, phi2 = _phi_pair(best_gamma, best_alpha, dt)
-    resid = target - phi1 * lag1 - phi2 * lag2
-    ssr = float(resid @ resid)
-    n_eff = target.size
+    resid = residual(gamma, alpha)
     return EstimationResult(
-        gamma_hat=best_gamma,
-        alpha_hat=best_alpha,
-        sigma_hat=math.sqrt(ssr / n_eff / dt),
-        loglik=-best_val,
+        gamma_hat=gamma,
+        alpha_hat=alpha,
+        sigma_hat=math.sqrt(float(resid @ resid) / resid.size / dt),
+        loglik=-value,
         method=Method.MLE,
-        converged=bool(res.success),
+        converged=interior,
         n_obs=series.values.size,
     )
+
+
+def _boundary_candidates(
+    lag2: np.ndarray, lag1: np.ndarray, target: np.ndarray, dt: float
+) -> list[tuple[float, float]]:
+    """(gamma, alpha) at the SSR minimum of each piece of S's boundary.
+
+    Edge points outside S are moved _EDGE_NUDGE inside it: phi2 up to
+    -_EDGE_NUDGE (a finite gamma) and alpha down to _EDGE_NUDGE / dt^2.
+    """
+    nudge_gamma = -math.log(_EDGE_NUDGE) / dt
+    nudge_alpha = _EDGE_NUDGE / (dt * dt)
+    out = []
+
+    # Aliasing curve phi = (-2s, -s^2): SSR(s) = |target + 2s lag1 + s^2 lag2|^2
+    # is a quartic in s; its minimum on [0, 1] is an end or a real root of
+    # the cubic derivative.
+    b = 2.0 * lag1
+    ab, ac, bb, bc, cc = target @ b, target @ lag2, b @ b, b @ lag2, lag2 @ lag2
+    # Real parts of complex roots are harmless extra candidates.
+    roots = np.clip(np.roots([2.0 * cc, 3.0 * bc, bb + 2.0 * ac, ab]).real, 0.0, 1.0)
+    for s in (0.0, 1.0, *roots.tolist()):
+        gamma = -2.0 * math.log(max(s, math.sqrt(_EDGE_NUDGE))) / dt
+        out.append((gamma, 0.25 * gamma * gamma + (math.pi / dt) ** 2))
+
+    # Edge alpha -> 0: phi = (1 + u, -u), a unit root beside the root u.
+    u = _segment_min(target - lag1, lag1 - lag2, 0.0, 1.0)
+    out.append((-math.log(max(u, _EDGE_NUDGE)) / dt, nudge_alpha))
+    # Edge gamma -> infinity: phi = (u, 0), held at phi2 = -_EDGE_NUDGE.
+    u = _segment_min(target, lag1, 0.0, 1.0)
+    out.append((nudge_gamma, max(_root_product(u, -_EDGE_NUDGE, dt), nudge_alpha)))
+    # Edge gamma = 0: phi = (u, -1), an undamped oscillation of angle acos(u/2).
+    u = _segment_min(target + lag2, lag1, -2.0, 2.0)
+    out.append((0.0, max((math.acos(0.5 * u) / dt) ** 2, nudge_alpha)))
+    return out
+
+
+def _segment_min(r0: np.ndarray, v: np.ndarray, lo: float, hi: float) -> float:
+    """argmin over u in [lo, hi] of |r0 - u v|^2."""
+    return min(max(float(r0 @ v) / float(v @ v), lo), hi)
+
+
+def _gauss_newton(residual, gamma: float, alpha: float) -> tuple[float, float]:
+    """A few Gauss-Newton steps on SSR in (gamma, alpha).
+
+    Closes the gap between the least-squares point, solved in (phi1, phi2),
+    and the best float (gamma, alpha): on noise-free data the residuals are
+    rounding noise and the mapped point can lose several digits of fit.  The
+    Jacobian of the lag coefficients is a central difference of
+    `residual(gamma, alpha) = target - phi1 lag1 - phi2 lag2`; a step is kept
+    only when it lowers SSR and stays admissible.
+    """
+    resid = residual(gamma, alpha)
+    ssr = float(resid @ resid)
+    for _ in range(_GN_STEPS):
+        scale = gamma + math.sqrt(alpha)
+        h_g, h_a = _FD_STEP * scale, _FD_STEP * scale * scale
+        # Columns are -d resid / d(gamma, alpha): resid(+step) ~ resid - design @ step.
+        design = np.column_stack([
+            (residual(gamma - h_g, alpha) - residual(gamma + h_g, alpha)) / (2.0 * h_g),
+            (residual(gamma, alpha - h_a) - residual(gamma, alpha + h_a)) / (2.0 * h_a),
+        ])
+        step = np.linalg.lstsq(design, resid, rcond=None)[0]
+        cand_g, cand_a = gamma + float(step[0]), alpha + float(step[1])
+        if not (cand_g >= 0.0 and cand_a > 0.0 and math.isfinite(cand_g + cand_a)):
+            break
+        cand_resid = residual(cand_g, cand_a)
+        cand_ssr = float(cand_resid @ cand_resid)
+        if not cand_ssr < ssr:
+            break
+        gamma, alpha, resid, ssr = cand_g, cand_a, cand_resid, cand_ssr
+    return gamma, alpha
 
 
 def _lagged(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -225,13 +298,6 @@ def _ols_two_lags(
         raise Degenerate(f"lag regression has rank {rank} < 2")
     resid = target - design @ solution
     return float(solution[0]), float(solution[1]), float(resid @ resid)
-
-
-def _assert_full_rank(lag2: np.ndarray, lag1: np.ndarray, target: np.ndarray) -> None:
-    design = np.column_stack([lag1, lag2])
-    rank = np.linalg.matrix_rank(design)
-    if rank < 2:
-        raise Degenerate(f"lag regression has rank {rank} < 2")
 
 
 def _profile_loglik(n: int, ssr: float) -> float:

@@ -9,10 +9,11 @@ consume both bare observation files and the four-column trajectory format.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from pathlib import Path
 
-from .errors import BadNumber, InvariantViolation, MissingHeader, NonUniformSpacing
+from .errors import BadEncoding, BadNumber, InvariantViolation, MissingHeader, NonUniformSpacing
 from .estimation import ObservedSeries
 from .integrate import Trajectory
 
@@ -42,7 +43,7 @@ def read_series_csv(path: str | Path) -> ObservedSeries:
     Files with fewer than two data rows cannot define a spacing and are
     rejected.
     """
-    with open(path, "r", newline="") as fh:
+    with io.StringIO(read_text(path), newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:
@@ -77,6 +78,16 @@ def read_series_csv(path: str | Path) -> ObservedSeries:
                 f"{path}: row {rownums[i]}: spacing {step!r} differs from {dt!r}"
             )
     return ObservedSeries(dt=dt, values=values)
+
+
+def read_text(path: str | Path) -> str:
+    """Whole file as text.  Input files are UTF-8; other bytes raise
+    BadEncoding with the offset of the first one that does not decode."""
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise BadEncoding(f"{path}: byte {exc.start} is not valid UTF-8") from None
 
 
 def _parse_cell(path: str | Path, rownum: int, column: str, cell: str) -> float:

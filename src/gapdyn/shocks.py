@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .errors import ImpulseOutsideGrid, InvariantViolation
 from .integrate import TimeGrid
@@ -143,5 +142,11 @@ def realize(spec: ShockSpec, grid: TimeGrid, scaling: str = "diffusion") -> np.n
         draws = standard_normals(spec.seed, n)
         innov = spec.sigma * math.sqrt(1.0 - spec.rho * spec.rho) * draws
         innov[0] = spec.sigma * draws[0]
-        return lfilter([1.0], [1.0, -spec.rho], innov)
+        out = []
+        prev = 0.0
+        rho = spec.rho
+        for e in innov.tolist():
+            prev = e + rho * prev
+            out.append(prev)
+        return np.array(out, dtype=np.float64)
     raise InvariantViolation(f"unknown shock spec {spec!r}")

@@ -1,10 +1,13 @@
 """Command-line behavior: output contracts, exit statuses, seed precedence."""
 
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import gapdyn
 from gapdyn import (
     OscillatorParams,
     OscState,
@@ -132,6 +135,15 @@ class TestSimulate:
         assert err.startswith("error=UnknownKey")
         assert "line 2" in err
 
+    def test_non_utf8_config_exit_2(self, capsys, tmp_path):
+        path = tmp_path / "binary.cfg"
+        path.write_bytes(b"gamma = 1.0\n\xc3\x28 = 2\n")
+        code, out, err = _run(capsys, ["simulate", "--config", str(path)])
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error=BadEncoding")
+
     def test_divergent_scenario_exit_3(self, capsys, config_file):
         cfg = config_file("gamma = 50.0\ny0 = 1e300\ndt = 0.1\nt_end = 20\n")
         code, _, err = _run(capsys, ["simulate", "--config", cfg])
@@ -197,6 +209,15 @@ class TestEstimate:
         code, _, err = _run(capsys, ["estimate", "--in", str(path)])
         assert code == 3
         assert err.startswith("error=Degenerate")
+
+    def test_non_utf8_csv_exit_2(self, capsys, tmp_path):
+        path = tmp_path / "binary.csv"
+        path.write_bytes(b"t,y\n0.0,1.0\n0.1,\xff\xfe\x80\n")
+        code, out, err = _run(capsys, ["estimate", "--in", str(path)])
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error=BadEncoding")
 
     def test_ragged_csv_exit_2(self, capsys, tmp_path):
         path = tmp_path / "ragged.csv"
@@ -407,3 +428,19 @@ class TestInstalledScript:
         )
         assert proc.returncode == 0
         assert proc.stdout == "regime=over-damped discriminant=12\n"
+
+    def test_import_loads_no_scipy(self):
+        # start-up time is mostly imports; scipy alone used to cost seconds
+        src = str(Path(gapdyn.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import gapdyn, gapdyn.cli, sys; "
+             "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"],
+            capture_output=True,
+            text=True,
+            env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"

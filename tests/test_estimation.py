@@ -24,6 +24,7 @@ from gapdyn import (
 
 UNDER = OscillatorParams(gamma=0.5, alpha=1.0)
 CRITICAL = OscillatorParams(gamma=2.0, alpha=1.0)
+OVER = OscillatorParams(gamma=3.0, alpha=1.0)
 
 
 def _analytic_series(params: OscillatorParams, n: int = 201, dt: float = 0.1,
@@ -213,6 +214,35 @@ class TestEstimateMle:
         assert b.gamma_hat == pytest.approx(a.gamma_hat, rel=1e-6)
         assert b.alpha_hat == pytest.approx(a.alpha_hat, rel=1e-6)
         assert b.sigma_hat == pytest.approx(2.5 * a.sigma_hat, rel=1e-9)
+
+    def test_pure_noise_is_a_boundary_fit(self):
+        # no admissible (gamma, alpha) maximizes the likelihood of white
+        # noise; the fit is a finite point at the edge of the admissible set
+        r = estimate_mle(ObservedSeries(dt=0.1, values=standard_normals(0, 300)))
+        assert not r.converged
+        assert math.isfinite(r.loglik)
+        assert r.gamma_hat > 0.0
+
+    def test_admissible_least_squares_point_is_the_mle(self):
+        checked = 0
+        for seed in range(60):
+            series = _recursion_series((UNDER, CRITICAL, OVER)[seed % 3], sigma=0.05,
+                                       seed=seed, n=400)
+            y = series.values
+            design = np.column_stack([y[1:-1], y[:-2]])
+            phi1, phi2 = np.linalg.lstsq(design, y[2:], rcond=None)[0]
+            if not (-1.0 <= phi2 < 0.0 and -2.0 * math.sqrt(-phi2) <= phi1 < 1.0 - phi2):
+                continue
+            a = estimate_ar2(series)
+            m = estimate_mle(series)
+            assert m.converged
+            assert m.gamma_hat == pytest.approx(a.gamma_hat, rel=1e-9)
+            assert m.alpha_hat == pytest.approx(a.alpha_hat, rel=1e-9)
+            assert m.loglik >= a.loglik - 1e-9
+            checked += 1
+            if checked == 20:
+                break
+        assert checked == 20
 
     def test_noisy_recovery_single_seed(self):
         r = estimate_mle(_recursion_series(CRITICAL, sigma=0.05, seed=7))

@@ -160,3 +160,17 @@ class TestAr1:
     def test_deterministic(self):
         spec = Ar1(rho=0.5, sigma=1.0, seed=100)
         assert np.array_equal(realize(spec, GRID), realize(spec, GRID))
+
+    @pytest.mark.parametrize("rho", [-0.95, 0.0, 0.999])
+    @pytest.mark.parametrize("n", [1, 2, 201, 20001])
+    def test_bytes_match_reference_recursion(self, rho, n):
+        sigma, seed = 0.3, 5
+        eta = standard_normals(seed, n)
+        innov_scale = sigma * math.sqrt(1.0 - rho * rho)
+        expected = np.empty(n)
+        expected[0] = sigma * eta[0]
+        for i in range(1, n):
+            expected[i] = innov_scale * eta[i] + rho * expected[i - 1]
+        eps = realize(Ar1(rho=rho, sigma=sigma, seed=seed), TimeGrid(0.0, 0.1, n))
+        assert eps.dtype == np.float64
+        assert eps.tobytes() == expected.tobytes()
