@@ -192,9 +192,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         )
     gammas = np.linspace(args.gamma_from, args.gamma_to, args.gamma_steps)
     print("gamma,settling_time,overshoot,zero_crossings,terminal_abs")
+    # The forcing does not depend on gamma: realize it once for every variant.
+    eps = realize(cfg.shock, cfg.grid(), cfg.shock_scaling)
     for g in gammas:
         variant = dataclasses.replace(cfg, gamma=float(g))
-        m = recovery_metrics(_trajectory_for(variant))
+        m = recovery_metrics(_integrate(variant, eps))
         print(
             "%.17g,%.17g,%.17g,%d,%.17g"
             % (g, m.settling_time, m.overshoot, m.zero_crossings, m.terminal_abs)
@@ -249,8 +251,12 @@ def _resolve_seed(flag_seed: int | None, shock):
 
 
 def _trajectory_for(cfg: ScenarioConfig) -> Trajectory:
+    return _integrate(cfg, realize(cfg.shock, cfg.grid(), cfg.shock_scaling))
+
+
+def _integrate(cfg: ScenarioConfig, eps: np.ndarray) -> Trajectory:
+    """Step cfg's oscillator under a forcing already realized on cfg.grid()."""
     grid = cfg.grid()
-    eps = realize(cfg.shock, grid, cfg.shock_scaling)
     if cfg.integrator is Integrator.EULER:
         return integrate_euler(cfg.params(), cfg.initial_state(), eps, grid)
     return integrate_rk4(cfg.params(), cfg.initial_state(), _zero_order_hold(eps, grid), grid)
@@ -258,11 +264,12 @@ def _trajectory_for(cfg: ScenarioConfig) -> Trajectory:
 
 def _zero_order_hold(eps: np.ndarray, grid: TimeGrid) -> Callable[[float], float]:
     """Step function over a realized sequence, for stage times between nodes."""
-    last = grid.n_steps - 1
+    values = eps.tolist()
+    t0, dt, last = grid.t0, grid.dt, grid.n_steps - 1
 
     def fn(t: float) -> float:
-        idx = math.floor((t - grid.t0) / grid.dt + 1e-9)
-        return float(eps[min(last, max(0, idx))])
+        idx = math.floor((t - t0) / dt + 1e-9)
+        return values[min(last, max(0, idx))]
 
     return fn
 

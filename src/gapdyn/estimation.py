@@ -311,14 +311,18 @@ def _root_product(phi1: float, phi2: float, dt: float) -> float:
 
     Complex pairs go through modulus and argument, |lam|^2 = -phi2; a guard
     band around the repeated-root boundary uses the modulus alone, where the
-    split into two nearby real roots is ill-conditioned.  Principal-branch
-    logarithms are used throughout.
+    split into two nearby real roots is ill-conditioned.  For phi1 < 0 that
+    boundary is the Nyquist angle, so the band keeps its (pi/dt)^2 term: the
+    value on the aliasing curve, alpha = gamma^2/4 + (pi/dt)^2.
+    Principal-branch logarithms are used throughout.
     """
     half = 0.5 * phi1
     disc4 = half * half + phi2
     scale = max(phi1 * phi1, 4.0 * abs(phi2))
     if scale > 0.0 and abs(4.0 * disc4) <= _REPEATED_ROOT_GUARD * scale:
         ln_mod = 0.5 * math.log(-phi2)
+        if phi1 < 0.0:
+            return (ln_mod * ln_mod + math.pi * math.pi) / (dt * dt)
         return (ln_mod / dt) ** 2
     if disc4 < 0.0:
         ln_mod = 0.5 * math.log(-phi2)

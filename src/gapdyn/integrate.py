@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -97,24 +98,24 @@ def integrate_euler(
         )
     if not np.all(np.isfinite(eps)):
         raise InvariantViolation("forcing contains non-finite entries")
-    n = grid.n_steps
     g, a, dt = params.gamma, params.alpha, grid.dt
-    y = np.empty(n)
-    v = np.empty(n)
     yi, vi = init.y, init.ydot
-    y[0], v[0] = yi, vi
+    y = array("d", [yi])
+    v = array("d", [vi])
     # Overflow to inf is an expected failure mode here; it is caught by the
-    # finiteness check and reported as Divergence, so silence the warning.
+    # finiteness check and reported as Divergence, so silence the warning
+    # that numpy scalars in `init` or `params` would give.
     with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(1, n):
-            accel = -g * vi - a * yi + eps[i - 1]
+        for i, e in enumerate(eps[:-1].tolist(), start=1):
+            accel = -g * vi - a * yi + e
             v_next = vi + accel * dt
             y_next = yi + vi * dt
             if not (math.isfinite(v_next) and math.isfinite(y_next)):
                 raise Divergence(i)
-            y[i], v[i] = y_next, v_next
+            y.append(y_next)
+            v.append(v_next)
             yi, vi = y_next, v_next
-    return Trajectory(grid, y, v, eps)
+    return Trajectory(grid, np.frombuffer(y), np.frombuffer(v), eps)
 
 
 def integrate_rk4(
@@ -126,25 +127,27 @@ def integrate_rk4(
     """Classical fourth-order Runge-Kutta on the first-order system (y, ydot).
 
     `forcing_fn` must be defined on the whole grid span; the interior stages
-    evaluate it at half steps.  The trajectory records forcing_fn at the grid
-    nodes.  A non-finite intermediate state aborts with Divergence.
+    evaluate it at half steps.  It may return any real scalar (a Python
+    float or int, or a numpy scalar such as np.float64).  The trajectory
+    records forcing_fn at the grid nodes.  A non-finite intermediate state
+    aborts with Divergence.
     """
-    n = grid.n_steps
     g, a, dt = params.gamma, params.alpha, grid.dt
     half = 0.5 * dt
-    y = np.empty(n)
-    v = np.empty(n)
-    eps = np.empty(n)
     yi, vi = init.y, init.ydot
-    y[0], v[0] = yi, vi
-    eps[0] = forcing_fn(grid.t0)
+    f_start = forcing_fn(grid.t0)
+    y = array("d", [yi])
+    v = array("d", [vi])
+    eps = array("d", [f_start])
+    # A forcing_fn returning numpy scalars makes the stages numpy scalars,
+    # whose overflow would warn before the finiteness check reports it.
     with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(1, n):
+        for i in range(1, grid.n_steps):
             t = grid.t0 + (i - 1) * dt
             f_mid = forcing_fn(t + half)
             f_end = forcing_fn(t + dt)
             k1y = vi
-            k1v = -g * vi - a * yi + eps[i - 1]
+            k1v = -g * vi - a * yi + f_start
             k2y = vi + half * k1v
             k2v = -g * k2y - a * (yi + half * k1y) + f_mid
             k3y = vi + half * k2v
@@ -155,10 +158,11 @@ def integrate_rk4(
             v_next = vi + dt / 6.0 * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
             if not (math.isfinite(v_next) and math.isfinite(y_next)):
                 raise Divergence(i)
-            y[i], v[i] = y_next, v_next
-            eps[i] = f_end
-            yi, vi = y_next, v_next
-    return Trajectory(grid, y, v, eps)
+            y.append(y_next)
+            v.append(v_next)
+            eps.append(f_end)
+            yi, vi, f_start = y_next, v_next, f_end
+    return Trajectory(grid, np.frombuffer(y), np.frombuffer(v), np.frombuffer(eps))
 
 
 def analytic_trajectory(params: OscillatorParams, init: OscState, grid: TimeGrid) -> Trajectory:

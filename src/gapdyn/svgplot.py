@@ -24,6 +24,9 @@ _MARGIN_TOP = 20
 _MARGIN_BOTTOM = 45
 _N_TICKS = 5
 _RANGE_PAD = 0.05  # widen the value range 5% each side
+# Polyline points formatted by one %-call; bounds the temporary tuple and
+# string, not a tuning knob.
+_POINTS_PER_FORMAT = 2048
 
 _PALETTE = ("#1f6f8b", "#d1495b", "#edae49", "#30638e", "#66a182", "#8d96a3")
 
@@ -37,7 +40,12 @@ def write_svg(
     x_label: str = "time",
     y_label: str = "value",
 ) -> None:
-    """Render one or more labelled lines over a shared time axis."""
+    """Render one or more labelled lines over a shared time axis.
+
+    Polyline coordinates are computed and formatted _POINTS_PER_FORMAT
+    points at a time; the bytes are the same as formatting each point on
+    its own.
+    """
     t = np.asarray(times, dtype=float)
     if t.ndim != 1 or t.size < 2:
         raise InvariantViolation("times must be a 1-d sequence with at least 2 points")
@@ -66,10 +74,12 @@ def write_svg(
     plot_top = _MARGIN_TOP
     plot_bottom = _HEIGHT - _MARGIN_BOTTOM
 
-    def px(x: float) -> float:
+    # Scalars for tick positions, arrays for polyline blocks: the same
+    # operations in the same order, so both round alike.
+    def px(x):
         return plot_left + (x - x_min) / (x_max - x_min) * (plot_right - plot_left)
 
-    def py(y: float) -> float:
+    def py(y):
         return plot_bottom - (y - y_min) / (y_max - y_min) * (plot_bottom - plot_top)
 
     parts: list[str] = []
@@ -108,9 +118,12 @@ def write_svg(
         f'height="{plot_bottom - plot_top}" fill="none" stroke="#444444" stroke-width="1"/>'
     )
 
+    step = _POINTS_PER_FORMAT
     for idx, (label, v) in enumerate(curves):
         color = _PALETTE[idx % len(_PALETTE)]
-        points = " ".join(f"{px(xv):.2f},{py(yv):.2f}" for xv, yv in zip(t, v))
+        points = " ".join(
+            _points(px(t[i : i + step]), py(v[i : i + step])) for i in range(0, t.size, step)
+        )
         parts.append(
             f'<polyline points="{points}" fill="none" stroke="{color}" stroke-width="1.5"/>'
         )
@@ -150,6 +163,12 @@ def write_svg(
     data = "\n".join(parts).encode("utf-8") + b"\n"
     with open(path, "wb") as fh:
         fh.write(data)
+
+
+def _points(xs: np.ndarray, ys: np.ndarray) -> str:
+    """`x,y` pairs at two decimals, space separated, by one %-call."""
+    flat = np.column_stack((xs, ys)).ravel().tolist()
+    return " ".join(["%.2f,%.2f"] * xs.size) % tuple(flat)
 
 
 def _padded_range(lo: float, hi: float, pad: float) -> tuple[float, float]:

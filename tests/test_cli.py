@@ -150,6 +150,13 @@ class TestSimulate:
         assert code == 3
         assert err.startswith("error=Divergence")
 
+    def test_rk4_divergent_scenario_exit_3(self, capsys, config_file):
+        cfg = config_file("integrator = rk4\ngamma = 50\nalpha = 1\ny0 = 1e300\n")
+        code, out, err = _run(capsys, ["simulate", "--config", cfg])
+        assert code == 3
+        assert out == ""
+        assert err == "error=Divergence detail=non-finite state at step 8\n"
+
     def test_rk4_integrator_accepted(self, capsys, config_file):
         code, out, _ = _run(
             capsys, ["simulate", "--config", config_file("integrator = rk4")]
@@ -290,6 +297,28 @@ class TestSweep:
         )
         assert code == 2
         assert err.startswith("error=InvariantViolation")
+
+    @pytest.mark.parametrize("integrator", ["euler", "rk4"])
+    def test_forcing_realized_once(self, capsys, config_file, monkeypatch, integrator):
+        import gapdyn.cli as cli
+
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return cli_realize(*args)
+
+        cli_realize = cli.realize
+        monkeypatch.setattr(cli, "realize", counted)
+        cfg = config_file(f"integrator = {integrator}\nshock = ar1\nshock_seed = 3\n")
+        code, out, _ = _run(
+            capsys,
+            ["sweep", "--config", cfg, "--gamma-from", "0.5",
+             "--gamma-to", "4.0", "--gamma-steps", "6"],
+        )
+        assert code == 0
+        assert len(out.splitlines()) == 7
+        assert len(calls) == 1
 
     def test_zero_steps(self, capsys, config_file):
         code, _, err = _run(

@@ -122,6 +122,16 @@ class TestEstimateAr2:
         with pytest.raises(NonStationary):
             estimate_ar2(ObservedSeries(dt=0.1, values=y))
 
+    def test_nyquist_repeated_root_keeps_the_angle(self):
+        # noise-free damped oscillation a hair below the Nyquist angle: the
+        # fitted lag roots are a near-repeated negative pair
+        i = np.arange(400)
+        y = 0.99 ** i * np.cos(math.pi * (1 - 1e-7) * i)
+        r = estimate_ar2(ObservedSeries(dt=0.1, values=y))
+        truth = (math.log(0.99) / 0.1) ** 2 + (math.pi * (1 - 1e-7) / 0.1) ** 2
+        assert r.converged
+        assert r.alpha_hat == pytest.approx(truth, rel=1e-6)
+
     def test_round_trip_property_randomized(self):
         # 100 random parameterizations, 500-point noise-free series; the
         # near-critical band is ill-conditioned and gets a looser tolerance

@@ -1,6 +1,7 @@
 """Fixed-step integrators, trajectory containers, and recovery metrics."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -135,6 +136,85 @@ class TestRk4:
     def test_records_forcing_at_nodes(self):
         traj = integrate_rk4(CRITICAL, UNIT_START, lambda t: 2.0 * t, TimeGrid(0.0, 0.5, 5))
         assert np.allclose(traj.forcing, [0.0, 1.0, 2.0, 3.0, 4.0])
+
+
+    def test_divergence_reports_step_without_warnings(self):
+        # a forcing_fn returning numpy scalars makes the stages numpy scalars;
+        # their overflow must surface as Divergence, not as a warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(Divergence) as info:
+                integrate_rk4(OscillatorParams(50, 1), OscState(1e300, 0),
+                              lambda t: np.float64(0.0), TimeGrid(0, 0.1, 201))
+        assert info.value.step == 8
+
+
+def _euler_reference(params, init, eps, grid):
+    # the per-element numpy loop the integrator replaced; same arithmetic
+    y, v = np.empty(grid.n_steps), np.empty(grid.n_steps)
+    y[0], v[0] = init.y, init.ydot
+    for i in range(1, grid.n_steps):
+        accel = -params.gamma * v[i - 1] - params.alpha * y[i - 1] + eps[i - 1]
+        v[i] = v[i - 1] + accel * grid.dt
+        y[i] = y[i - 1] + v[i - 1] * grid.dt
+    return y, v
+
+
+def _rk4_reference(params, init, forcing_fn, grid):
+    g, a, dt = params.gamma, params.alpha, grid.dt
+    half = 0.5 * dt
+    y, v, eps = np.empty(grid.n_steps), np.empty(grid.n_steps), np.empty(grid.n_steps)
+    y[0], v[0] = init.y, init.ydot
+    eps[0] = forcing_fn(grid.t0)
+    for i in range(1, grid.n_steps):
+        t = grid.t0 + (i - 1) * dt
+        f_mid, f_end = forcing_fn(t + half), forcing_fn(t + dt)
+        yi, vi = y[i - 1], v[i - 1]
+        k1y, k1v = vi, -g * vi - a * yi + eps[i - 1]
+        k2y = vi + half * k1v
+        k2v = -g * k2y - a * (yi + half * k1y) + f_mid
+        k3y = vi + half * k2v
+        k3v = -g * k3y - a * (yi + half * k2y) + f_mid
+        k4y = vi + dt * k3v
+        k4v = -g * k4y - a * (yi + dt * k3y) + f_end
+        y[i] = yi + dt / 6.0 * (k1y + 2.0 * k2y + 2.0 * k3y + k4y)
+        v[i] = vi + dt / 6.0 * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
+        eps[i] = f_end
+    return y, v, eps
+
+
+class TestMatchesElementLoop:
+    """Bit-for-bit agreement with stepping that indexes numpy arrays per node."""
+
+    GRID = TimeGrid(t0=-1.5, dt=0.05, n_steps=1500)
+
+    @pytest.mark.parametrize("params", [UNDER, CRITICAL, OVER])
+    def test_euler(self, params):
+        eps = np.random.default_rng(4).normal(size=self.GRID.n_steps)
+        eps[::7] = -0.0
+        init = OscState(0.3, -1.25)
+        traj = integrate_euler(params, init, eps, self.GRID)
+        y, v = _euler_reference(params, init, eps, self.GRID)
+        assert traj.y.tobytes() == y.tobytes()
+        assert traj.ydot.tobytes() == v.tobytes()
+
+    @pytest.mark.parametrize("params", [UNDER, CRITICAL, OVER])
+    @pytest.mark.parametrize("kind", ["float", "numpy", "int"])
+    def test_rk4(self, params, kind):
+        grid = self.GRID
+        table = np.random.default_rng(5).normal(size=grid.n_steps)
+        wrap = {"float": float, "numpy": np.float64, "int": lambda x: int(8 * x)}[kind]
+
+        def forcing_fn(t):
+            idx = math.floor((t - grid.t0) / grid.dt + 1e-9)
+            return wrap(table[min(grid.n_steps - 1, max(0, idx))])
+
+        init = OscState(0.3, -1.25)
+        traj = integrate_rk4(params, init, forcing_fn, grid)
+        y, v, eps = _rk4_reference(params, init, forcing_fn, grid)
+        assert traj.y.tobytes() == y.tobytes()
+        assert traj.ydot.tobytes() == v.tobytes()
+        assert traj.forcing.tobytes() == eps.tobytes()
 
 
 class TestConvergenceOrder:
