@@ -18,10 +18,8 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import math
 import os
 import sys
-from typing import Callable
 
 import numpy as np
 
@@ -48,7 +46,7 @@ from .errors import (
     UnknownKey,
 )
 from .estimation import estimate_ar2, estimate_mle
-from .integrate import RecoveryMetrics, Trajectory, TimeGrid, integrate_euler, integrate_rk4, recovery_metrics
+from .integrate import RecoveryMetrics, Trajectory, integrate_euler, integrate_rk4, recovery_metrics
 from .oscillator import OscillatorParams, classify
 from .seriesio import read_series_csv, read_text, write_trajectory_csv
 from .shocks import Ar1, Impulse, WhiteNoise, realize
@@ -191,9 +189,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             "gamma-to must exceed gamma-from when gamma-steps > 1"
         )
     gammas = np.linspace(args.gamma_from, args.gamma_to, args.gamma_steps)
-    print("gamma,settling_time,overshoot,zero_crossings,terminal_abs")
-    # The forcing does not depend on gamma: realize it once for every variant.
+    # The forcing does not depend on gamma: realize it once for every variant,
+    # before the header, so a shock that cannot be realized prints no table.
     eps = realize(cfg.shock, cfg.grid(), cfg.shock_scaling)
+    print("gamma,settling_time,overshoot,zero_crossings,terminal_abs")
     for g in gammas:
         variant = dataclasses.replace(cfg, gamma=float(g))
         m = recovery_metrics(_integrate(variant, eps))
@@ -256,22 +255,8 @@ def _trajectory_for(cfg: ScenarioConfig) -> Trajectory:
 
 def _integrate(cfg: ScenarioConfig, eps: np.ndarray) -> Trajectory:
     """Step cfg's oscillator under a forcing already realized on cfg.grid()."""
-    grid = cfg.grid()
-    if cfg.integrator is Integrator.EULER:
-        return integrate_euler(cfg.params(), cfg.initial_state(), eps, grid)
-    return integrate_rk4(cfg.params(), cfg.initial_state(), _zero_order_hold(eps, grid), grid)
-
-
-def _zero_order_hold(eps: np.ndarray, grid: TimeGrid) -> Callable[[float], float]:
-    """Step function over a realized sequence, for stage times between nodes."""
-    values = eps.tolist()
-    t0, dt, last = grid.t0, grid.dt, grid.n_steps - 1
-
-    def fn(t: float) -> float:
-        idx = math.floor((t - t0) / dt + 1e-9)
-        return values[min(last, max(0, idx))]
-
-    return fn
+    step = integrate_euler if cfg.integrator is Integrator.EULER else integrate_rk4
+    return step(cfg.params(), cfg.initial_state(), eps, cfg.grid())
 
 
 def _emit_outputs(

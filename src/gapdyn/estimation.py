@@ -144,9 +144,7 @@ def estimate_ar2(series: ObservedSeries) -> EstimationResult:
     )
 
 
-def estimate_mle(
-    series: ObservedSeries, init: OscillatorParams | None = None
-) -> EstimationResult:
+def estimate_mle(series: ObservedSeries) -> EstimationResult:
     """Maximum-likelihood fit of (gamma, alpha) with sigma concentrated out.
 
     The profile likelihood falls as the residual sum of squares (SSR) rises,
@@ -170,9 +168,8 @@ def estimate_mle(
       reaches is moved just inside S.  converged=False: the likelihood has
       no interior maximum there.
 
-    The optimum is unique, so `init` no longer affects the result; it is
-    accepted for compatibility.  loglik and sigma_hat are those at the
-    returned (gamma, alpha).  A rank-deficient series raises Degenerate.
+    loglik and sigma_hat are those at the returned (gamma, alpha).  A
+    rank-deficient series raises Degenerate.
     """
     lag2, lag1, target = _lagged(series.values)
     phi1, phi2, _ = _ols_two_lags(lag2, lag1, target)

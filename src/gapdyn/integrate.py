@@ -1,11 +1,17 @@
-"""Time steppers for the forced oscillator and trajectory recovery metrics."""
+"""Time steppers for the forced oscillator and trajectory recovery metrics.
+
+Both steppers take the forcing as one value per grid node and hold it as a
+zero-order hold: forcing[i-1] acts, constant, over the whole step from node
+i-1 to node i.  forcing[i] therefore first moves the state at node i+1, and
+the last entry acts on no step.
+"""
 
 from __future__ import annotations
 
 import math
 from array import array
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -72,6 +78,18 @@ class RecoveryMetrics:
     terminal_abs: float
 
 
+def _forcing_nodes(forcing: Sequence[float] | np.ndarray, grid: TimeGrid) -> np.ndarray:
+    """The forcing as a float array with one finite value per grid node."""
+    eps = np.asarray(forcing, dtype=float)
+    if eps.shape != (grid.n_steps,):
+        raise InvariantViolation(
+            f"forcing must have length n_steps={grid.n_steps}, got shape {eps.shape}"
+        )
+    if not np.all(np.isfinite(eps)):
+        raise InvariantViolation("forcing contains non-finite entries")
+    return eps
+
+
 def integrate_euler(
     params: OscillatorParams,
     init: OscState,
@@ -88,16 +106,11 @@ def integrate_euler(
 
     The position update deliberately uses the rate from before the velocity
     update; swapping that order changes every sample and is a different
-    scheme.  `forcing` supplies one value per grid node.  A non-finite
+    scheme.  `forcing` supplies one finite value per grid node; any other
+    shape or a non-finite entry raises InvariantViolation.  A non-finite
     intermediate state aborts with Divergence naming the step.
     """
-    eps = np.asarray(forcing, dtype=float)
-    if eps.shape != (grid.n_steps,):
-        raise InvariantViolation(
-            f"forcing must have length n_steps={grid.n_steps}, got shape {eps.shape}"
-        )
-    if not np.all(np.isfinite(eps)):
-        raise InvariantViolation("forcing contains non-finite entries")
+    eps = _forcing_nodes(forcing, grid)
     g, a, dt = params.gamma, params.alpha, grid.dt
     yi, vi = init.y, init.ydot
     y = array("d", [yi])
@@ -121,48 +134,43 @@ def integrate_euler(
 def integrate_rk4(
     params: OscillatorParams,
     init: OscState,
-    forcing_fn: Callable[[float], float],
+    forcing: Sequence[float] | np.ndarray,
     grid: TimeGrid,
 ) -> Trajectory:
     """Classical fourth-order Runge-Kutta on the first-order system (y, ydot).
 
-    `forcing_fn` must be defined on the whole grid span; the interior stages
-    evaluate it at half steps.  It may return any real scalar (a Python
-    float or int, or a numpy scalar such as np.float64).  The trajectory
-    records forcing_fn at the grid nodes.  A non-finite intermediate state
-    aborts with Divergence.
+    `forcing` supplies one value per grid node, checked as in
+    integrate_euler.  All four stages of step i >= 1 use forcing[i-1], the
+    value held over that step, so the scheme integrates the same
+    zero-order-hold forcing as integrate_euler.  A non-finite intermediate
+    state aborts with Divergence naming the step.
     """
+    eps = _forcing_nodes(forcing, grid)
     g, a, dt = params.gamma, params.alpha, grid.dt
     half = 0.5 * dt
     yi, vi = init.y, init.ydot
-    f_start = forcing_fn(grid.t0)
     y = array("d", [yi])
     v = array("d", [vi])
-    eps = array("d", [f_start])
-    # A forcing_fn returning numpy scalars makes the stages numpy scalars,
-    # whose overflow would warn before the finiteness check reports it.
+    # As in integrate_euler: numpy scalars in `init` or `params` would warn
+    # on the overflow that the finiteness check reports as Divergence.
     with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(1, grid.n_steps):
-            t = grid.t0 + (i - 1) * dt
-            f_mid = forcing_fn(t + half)
-            f_end = forcing_fn(t + dt)
+        for i, e in enumerate(eps[:-1].tolist(), start=1):
             k1y = vi
-            k1v = -g * vi - a * yi + f_start
+            k1v = -g * vi - a * yi + e
             k2y = vi + half * k1v
-            k2v = -g * k2y - a * (yi + half * k1y) + f_mid
+            k2v = -g * k2y - a * (yi + half * k1y) + e
             k3y = vi + half * k2v
-            k3v = -g * k3y - a * (yi + half * k2y) + f_mid
+            k3v = -g * k3y - a * (yi + half * k2y) + e
             k4y = vi + dt * k3v
-            k4v = -g * k4y - a * (yi + dt * k3y) + f_end
+            k4v = -g * k4y - a * (yi + dt * k3y) + e
             y_next = yi + dt / 6.0 * (k1y + 2.0 * k2y + 2.0 * k3y + k4y)
             v_next = vi + dt / 6.0 * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
             if not (math.isfinite(v_next) and math.isfinite(y_next)):
                 raise Divergence(i)
             y.append(y_next)
             v.append(v_next)
-            eps.append(f_end)
-            yi, vi, f_start = y_next, v_next, f_end
-    return Trajectory(grid, np.frombuffer(y), np.frombuffer(v), np.frombuffer(eps))
+            yi, vi = y_next, v_next
+    return Trajectory(grid, np.frombuffer(y), np.frombuffer(v), eps)
 
 
 def analytic_trajectory(params: OscillatorParams, init: OscState, grid: TimeGrid) -> Trajectory:

@@ -86,7 +86,7 @@ def test_02_integrator_convergence():
     if not 1.7 <= ratio <= 2.3:
         failures.append(f"first-order error ratio {ratio:.3f} outside [1.7, 2.3]")
 
-    rk4 = integrate_rk4(params, REST, lambda t: 0.0, GRID)
+    rk4 = integrate_rk4(params, REST, np.zeros(GRID.n_steps), GRID)
     exact = analytic_trajectory(params, REST, GRID)
     rk4_error = float(np.max(np.abs(rk4.y - exact.y)))  # calibrated: 1.07e-6
     if not rk4_error < 1e-5:
@@ -214,13 +214,12 @@ def test_06_energy_and_superposition():
         else:
             coeff = rng.uniform(-1.0, 1.0, size=4)
             omega = rng.uniform(0.3, 3.0, size=2)
-            f_a = lambda t: coeff[0] + coeff[1] * math.sin(omega[0] * t)
-            f_b = lambda t: coeff[2] + coeff[3] * math.cos(omega[1] * t)
-            one = integrate_rk4(params, init_a, f_a, grid)
-            two = integrate_rk4(params, init_b, f_b, grid)
-            both = integrate_rk4(
-                params, combined_init, lambda t: f_a(t) + f_b(t), grid
-            )
+            times = grid.times()
+            eps_a = coeff[0] + coeff[1] * np.sin(omega[0] * times)
+            eps_b = coeff[2] + coeff[3] * np.cos(omega[1] * times)
+            one = integrate_rk4(params, init_a, eps_a, grid)
+            two = integrate_rk4(params, init_b, eps_b, grid)
+            both = integrate_rk4(params, combined_init, eps_a + eps_b, grid)
         spread = float(np.max(np.abs(both.y - (one.y + two.y))))
         limit = 1e-10 * max(1.0, float(np.max(np.abs(both.y))))
         if not spread <= limit:

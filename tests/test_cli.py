@@ -298,6 +298,18 @@ class TestSweep:
         assert code == 2
         assert err.startswith("error=InvariantViolation")
 
+    def test_unrealizable_shock_prints_no_table(self, capsys, config_file):
+        cfg = config_file("shock = impulse\nshock_at = 100\n")
+        code, out, err = _run(
+            capsys,
+            ["sweep", "--config", cfg, "--gamma-from", "0.5",
+             "--gamma-to", "4.0", "--gamma-steps", "8"],
+        )
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error=ImpulseOutsideGrid")
+
     @pytest.mark.parametrize("integrator", ["euler", "rk4"])
     def test_forcing_realized_once(self, capsys, config_file, monkeypatch, integrator):
         import gapdyn.cli as cli

@@ -207,12 +207,6 @@ class TestEstimateMle:
         assert a.converged and m.converged
         assert m.loglik >= a.loglik - 1e-9
 
-    def test_explicit_init_is_honored(self):
-        series = _analytic_series(UNDER)
-        r = estimate_mle(series, init=OscillatorParams(0.4, 0.9))
-        assert r.gamma_hat == pytest.approx(0.5, rel=1e-4)
-        assert r.alpha_hat == pytest.approx(1.0, rel=1e-4)
-
     def test_scale_equivariance(self):
         # the profile likelihood is float-flat within ~1e-7 of its argmin, so
         # rescaled data can land the optimizer a few 1e-8 away; the tolerance

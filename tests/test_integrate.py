@@ -8,16 +8,20 @@ import pytest
 
 from gapdyn import (
     Divergence,
+    Impulse,
     InvariantViolation,
     OscState,
     OscillatorParams,
     TimeGrid,
     Trajectory,
+    WhiteNoise,
     analytic_trajectory,
     integrate_euler,
     integrate_rk4,
     recovery_metrics,
+    realize,
 )
+from gapdyn.oscillator import _homogeneous
 
 UNDER = OscillatorParams(gamma=0.5, alpha=1.0)
 CRITICAL = OscillatorParams(gamma=2.0, alpha=1.0)
@@ -25,10 +29,6 @@ OVER = OscillatorParams(gamma=4.0, alpha=1.0)
 UNIT_START = OscState(y=1.0, ydot=0.0)
 GRID = TimeGrid(t0=0.0, dt=0.1, n_steps=201)
 ZERO_FORCING = np.zeros(201)
-
-
-def _zero_fn(t: float) -> float:
-    return 0.0
 
 
 class TestTimeGrid:
@@ -114,38 +114,48 @@ class TestEuler:
 class TestRk4:
     def test_critical_value_at_unit_time(self):
         grid = TimeGrid(0.0, 0.1, 11)
-        traj = integrate_rk4(CRITICAL, UNIT_START, _zero_fn, grid)
+        traj = integrate_rk4(CRITICAL, UNIT_START, np.zeros(11), grid)
         assert abs(traj.y[-1] - 2.0 * math.exp(-1.0)) < 1.1e-6
 
     def test_fixed_point_at_origin(self):
-        traj = integrate_rk4(UNDER, OscState(0.0, 0.0), _zero_fn, GRID)
+        traj = integrate_rk4(UNDER, OscState(0.0, 0.0), ZERO_FORCING, GRID)
         assert np.all(traj.y == 0.0)
 
     def test_full_period_cosine_return(self):
         # one full period of the undamped oscillator in 628 steps
         n = 629
         grid = TimeGrid(0.0, 2.0 * math.pi / 628.0, n)
-        traj = integrate_rk4(OscillatorParams(0.0, 1.0), UNIT_START, _zero_fn, grid)
+        traj = integrate_rk4(OscillatorParams(0.0, 1.0), UNIT_START, np.zeros(n), grid)
         assert abs(traj.y[-1] - 1.0) < 1e-8
 
     def test_much_tighter_than_euler(self):
         ana = analytic_trajectory(CRITICAL, UNIT_START, GRID)
-        rk4 = integrate_rk4(CRITICAL, UNIT_START, _zero_fn, GRID)
+        rk4 = integrate_rk4(CRITICAL, UNIT_START, ZERO_FORCING, GRID)
         assert np.max(np.abs(rk4.y - ana.y)) < 1e-5
 
     def test_records_forcing_at_nodes(self):
-        traj = integrate_rk4(CRITICAL, UNIT_START, lambda t: 2.0 * t, TimeGrid(0.0, 0.5, 5))
+        grid = TimeGrid(0.0, 0.5, 5)
+        traj = integrate_rk4(CRITICAL, UNIT_START, 2.0 * grid.times(), grid)
         assert np.allclose(traj.forcing, [0.0, 1.0, 2.0, 3.0, 4.0])
 
+    def test_forcing_length_checked(self):
+        with pytest.raises(InvariantViolation):
+            integrate_rk4(CRITICAL, UNIT_START, np.zeros(5), GRID)
+
+    def test_forcing_must_be_finite(self):
+        bad = np.zeros(201)
+        bad[3] = math.nan
+        with pytest.raises(InvariantViolation):
+            integrate_rk4(CRITICAL, UNIT_START, bad, GRID)
 
     def test_divergence_reports_step_without_warnings(self):
-        # a forcing_fn returning numpy scalars makes the stages numpy scalars;
-        # their overflow must surface as Divergence, not as a warning
+        # numpy scalar params make the stages numpy scalars; their overflow
+        # must surface as Divergence, not as a warning
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(Divergence) as info:
-                integrate_rk4(OscillatorParams(50, 1), OscState(1e300, 0),
-                              lambda t: np.float64(0.0), TimeGrid(0, 0.1, 201))
+                integrate_rk4(OscillatorParams(np.float64(50), np.float64(1)),
+                              OscState(1e300, 0), np.zeros(201), TimeGrid(0, 0.1, 201))
         assert info.value.step == 8
 
 
@@ -160,27 +170,24 @@ def _euler_reference(params, init, eps, grid):
     return y, v
 
 
-def _rk4_reference(params, init, forcing_fn, grid):
+def _rk4_reference(params, init, eps, grid):
+    # per-element numpy loop; every stage of step i holds eps[i - 1]
     g, a, dt = params.gamma, params.alpha, grid.dt
     half = 0.5 * dt
-    y, v, eps = np.empty(grid.n_steps), np.empty(grid.n_steps), np.empty(grid.n_steps)
+    y, v = np.empty(grid.n_steps), np.empty(grid.n_steps)
     y[0], v[0] = init.y, init.ydot
-    eps[0] = forcing_fn(grid.t0)
     for i in range(1, grid.n_steps):
-        t = grid.t0 + (i - 1) * dt
-        f_mid, f_end = forcing_fn(t + half), forcing_fn(t + dt)
-        yi, vi = y[i - 1], v[i - 1]
-        k1y, k1v = vi, -g * vi - a * yi + eps[i - 1]
+        yi, vi, e = y[i - 1], v[i - 1], eps[i - 1]
+        k1y, k1v = vi, -g * vi - a * yi + e
         k2y = vi + half * k1v
-        k2v = -g * k2y - a * (yi + half * k1y) + f_mid
+        k2v = -g * k2y - a * (yi + half * k1y) + e
         k3y = vi + half * k2v
-        k3v = -g * k3y - a * (yi + half * k2y) + f_mid
+        k3v = -g * k3y - a * (yi + half * k2y) + e
         k4y = vi + dt * k3v
-        k4v = -g * k4y - a * (yi + dt * k3y) + f_end
+        k4v = -g * k4y - a * (yi + dt * k3y) + e
         y[i] = yi + dt / 6.0 * (k1y + 2.0 * k2y + 2.0 * k3y + k4y)
         v[i] = vi + dt / 6.0 * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
-        eps[i] = f_end
-    return y, v, eps
+    return y, v
 
 
 class TestMatchesElementLoop:
@@ -201,20 +208,61 @@ class TestMatchesElementLoop:
     @pytest.mark.parametrize("params", [UNDER, CRITICAL, OVER])
     @pytest.mark.parametrize("kind", ["float", "numpy", "int"])
     def test_rk4(self, params, kind):
-        grid = self.GRID
-        table = np.random.default_rng(5).normal(size=grid.n_steps)
-        wrap = {"float": float, "numpy": np.float64, "int": lambda x: int(8 * x)}[kind]
-
-        def forcing_fn(t):
-            idx = math.floor((t - grid.t0) / grid.dt + 1e-9)
-            return wrap(table[min(grid.n_steps - 1, max(0, idx))])
-
+        table = np.random.default_rng(5).normal(size=self.GRID.n_steps)
+        forcing = {
+            "float": table.tolist(),
+            "numpy": table,
+            "int": (8 * table).astype(np.int64),
+        }[kind]
         init = OscState(0.3, -1.25)
-        traj = integrate_rk4(params, init, forcing_fn, grid)
-        y, v, eps = _rk4_reference(params, init, forcing_fn, grid)
+        traj = integrate_rk4(params, init, forcing, self.GRID)
+        eps = np.asarray(forcing, dtype=float)
+        y, v = _rk4_reference(params, init, eps, self.GRID)
         assert traj.y.tobytes() == y.tobytes()
         assert traj.ydot.tobytes() == v.tobytes()
         assert traj.forcing.tobytes() == eps.tobytes()
+
+
+def _zoh_exact(params, init, eps, grid):
+    # exact solution under the zero-order hold: over a step that holds e the
+    # constant e/alpha solves the forced equation, so the state moves as the
+    # unforced flow of its offset from (e/alpha, 0)
+    y, v = np.empty(grid.n_steps), np.empty(grid.n_steps)
+    y[0], v[0] = init.y, init.ydot
+    dt = np.array([grid.dt])
+    for i in range(1, grid.n_steps):
+        rest = eps[i - 1] / params.alpha
+        hy, hv = _homogeneous(params, OscState(y[i - 1] - rest, v[i - 1]), dt)
+        y[i], v[i] = hy[0] + rest, hv[0]
+    return y, v
+
+
+class TestZeroOrderHold:
+    """Both steppers integrate eps[i - 1] held over step i."""
+
+    @pytest.mark.parametrize("params", [UNDER, CRITICAL, OVER])
+    @pytest.mark.parametrize(
+        "shock", [WhiteNoise(sigma=1.0, seed=3), Impulse(at=50.0, magnitude=5.0)]
+    )
+    def test_rk4_matches_exact_hold(self, params, shock):
+        grid = TimeGrid(0.0, 0.1, 2001)
+        eps = realize(shock, grid)
+        traj = integrate_rk4(params, UNIT_START, eps, grid)
+        y, v = _zoh_exact(params, UNIT_START, eps, grid)
+        limit = 1e-3 * np.max(np.abs(eps)) * grid.dt
+        assert np.max(np.abs(traj.y - y)) <= limit
+        assert np.max(np.abs(traj.ydot - v)) <= limit
+
+    @pytest.mark.parametrize("step", [integrate_euler, integrate_rk4])
+    def test_impulse_first_moves_the_next_node(self, step):
+        k = 40
+        eps = np.zeros(GRID.n_steps)
+        eps[k] = 5.0
+        free = step(UNDER, UNIT_START, ZERO_FORCING, GRID)
+        forced = step(UNDER, UNIT_START, eps, GRID)
+        assert np.array_equal(forced.y[: k + 1], free.y[: k + 1])
+        assert np.array_equal(forced.ydot[: k + 1], free.ydot[: k + 1])
+        assert forced.ydot[k + 1] != free.ydot[k + 1]
 
 
 class TestConvergenceOrder:
@@ -225,7 +273,7 @@ class TestConvergenceOrder:
         if integrator == "euler":
             num = integrate_euler(params, UNIT_START, np.zeros(n), grid)
         else:
-            num = integrate_rk4(params, UNIT_START, _zero_fn, grid)
+            num = integrate_rk4(params, UNIT_START, np.zeros(n), grid)
         return float(np.max(np.abs(num.y - ana.y)))
 
     @pytest.mark.parametrize("params", [UNDER, CRITICAL, OVER])
@@ -255,12 +303,9 @@ class TestLinearity:
             scale = max(np.max(np.abs(combined.y)), 1e-30)
             assert np.max(np.abs(combined.y - (a.y + b.y))) < 1e-10 * scale
 
-            def hold(eps):
-                return lambda t: float(eps[min(n - 1, max(0, math.floor(t / 0.1 + 1e-9)))])
-
-            ra = integrate_rk4(params, zero, hold(e1), grid)
-            rb = integrate_rk4(params, zero, hold(e2), grid)
-            rc = integrate_rk4(params, zero, hold(e1 + e2), grid)
+            ra = integrate_rk4(params, zero, e1, grid)
+            rb = integrate_rk4(params, zero, e2, grid)
+            rc = integrate_rk4(params, zero, e1 + e2, grid)
             scale = max(np.max(np.abs(rc.y)), 1e-30)
             assert np.max(np.abs(rc.y - (ra.y + rb.y))) < 1e-10 * scale
 
