@@ -2,8 +2,12 @@
 
 Every scenario runs `gapdyn.cli.main` on a config at the default 201-node
 grid (t_end = 20, dt = 0.1) and compares what it prints and writes with the
-files under tests/golden/.  Regenerate those files only for a deliberate
-change of output, and record which code they were written with:
+files under tests/golden/.  Every case runs one command line on fixed
+flags, or on CSV files (some of them golden CSVs written by the scenarios),
+and compares its stdout, or its stderr line when it fails, with the file of
+that name; the exit status it must return is part of the case.  Regenerate
+those files only for a deliberate change of output, and record which code
+they were written with:
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -54,6 +58,33 @@ def _scenarios() -> dict[str, tuple[str, list[str], bool]]:
 
 SCENARIOS = _scenarios()
 
+_CRITICAL = ["--gamma", "2.5", "--alpha", "1.5625"]  # gamma = 2k, alpha = k^2, k = 1.25
+_POINT = "c=1.2,r=0.03,b=0.5,b_next=0.4,w=1.1,n=0.9,y=1.3,r_k=0.05"
+
+# name -> (argv, files written into the working directory first, exit status).
+# Error messages name their input file, so inputs are given by relative path.
+CASES: dict[str, tuple[list[str], dict[str, str], int]] = {
+    **{
+        f"estimate-{method}-{source}": (
+            ["estimate", "--in", str(GOLDEN / f"simulate-{source}.csv"), "--method", method], {}, 0
+        )
+        for method in ("ar2", "mle")
+        for source in ("euler-white-noise", "rk4-white-noise", "euler-ar1", "rk4-ar1")
+    },
+    "classify-under": (["classify", "--gamma", "0.6", "--alpha", "2"], {}, 0),
+    "classify-critical": (["classify", *_CRITICAL], {}, 0),
+    "classify-over": (["classify", "--gamma", "3", "--alpha", "1"], {}, 0),
+    "check-default": (["check", "--beta", "0.99", "--sigma-c", "2"], {}, 0),
+    "check-point": (["check", "--beta", "0.99", "--sigma-c", "2", "--point", _POINT], {}, 0),
+    "error-usage": ([], {}, 1),
+    "error-data": (
+        ["estimate", "--in", "ragged.csv"], {"ragged.csv": "t,y\n0.0,1.0\n0.1,0.9\n0.25,0.8\n"}, 2
+    ),
+    "error-numerical": (
+        ["estimate", "--in", "flat.csv"], {"flat.csv": "t,y\n0,1\n1,1\n2,1\n3,1\n"}, 3
+    ),
+}
+
 
 def _run(name: str, workdir: Path) -> dict[str, bytes]:
     """Outputs of one scenario, keyed by golden file suffix."""
@@ -76,11 +107,40 @@ def _run(name: str, workdir: Path) -> dict[str, bytes]:
     return outputs
 
 
+def _run_case(name: str, workdir: Path) -> dict[str, bytes]:
+    """stdout of a case that succeeds, or stderr of one that fails, run in workdir."""
+    argv, inputs, want_code = CASES[name]
+    for filename, text in inputs.items():
+        (workdir / filename).write_text(text)
+    stdout, stderr = io.StringIO(), io.StringIO()
+    cwd = os.getcwd()
+    os.chdir(workdir)
+    try:
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main(argv)
+    finally:
+        os.chdir(cwd)
+    kept, other = (stdout, stderr) if want_code == 0 else (stderr, stdout)
+    if code != want_code or other.getvalue():
+        raise AssertionError(
+            f"{name}: exit {code} (want {want_code}), "
+            f"stdout {stdout.getvalue()!r}, stderr {stderr.getvalue()!r}"
+        )
+    return {"stdout" if want_code == 0 else "stderr": kept.getvalue().encode("utf-8")}
+
+
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
 def test_output_bytes_match_golden(name, tmp_path, monkeypatch):
     monkeypatch.delenv("GAPDYN_SEED", raising=False)
     outputs = _run(name, tmp_path)
     for suffix, data in outputs.items():
+        expected = (GOLDEN / f"{name}.{suffix}").read_bytes()
+        assert data == expected, f"{name}.{suffix} differs from the golden file"
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_case_output_matches_golden(name, tmp_path):
+    for suffix, data in _run_case(name, tmp_path).items():
         expected = (GOLDEN / f"{name}.{suffix}").read_bytes()
         assert data == expected, f"{name}.{suffix} differs from the golden file"
 
@@ -91,6 +151,10 @@ def _regenerate() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         for name in sorted(SCENARIOS):
             for suffix, data in _run(name, Path(tmp)).items():
+                (GOLDEN / f"{name}.{suffix}").write_bytes(data)
+        # After the scenarios: the estimate cases read the CSVs they wrote.
+        for name in sorted(CASES):
+            for suffix, data in _run_case(name, Path(tmp)).items():
                 (GOLDEN / f"{name}.{suffix}").write_bytes(data)
     print(f"wrote {len(list(GOLDEN.iterdir()))} files to {GOLDEN}", file=sys.stderr)
 
