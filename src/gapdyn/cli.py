@@ -189,17 +189,19 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             "gamma-to must exceed gamma-from when gamma-steps > 1"
         )
     gammas = np.linspace(args.gamma_from, args.gamma_to, args.gamma_steps)
-    # The forcing does not depend on gamma: realize it once for every variant,
-    # before the header, so a shock that cannot be realized prints no table.
+    # Every variant is built and run before anything is printed, so a sweep
+    # that fails at any gamma leaves stdout empty.  The forcing does not
+    # depend on gamma: it is realized once for every variant.
+    variants = [dataclasses.replace(cfg, gamma=float(g)) for g in gammas]
     eps = realize(cfg.shock, cfg.grid(), cfg.shock_scaling)
-    print("gamma,settling_time,overshoot,zero_crossings,terminal_abs")
-    for g in gammas:
-        variant = dataclasses.replace(cfg, gamma=float(g))
+    rows = ["gamma,settling_time,overshoot,zero_crossings,terminal_abs\n"]
+    for g, variant in zip(gammas, variants):
         m = recovery_metrics(_integrate(variant, eps))
-        print(
-            "%.17g,%.17g,%.17g,%d,%.17g"
+        rows.append(
+            "%.17g,%.17g,%.17g,%d,%.17g\n"
             % (g, m.settling_time, m.overshoot, m.zero_crossings, m.terminal_abs)
         )
+    sys.stdout.write("".join(rows))
     return 0
 
 

@@ -310,6 +310,31 @@ class TestSweep:
         assert len(err.splitlines()) == 1
         assert err.startswith("error=ImpulseOutsideGrid")
 
+    def test_invalid_gamma_prints_no_table(self, capsys, config_file):
+        code, out, err = _run(
+            capsys,
+            ["sweep", "--config", config_file(), "--gamma-from", "-1",
+             "--gamma-to", "1", "--gamma-steps", "3"],
+        )
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error=InvariantViolation")
+
+    def test_divergence_at_later_gamma_prints_no_table(self, capsys, config_file):
+        # Explicit Euler at dt 0.5 is fine at gamma 0.5 and overflows within
+        # 400 steps at gamma 15.25 (per-step growth about |1 - gamma dt|).
+        cfg = config_file("integrator = euler\ndt = 0.5\nt_end = 200\n")
+        code, out, err = _run(
+            capsys,
+            ["sweep", "--config", cfg, "--gamma-from", "0.5",
+             "--gamma-to", "30", "--gamma-steps", "3"],
+        )
+        assert code == 3
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error=Divergence")
+
     @pytest.mark.parametrize("integrator", ["euler", "rk4"])
     def test_forcing_realized_once(self, capsys, config_file, monkeypatch, integrator):
         import gapdyn.cli as cli
