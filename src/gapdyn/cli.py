@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import os
 import sys
 
@@ -95,7 +96,10 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parse_args leaves it
+    unchanged, so every main() call can share it."""
     parser = _Parser(prog="gapdyn", description="Output-gap dynamics toolkit.")
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
 

@@ -22,6 +22,9 @@ from .integrate import Trajectory
 # Successive time deltas may differ from the first delta by at most this
 # relative amount before the grid is rejected as non-uniform.
 _SPACING_REL_TOL = 1e-9
+# Characters that send a file to the row-by-row reader: csv quoting, and
+# the ASCII separators that numpy's float parser strips and float() rejects.
+_ROW_READER_ONLY = '"\x1c\x1d\x1e\x1f'
 
 _TRAJECTORY_HEADER = ("t", "y", "ydot", "eps")
 _ROW_FORMAT = "%.17g,%.17g,%.17g,%.17g\n"
@@ -51,8 +54,53 @@ def read_series_csv(path: str | Path) -> ObservedSeries:
     The time column must be uniformly spaced; every value must be finite.
     Files with fewer than two data rows cannot define a spacing and are
     rejected.
+
+    A plain file is read by numpy's text reader, and its values and spacing
+    are checked on arrays.  Plain means: the header passes, the text holds
+    no `"` and none of the separator characters U+001C-U+001F (which numpy
+    strips around a number and `float()` does not), and `np.loadtxt` parses
+    two or more rows that are finite and uniformly spaced.  Every other file
+    goes to the row-by-row reader, which is the only source of errors.  Both
+    paths convert cells through the same C routine and test spacing with the
+    same expression, so they give the same series.
     """
-    with io.StringIO(read_text(path), newline="") as fh:
+    text = read_text(path)
+    series = _read_plain(text)
+    return series if series is not None else _read_rows(path, text)
+
+
+def _read_plain(text: str) -> ObservedSeries | None:
+    """The series in a plain file, or None to leave the file to _read_rows."""
+    if any(char in text for char in _ROW_READER_ONLY):
+        return None
+    header, _, body = text.partition("\n")
+    header = header.removesuffix("\r")
+    # csv ends a row at a lone CR too; such a header is not plain.
+    if "\r" in header or [c.strip().lower() for c in header.split(",")[:2]] != ["t", "y"]:
+        return None
+    if not body or body.isspace():  # no rows; loadtxt would warn
+        return None
+    try:
+        data = np.loadtxt(
+            io.StringIO(body), delimiter=",", comments=None, usecols=(0, 1), ndmin=2
+        )
+    except ValueError:
+        return None
+    if len(data) < 2 or not np.isfinite(data).all():
+        return None
+    steps = np.diff(data[:, 0])
+    dt = float(steps[0])
+    rest = steps[1:]
+    if dt <= 0.0 or np.any(
+        np.abs(rest - dt) > _SPACING_REL_TOL * np.maximum(np.abs(rest), abs(dt))
+    ):
+        return None
+    return ObservedSeries(dt=dt, values=np.ascontiguousarray(data[:, 1]))
+
+
+def _read_rows(path: str | Path, text: str) -> ObservedSeries:
+    """read_series_csv row by row: csv cells, float() and a spacing loop."""
+    with io.StringIO(text, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:

@@ -165,6 +165,33 @@ class TestSimulate:
         assert float(_kv(out)["terminal_abs"]) < 0.01
 
 
+class TestParserReuse:
+    def test_shared_parser_keeps_no_state_between_calls(self, capsys, tmp_path):
+        import gapdyn.cli as cli
+
+        assert cli._build_parser() is cli._build_parser()
+        cfg = ScenarioConfig(gamma=0.5, alpha=1.0)
+        path = tmp_path / "series.csv"
+        write_trajectory_csv(path, analytic_trajectory(cfg.params(), cfg.initial_state(), cfg.grid()))
+
+        code, out, _ = _run(capsys, ["estimate", "--in", str(path), "--method", "mle"])
+        assert code == 0
+        assert _kv(out)["method"] == "mle"
+        code, out, _ = _run(capsys, ["estimate", "--in", str(path)])
+        assert code == 0
+        assert _kv(out)["method"] == "ar2"
+
+        code, out, err = _run(capsys, ["classify", "--gamma", "1"])
+        assert code == 1
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error=Usage")
+        code, out, err = _run(capsys, ["classify", "--gamma", "4.0", "--alpha", "1.0"])
+        assert code == 0
+        assert out == "regime=over-damped discriminant=12\n"
+        assert err == ""
+
+
 class TestEstimate:
     def _write_clean_series(self, tmp_path, gamma=0.5, alpha=1.0):
         cfg = ScenarioConfig(gamma=gamma, alpha=alpha)
