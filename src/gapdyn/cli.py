@@ -47,7 +47,14 @@ from .errors import (
     UnknownKey,
 )
 from .estimation import estimate_ar2, estimate_mle
-from .integrate import RecoveryMetrics, Trajectory, integrate_euler, integrate_rk4, recovery_metrics
+from .integrate import (
+    RecoveryMetrics,
+    Trajectory,
+    integrate_euler,
+    integrate_rk4,
+    recovery_metrics,
+    sweep_metrics,
+)
 from .oscillator import OscillatorParams, classify
 from .seriesio import read_series_csv, read_text, write_trajectory_csv
 from .shocks import Ar1, Impulse, WhiteNoise, realize
@@ -193,18 +200,19 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             "gamma-to must exceed gamma-from when gamma-steps > 1"
         )
     gammas = np.linspace(args.gamma_from, args.gamma_to, args.gamma_steps)
-    # Every variant is built and run before anything is printed, so a sweep
-    # that fails at any gamma leaves stdout empty.  The forcing does not
-    # depend on gamma: it is realized once for every variant.
-    variants = [dataclasses.replace(cfg, gamma=float(g)) for g in gammas]
-    eps = realize(cfg.shock, cfg.grid(), cfg.shock_scaling)
+    # Every gamma is checked and run before anything is printed, so a sweep
+    # that fails at any gamma leaves stdout empty.  A variant differs from
+    # cfg only in gamma, so checking its OscillatorParams checks the variant.
+    # The forcing does not depend on gamma: it is realized once for all.
+    params = [OscillatorParams(gamma=float(g), alpha=cfg.alpha) for g in gammas]
+    grid = cfg.grid()
+    eps = realize(cfg.shock, grid, cfg.shock_scaling)
+    metrics = sweep_metrics(params, cfg.initial_state(), eps, grid, cfg.integrator.value)
     rows = ["gamma,settling_time,overshoot,zero_crossings,terminal_abs\n"]
-    for g, variant in zip(gammas, variants):
-        m = recovery_metrics(_integrate(variant, eps))
-        rows.append(
-            "%.17g,%.17g,%.17g,%d,%.17g\n"
-            % (g, m.settling_time, m.overshoot, m.zero_crossings, m.terminal_abs)
-        )
+    rows += [
+        "%.17g,%.17g,%.17g,%d,%.17g\n" % row
+        for row in zip(gammas.tolist(), *(column.tolist() for column in metrics))
+    ]
     sys.stdout.write("".join(rows))
     return 0
 

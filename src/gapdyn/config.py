@@ -59,6 +59,10 @@ class ScenarioConfig:
             raise InvariantViolation(
                 f"dt must not exceed t_end, got dt={self.dt!r} t_end={self.t_end!r}"
             )
+        if not math.isfinite(self.t_end / self.dt):
+            raise InvariantViolation(
+                f"t_end / dt must be finite, got t_end={self.t_end!r} dt={self.dt!r}"
+            )
         if self.shock_scaling not in ("diffusion", "literal"):
             raise InvariantViolation(
                 f"shock_scaling must be 'diffusion' or 'literal', got {self.shock_scaling!r}"

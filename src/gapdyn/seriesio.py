@@ -12,6 +12,7 @@ import csv
 import io
 import math
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -101,10 +102,11 @@ def _read_plain(text: str) -> ObservedSeries | None:
 def _read_rows(path: str | Path, text: str) -> ObservedSeries:
     """read_series_csv row by row: csv cells, float() and a spacing loop."""
     with io.StringIO(text, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
+        rows = _numbered_rows(path, fh)
+        first = next(rows, None)
+        if first is None:
             raise MissingHeader(f"{path}: empty file")
+        header = first[1]
         normalized = [cell.strip().lower() for cell in header]
         if normalized[:2] != ["t", "y"]:
             raise MissingHeader(
@@ -113,7 +115,7 @@ def _read_rows(path: str | Path, text: str) -> ObservedSeries:
         times: list[float] = []
         values: list[float] = []
         rownums: list[int] = []
-        for rownum, row in enumerate(reader, start=2):
+        for rownum, row in rows:
             if not row or (len(row) == 1 and not row[0].strip()):
                 continue
             if len(row) < 2:
@@ -135,6 +137,22 @@ def _read_rows(path: str | Path, text: str) -> ObservedSeries:
                 f"{path}: row {rownums[i]}: spacing {step!r} differs from {dt!r}"
             )
     return ObservedSeries(dt=dt, values=values)
+
+
+def _numbered_rows(path: str | Path, fh: io.StringIO) -> Iterator[tuple[int, list[str]]]:
+    """csv rows of fh numbered from 1.  A row csv cannot split (a cell over
+    its field size limit, say) raises BadNumber naming that row."""
+    reader = csv.reader(fh)
+    rownum = 1
+    while True:
+        try:
+            row = next(reader)
+        except StopIteration:
+            return
+        except csv.Error as exc:
+            raise BadNumber(f"{path}: row {rownum}: {exc}") from None
+        yield rownum, row
+        rownum += 1
 
 
 def read_text(path: str | Path) -> str:

@@ -253,6 +253,18 @@ class TestEstimate:
         assert len(err.splitlines()) == 1
         assert err.startswith("error=BadEncoding")
 
+    def test_cell_over_csv_field_limit_exit_2(self, capsys, tmp_path):
+        # The quote sends the file to the csv reader, whose field limit is
+        # 131 072 characters.
+        path = tmp_path / "long.csv"
+        path.write_text('t,y,note\n0,1,"' + "x" * 200_000 + '"\n1,2,\n')
+        code, out, err = _run(capsys, ["estimate", "--in", str(path)])
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error=BadNumber")
+        assert "row 2" in err
+
     def test_ragged_csv_exit_2(self, capsys, tmp_path):
         path = tmp_path / "ragged.csv"
         path.write_text("t,y\n0.0,1.0\n0.1,0.9\n0.3,0.8\n")
@@ -361,6 +373,16 @@ class TestSweep:
         assert out == ""
         assert len(err.splitlines()) == 1
         assert err.startswith("error=Divergence")
+
+    @pytest.mark.parametrize("command", [["simulate"], ["sweep", "--gamma-from", "1",
+                                                       "--gamma-to", "2", "--gamma-steps", "3"]])
+    def test_overflowing_grid_exit_2(self, capsys, config_file, command):
+        cfg = config_file("t_end = 1e300\ndt = 1e-300\n")
+        code, out, err = _run(capsys, command[:1] + ["--config", cfg] + command[1:])
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error=InvariantViolation")
 
     @pytest.mark.parametrize("integrator", ["euler", "rk4"])
     def test_forcing_realized_once(self, capsys, config_file, monkeypatch, integrator):

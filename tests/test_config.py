@@ -97,6 +97,13 @@ class TestInvariants:
         with pytest.raises(InvariantViolation):
             parse_config("gamma = -0.5")
 
+    def test_overflowing_grid_is_rejected(self):
+        with pytest.raises(InvariantViolation) as excinfo:
+            parse_config("t_end = 1e300\ndt = 1e-300")
+        assert "t_end / dt" in str(excinfo.value)
+        with pytest.raises(InvariantViolation):
+            ScenarioConfig(t_end=1.7e308, dt=0.5)
+
     def test_direct_construction_checks_too(self):
         with pytest.raises(InvariantViolation):
             ScenarioConfig(dt=0.0)
