@@ -12,6 +12,9 @@ and the exit status separates failure families:
 
 Seed precedence for seeded shocks: the --seed flag beats the GAPDYN_SEED
 environment variable, which beats shock_seed in the config file.
+
+The numpy-backed layers are imported inside the functions that use them, so
+`classify`, `check` and usage errors start without loading numpy.
 """
 
 from __future__ import annotations
@@ -22,9 +25,6 @@ import functools
 import os
 import sys
 
-import numpy as np
-
-from .config import Integrator, ScenarioConfig, parse_config
 from .dsge import (
     DsgeBlockParams,
     DsgePoint,
@@ -46,19 +46,7 @@ from .errors import (
     NonUniformSpacing,
     UnknownKey,
 )
-from .estimation import estimate_ar2, estimate_mle
-from .integrate import (
-    RecoveryMetrics,
-    Trajectory,
-    integrate_euler,
-    integrate_rk4,
-    recovery_metrics,
-    sweep_metrics,
-)
 from .oscillator import OscillatorParams, classify
-from .seriesio import read_series_csv, read_text, write_trajectory_csv
-from .shocks import Ar1, Impulse, WhiteNoise, realize
-from .svgplot import write_svg
 
 _NUMERICAL_ERRORS = (Degenerate, NonStationary, Divergence)
 _DATA_ERRORS = (
@@ -155,6 +143,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
+    from .integrate import recovery_metrics
+
     cfg = _load_config(args.config, seed_flag=args.seed)
     traj = _trajectory_for(cfg)
     _emit_outputs(cfg, traj, args.out, args.svg)
@@ -170,6 +160,9 @@ def _cmd_classify(args: argparse.Namespace) -> int:
 
 
 def _cmd_estimate(args: argparse.Namespace) -> int:
+    from .estimation import estimate_ar2, estimate_mle
+    from .seriesio import read_series_csv
+
     series = read_series_csv(args.input)
     result = estimate_ar2(series) if args.method == "ar2" else estimate_mle(series)
     print(f"gamma_hat={_num(result.gamma_hat)}")
@@ -183,6 +176,9 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
 
 
 def _cmd_impulse(args: argparse.Namespace) -> int:
+    from .integrate import recovery_metrics
+    from .shocks import Impulse
+
     cfg = _load_config(args.config, seed_flag=None)
     cfg = dataclasses.replace(cfg, shock=Impulse(at=args.at, magnitude=args.magnitude))
     traj = _trajectory_for(cfg)
@@ -192,6 +188,11 @@ def _cmd_impulse(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    import numpy as np
+
+    from .integrate import sweep_metrics
+    from .shocks import realize
+
     cfg = _load_config(args.config, seed_flag=args.seed)
     if args.gamma_steps < 1:
         raise InvariantViolation(f"gamma-steps must be >= 1, got {args.gamma_steps}")
@@ -199,7 +200,12 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         raise InvariantViolation(
             "gamma-to must exceed gamma-from when gamma-steps > 1"
         )
-    gammas = np.linspace(args.gamma_from, args.gamma_to, args.gamma_steps)
+    try:
+        gammas = np.linspace(args.gamma_from, args.gamma_to, args.gamma_steps)
+    except (ValueError, IndexError, MemoryError) as exc:
+        raise InvariantViolation(
+            f"cannot build a grid of {args.gamma_steps} gammas: {exc}"
+        ) from None
     # Every gamma is checked and run before anything is printed, so a sweep
     # that fails at any gamma leaves stdout empty.  A variant differs from
     # cfg only in gamma, so checking its OscillatorParams checks the variant.
@@ -241,6 +247,9 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def _load_config(path: str, seed_flag: int | None) -> ScenarioConfig:
+    from .config import parse_config
+    from .seriesio import read_text
+
     cfg = parse_config(read_text(path))
     shock = _resolve_seed(seed_flag, cfg.shock)
     if shock is not cfg.shock:
@@ -249,6 +258,8 @@ def _load_config(path: str, seed_flag: int | None) -> ScenarioConfig:
 
 
 def _resolve_seed(flag_seed: int | None, shock):
+    from .shocks import Ar1, WhiteNoise
+
     if not isinstance(shock, (WhiteNoise, Ar1)):
         return shock
     if flag_seed is not None:
@@ -264,11 +275,16 @@ def _resolve_seed(flag_seed: int | None, shock):
 
 
 def _trajectory_for(cfg: ScenarioConfig) -> Trajectory:
+    from .shocks import realize
+
     return _integrate(cfg, realize(cfg.shock, cfg.grid(), cfg.shock_scaling))
 
 
 def _integrate(cfg: ScenarioConfig, eps: np.ndarray) -> Trajectory:
     """Step cfg's oscillator under a forcing already realized on cfg.grid()."""
+    from .config import Integrator
+    from .integrate import integrate_euler, integrate_rk4
+
     step = integrate_euler if cfg.integrator is Integrator.EULER else integrate_rk4
     return step(cfg.params(), cfg.initial_state(), eps, cfg.grid())
 
@@ -276,6 +292,9 @@ def _integrate(cfg: ScenarioConfig, eps: np.ndarray) -> Trajectory:
 def _emit_outputs(
     cfg: ScenarioConfig, traj: Trajectory, out_path: str | None, svg_path: str | None
 ) -> None:
+    from .seriesio import write_trajectory_csv
+    from .svgplot import write_svg
+
     if out_path:
         write_trajectory_csv(out_path, traj)
     if svg_path:

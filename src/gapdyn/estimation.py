@@ -94,8 +94,9 @@ def _phi_pair(g: float, a: float, dt: float) -> tuple[float, float]:
         wd = 0.5 * math.sqrt(-d)
         phi1 = 2.0 * math.exp(-0.5 * g * dt) * math.cos(wd * dt)
     else:
-        s = 0.5 * math.sqrt(d)
-        phi1 = math.exp((-0.5 * g + s) * dt) + math.exp((-0.5 * g - s) * dt)
+        # The slow root as alpha / fast: -g/2 + sqrt(d)/2 cancels when g^2 >> alpha.
+        fast = -0.5 * g - 0.5 * math.sqrt(d)
+        phi1 = math.exp(a / fast * dt) + math.exp(fast * dt)
     return phi1, -math.exp(-g * dt)
 
 
@@ -307,8 +308,10 @@ def _root_product(phi1: float, phi2: float, dt: float) -> float:
     """Product of the continuous roots ln(lam)/dt of lam^2 - phi1 lam - phi2.
 
     Complex pairs go through modulus and argument, |lam|^2 = -phi2; a guard
-    band around the repeated-root boundary uses the modulus alone, where the
-    split into two nearby real roots is ill-conditioned.  For phi1 < 0 that
+    band around the repeated-root boundary, where the split into two nearby
+    roots is ill-conditioned, uses the modulus and the split's first-order
+    term -disc4/half^2, on which the real and complex branches agree (without
+    it alpha is off by up to 1e-10/(alpha dt^2) relative).  For phi1 < 0 that
     boundary is the Nyquist angle, so the band keeps its (pi/dt)^2 term: the
     value on the aliasing curve, alpha = gamma^2/4 + (pi/dt)^2.
     Principal-branch logarithms are used throughout.
@@ -320,7 +323,7 @@ def _root_product(phi1: float, phi2: float, dt: float) -> float:
         ln_mod = 0.5 * math.log(-phi2)
         if phi1 < 0.0:
             return (ln_mod * ln_mod + math.pi * math.pi) / (dt * dt)
-        return (ln_mod / dt) ** 2
+        return (ln_mod * ln_mod - disc4 / (half * half)) / (dt * dt)
     if disc4 < 0.0:
         ln_mod = 0.5 * math.log(-phi2)
         theta = math.atan2(math.sqrt(-disc4), half)

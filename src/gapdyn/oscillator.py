@@ -18,8 +18,6 @@ import enum
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import InvariantViolation
 
 # Width of the relative band around gamma^2 == 4*alpha inside which a
@@ -133,6 +131,8 @@ def solve_analytic(params: OscillatorParams, init: OscState, t: float) -> OscSta
         raise InvariantViolation(f"t must be finite and >= 0, got {t!r}")
     if t == 0.0:
         return OscState(init.y, init.ydot)
+    import numpy as np
+
     y, ydot = _homogeneous(params, init, np.array([t], dtype=float))
     return OscState(float(y[0]), float(ydot[0]))
 
@@ -150,6 +150,8 @@ def _homogeneous(
     params: OscillatorParams, init: OscState, t: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized closed-form (y, ydot) of the unforced equation at times t."""
+    import numpy as np
+
     g = params.gamma
     regime = classify(params)
     decay = np.exp(-0.5 * g * t)

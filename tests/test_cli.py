@@ -386,7 +386,7 @@ class TestSweep:
 
     @pytest.mark.parametrize("integrator", ["euler", "rk4"])
     def test_forcing_realized_once(self, capsys, config_file, monkeypatch, integrator):
-        import gapdyn.cli as cli
+        import gapdyn.shocks as shocks
 
         calls = []
 
@@ -394,8 +394,8 @@ class TestSweep:
             calls.append(args)
             return cli_realize(*args)
 
-        cli_realize = cli.realize
-        monkeypatch.setattr(cli, "realize", counted)
+        cli_realize = shocks.realize
+        monkeypatch.setattr(shocks, "realize", counted)
         cfg = config_file(f"integrator = {integrator}\nshock = ar1\nshock_seed = 3\n")
         code, out, _ = _run(
             capsys,
@@ -414,6 +414,21 @@ class TestSweep:
         )
         assert code == 2
         assert err.startswith("error=InvariantViolation")
+
+    # numpy refuses both counts before allocating: one as larger than any
+    # array, the other inside linspace's index arithmetic.
+    @pytest.mark.parametrize("steps", ["18446744073709551616", "9223372036854775807"])
+    def test_step_count_numpy_cannot_grid(self, capsys, config_file, steps):
+        code, out, err = _run(
+            capsys,
+            ["sweep", "--config", config_file(), "--gamma-from", "1.0",
+             "--gamma-to", "2.0", "--gamma-steps", steps],
+        )
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error=InvariantViolation")
+        assert steps in err
 
 
 class TestCheck:

@@ -1,9 +1,15 @@
-"""Damping recovery from sampled series: exact discretization, OLS, and MLE."""
+"""Damping recovery from sampled series: exact discretization, OLS, and MLE.
+
+Property tests use hypothesis (MacIver et al., "Hypothesis: A new approach
+to property-based testing", JOSS 4(43), 2019).
+"""
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gapdyn import (
     Degenerate,
@@ -21,6 +27,7 @@ from gapdyn import (
     estimate_mle,
     standard_normals,
 )
+from gapdyn.estimation import _root_product
 
 UNDER = OscillatorParams(gamma=0.5, alpha=1.0)
 CRITICAL = OscillatorParams(gamma=2.0, alpha=1.0)
@@ -93,6 +100,25 @@ class TestDiscretizeExact:
     def test_dt_must_be_positive(self):
         with pytest.raises(InvariantViolation):
             discretize_exact(CRITICAL, 0.0)
+
+    # Below the aliasing limit (wd dt < 0.9 pi) and with gamma dt <= 30, so
+    # exp(-gamma dt) keeps its significant bits, the sampled lag pair maps
+    # back to alpha in every regime, the exact critical line included.
+    @pytest.mark.parametrize("regime", ["under", "critical", "over"])
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(dt=st.floats(0.01, 1.0), alpha=st.floats(0.01, 100.0),
+           share=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+    def test_root_product_recovers_alpha(self, regime, dt, alpha, share):
+        critical = 2.0 * math.sqrt(alpha)
+        if regime == "under":
+            wd = share * min(math.sqrt(alpha), 0.9 * math.pi / dt)
+            gamma = 2.0 * math.sqrt(alpha - wd * wd)
+        elif regime == "critical":
+            gamma = critical
+        else:
+            gamma = critical + share * (30.0 / dt - critical)
+        phi1, phi2 = discretize_exact(OscillatorParams(gamma, alpha), dt)
+        assert _root_product(phi1, phi2, dt) == pytest.approx(alpha, rel=1e-8)
 
 
 class TestEstimateAr2:

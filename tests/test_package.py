@@ -1,0 +1,111 @@
+"""The package namespace: lazy exports and the numpy-free import boundary.
+
+`import gapdyn` and `import gapdyn.cli` load no numpy, and neither do the
+commands that need none (`classify`, `check`, usage errors).  Boundary checks
+run in fresh interpreters, since this one has long imported everything.
+"""
+
+import importlib
+import inspect
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import gapdyn
+from gapdyn.cli import main
+
+_SRC = str(Path(gapdyn.__file__).resolve().parents[1])
+_NUMPY_LOADED = "sorted(m for m in sys.modules if m == 'numpy' or m.startswith('numpy.'))"
+
+
+def _fresh(code: str) -> subprocess.CompletedProcess:
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (_SRC, os.environ.get("PYTHONPATH")) if p))
+    env.pop("GAPDYN_SEED", None)
+    return subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env
+    )
+
+
+class TestLazyExports:
+    def test_names_resolve_to_their_defining_module(self):
+        assert gapdyn.errors is importlib.import_module("gapdyn.errors")
+        for module, names in gapdyn._EXPORTS.items():
+            owner = importlib.import_module(f"gapdyn.{module}")
+            for name in names:
+                value = getattr(gapdyn, name)
+                assert value is getattr(owner, name), name
+                if inspect.isclass(value) or inspect.isfunction(value):
+                    assert value.__module__ == owner.__name__, name
+        assert set(gapdyn.__all__) == {"errors", *gapdyn._OWNER}
+
+    def test_star_import_and_dir_in_fresh_process(self):
+        proc = _fresh(
+            "import gapdyn\n"
+            "listed = set(gapdyn.__all__) <= set(dir(gapdyn))\n"
+            "namespace = {}\n"
+            "exec('from gapdyn import *', namespace)\n"
+            "print(listed, sorted(set(gapdyn.__all__) - set(namespace)))\n"
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "True []\n"
+
+    def test_submodule_after_bare_import(self):
+        proc = _fresh("import gapdyn; print(gapdyn.integrate.TimeGrid(0.0, 0.5, 3).times().tolist())")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[0.0, 0.5, 1.0]\n"
+
+    def test_unknown_names_raise_without_numpy(self):
+        proc = _fresh(
+            "import sys, gapdyn, gapdyn.cli\n"
+            "for module, name in ((gapdyn, 'no_such_name'), (gapdyn, '__wrapped__'),\n"
+            "                     (gapdyn.cli, 'no_such_name'), (gapdyn.cli, '__path__')):\n"
+            "    try:\n"
+            "        getattr(module, name)\n"
+            "    except AttributeError:\n"
+            "        continue\n"
+            "    raise SystemExit(f'{module.__name__}.{name} resolved')\n"
+            f"print({_NUMPY_LOADED})\n"
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
+
+
+class TestImportBoundary:
+    def test_import_loads_no_numpy(self):
+        proc = _fresh(f"import sys, gapdyn, gapdyn.cli; print({_NUMPY_LOADED})")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
+
+    @pytest.mark.parametrize("argv, code", [
+        (["classify", "--gamma", "0.5", "--alpha", "4.0"], 0),
+        (["classify", "--gamma", "-1.0", "--alpha", "4.0"], 2),
+        (["check", "--beta", "0.99", "--sigma-c", "2.0", "--point", "r=0.05,b=2.0"], 0),
+        ([], 1),
+        (["simulate"], 1),
+        (["sweep", "--config", "x.cfg", "--gamma-from", "1", "--gamma-to", "2",
+          "--gamma-steps", "many"], 1),
+    ])
+    def test_command_loads_no_numpy(self, argv, code):
+        proc = _fresh(
+            "import sys\n"
+            "from gapdyn.cli import main\n"
+            f"code = main({argv!r})\n"
+            f"print(code, {_NUMPY_LOADED}, file=sys.stderr)\n"
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr.splitlines()[-1] == f"{code} []"
+
+    def test_simulate_in_fresh_process(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.delenv("GAPDYN_SEED", raising=False)
+        cfg = tmp_path / "scenario.cfg"
+        cfg.write_text("shock = white-noise\nshock_seed = 4\n")
+        argv = ["simulate", "--config", str(cfg), "--out", str(tmp_path / "out.csv")]
+        proc = _fresh(f"import sys; from gapdyn.cli import main; sys.exit(main({argv!r}))")
+        assert proc.returncode == 0, proc.stderr
+        assert main(argv) == 0
+        assert proc.stdout == capsys.readouterr().out
+        assert proc.stdout.startswith("settling_time=")
