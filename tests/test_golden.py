@@ -1,13 +1,13 @@
 """Byte-for-byte lock on command output: stdout, CSV and SVG of fixed scenarios.
 
 Every scenario runs `gapdyn.cli.main` on a config at the default 201-node
-grid (t_end = 20, dt = 0.1) and compares what it prints and writes with the
-files under tests/golden/.  Every case runs one command line on fixed
-flags, or on CSV files (some of them golden CSVs written by the scenarios),
-and compares its stdout, or its stderr line when it fails, with the file of
-that name; the exit status it must return is part of the case.  Regenerate
-those files only for a deliberate change of output, and record which code
-they were written with:
+grid (t_end = 20, dt = 0.1), except one long run, and compares what it
+prints and writes with the files under tests/golden/.  Every case runs one
+command line on fixed flags, or on CSV files (some of them golden CSVs
+written by the scenarios), and compares its stdout, or its stderr line when
+it fails, with the file of that name; the exit status it must return is part
+of the case.  Regenerate those files only for a deliberate change of output,
+and record which code they were written with:
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -53,6 +53,14 @@ def _scenarios() -> dict[str, tuple[str, list[str], bool]]:
             ["sweep", "--gamma-from", "0.2", "--gamma-to", "3", "--gamma-steps", "8"],
             False,
         )
+    # A long decay: most of its y values are below 1e-100 and hundreds are
+    # subnormal, the tail that CSV number formatting must get right.
+    out["simulate-rk4-long"] = (
+        "gamma = 1.2\nalpha = 2.0\ny0 = 1.0\nydot0 = 0.5\n"
+        "dt = 0.5\nt_end = 1500\nintegrator = rk4\n",
+        ["simulate"],
+        True,
+    )
     return out
 
 
