@@ -292,12 +292,13 @@ def _integrate(cfg: ScenarioConfig, eps: np.ndarray) -> Trajectory:
 def _emit_outputs(
     cfg: ScenarioConfig, traj: Trajectory, out_path: str | None, svg_path: str | None
 ) -> None:
-    from .seriesio import write_trajectory_csv
-    from .svgplot import write_svg
-
     if out_path:
+        from .seriesio import write_trajectory_csv
+
         write_trajectory_csv(out_path, traj)
     if svg_path:
+        from .svgplot import write_svg
+
         label = classify(cfg.params()).value
         write_svg(
             svg_path,

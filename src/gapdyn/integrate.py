@@ -120,24 +120,22 @@ def integrate_euler(
     intermediate state aborts with Divergence naming the step.
     """
     eps = _forcing_nodes(forcing, grid)
-    g, a, dt = params.gamma, params.alpha, grid.dt
+    ng, a, dt = -params.gamma, params.alpha, grid.dt  # -g * v is (-g) * v
     yi, vi = init.y, init.ydot
     y = array("d", [yi])
     v = array("d", [vi])
+    y_append, v_append = y.append, v.append
     # Overflow to inf is an expected failure mode here; it is caught by the
     # finiteness check and reported as Divergence, so silence the warning
     # that numpy scalars in `init` or `params` would give.
     with np.errstate(over="ignore", invalid="ignore"):
-        for i, e in enumerate(eps[:-1].tolist(), start=1):
-            accel = -g * vi - a * yi + e
-            v_next = vi + accel * dt
-            y_next = yi + vi * dt
-            if not (math.isfinite(v_next) and math.isfinite(y_next)):
-                raise Divergence(i)
-            y.append(y_next)
-            v.append(v_next)
-            yi, vi = y_next, v_next
-    return Trajectory(grid, np.frombuffer(y), np.frombuffer(v), eps)
+        for e in eps[:-1].tolist():
+            v_next = vi + (ng * vi - a * yi + e) * dt
+            yi = yi + vi * dt
+            vi = v_next
+            y_append(yi)
+            v_append(vi)
+    return _checked(grid, y, v, eps)
 
 
 def integrate_rk4(
@@ -155,30 +153,41 @@ def integrate_rk4(
     state aborts with Divergence naming the step.
     """
     eps = _forcing_nodes(forcing, grid)
-    g, a, dt = params.gamma, params.alpha, grid.dt
+    ng, a, dt = -params.gamma, params.alpha, grid.dt
     half = 0.5 * dt
+    sixth = dt / 6.0
     yi, vi = init.y, init.ydot
     y = array("d", [yi])
     v = array("d", [vi])
+    y_append, v_append = y.append, v.append
     # As in integrate_euler: numpy scalars in `init` or `params` would warn
     # on the overflow that the finiteness check reports as Divergence.
     with np.errstate(over="ignore", invalid="ignore"):
-        for i, e in enumerate(eps[:-1].tolist(), start=1):
+        for e in eps[:-1].tolist():
             k1y = vi
-            k1v = -g * vi - a * yi + e
+            k1v = ng * vi - a * yi + e
             k2y = vi + half * k1v
-            k2v = -g * k2y - a * (yi + half * k1y) + e
+            k2v = ng * k2y - a * (yi + half * k1y) + e
             k3y = vi + half * k2v
-            k3v = -g * k3y - a * (yi + half * k2y) + e
+            k3v = ng * k3y - a * (yi + half * k2y) + e
             k4y = vi + dt * k3v
-            k4v = -g * k4y - a * (yi + dt * k3y) + e
-            y_next = yi + dt / 6.0 * (k1y + 2.0 * k2y + 2.0 * k3y + k4y)
-            v_next = vi + dt / 6.0 * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
-            if not (math.isfinite(v_next) and math.isfinite(y_next)):
-                raise Divergence(i)
-            y.append(y_next)
-            v.append(v_next)
-            yi, vi = y_next, v_next
+            k4v = ng * k4y - a * (yi + dt * k3y) + e
+            yi = yi + sixth * (k1y + 2.0 * k2y + 2.0 * k3y + k4y)
+            vi = vi + sixth * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
+            y_append(yi)
+            v_append(vi)
+    return _checked(grid, y, v, eps)
+
+
+def _checked(grid: TimeGrid, y: array, v: array, eps: np.ndarray) -> Trajectory:
+    """The stepped path, or Divergence at its first non-finite node.
+
+    Under +, - and * a non-finite y or ydot stays non-finite at every later
+    node, so the last node is finite exactly when every node is.
+    """
+    if not (math.isfinite(y[-1]) and math.isfinite(v[-1])):
+        y, v = np.frombuffer(y), np.frombuffer(v)
+        raise Divergence(int(np.argmax(~(np.isfinite(y) & np.isfinite(v)))))
     return Trajectory(grid, np.frombuffer(y), np.frombuffer(v), eps)
 
 

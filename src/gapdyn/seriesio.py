@@ -12,13 +12,15 @@ import csv
 import io
 import math
 from pathlib import Path
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
 import numpy as np
 
 from .errors import BadEncoding, BadNumber, InvariantViolation, MissingHeader, NonUniformSpacing
-from .estimation import ObservedSeries
-from .integrate import Trajectory
+
+if TYPE_CHECKING:
+    from .estimation import ObservedSeries
+    from .integrate import Trajectory
 
 # Successive time deltas may differ from the first delta by at most this
 # relative amount before the grid is rejected as non-uniform.
@@ -27,26 +29,26 @@ _SPACING_REL_TOL = 1e-9
 # the ASCII separators that numpy's float parser strips and float() rejects.
 _ROW_READER_ONLY = '"\x1c\x1d\x1e\x1f'
 
-_TRAJECTORY_HEADER = ("t", "y", "ydot", "eps")
-_ROW_FORMAT = "%.17g,%.17g,%.17g,%.17g\n"
-# Rows formatted by one %-call and written by one write(); bounds the size
-# of the temporary string, not a tuning knob.
+_TRAJECTORY_HEADER = b"t,y,ydot,eps\n"
+# Rows formatted and written by one write(); bounds the size of the
+# temporaries, not a tuning knob.
 _ROWS_PER_WRITE = 1024
 
 
 def write_trajectory_csv(path: str | Path, traj: Trajectory) -> None:
     """Write `t,y,ydot,eps` rows at full round-trip precision.
 
-    Rows are formatted and written _ROWS_PER_WRITE at a time; the bytes are
-    the same as formatting each row on its own.
+    Rows are formatted _ROWS_PER_WRITE at a time by _textfmt.g17_rows; the
+    bytes are those of formatting each row with "%.17g,%.17g,%.17g,%.17g\\n".
     """
+    from ._textfmt import g17_rows
+
     columns = (traj.grid.times(), traj.y, traj.ydot, traj.forcing)
     step = _ROWS_PER_WRITE
-    with open(path, "w", newline="\n") as fh:
-        fh.write(",".join(_TRAJECTORY_HEADER) + "\n")
+    with open(path, "wb") as fh:
+        fh.write(_TRAJECTORY_HEADER)
         for i in range(0, traj.grid.n_steps, step):
-            block = np.column_stack([col[i : i + step] for col in columns])
-            fh.write(_ROW_FORMAT * len(block) % tuple(block.ravel().tolist()))
+            fh.write(g17_rows(np.column_stack([col[i : i + step] for col in columns])))
 
 
 def read_series_csv(path: str | Path) -> ObservedSeries:
@@ -72,6 +74,8 @@ def read_series_csv(path: str | Path) -> ObservedSeries:
 
 def _read_plain(text: str) -> ObservedSeries | None:
     """The series in a plain file, or None to leave the file to _read_rows."""
+    from .estimation import ObservedSeries
+
     if any(char in text for char in _ROW_READER_ONLY):
         return None
     header, _, body = text.partition("\n")
@@ -101,6 +105,8 @@ def _read_plain(text: str) -> ObservedSeries | None:
 
 def _read_rows(path: str | Path, text: str) -> ObservedSeries:
     """read_series_csv row by row: csv cells, float() and a spacing loop."""
+    from .estimation import ObservedSeries
+
     with io.StringIO(text, newline="") as fh:
         rows = _numbered_rows(path, fh)
         first = next(rows, None)

@@ -24,8 +24,8 @@ _MARGIN_TOP = 20
 _MARGIN_BOTTOM = 45
 _N_TICKS = 5
 _RANGE_PAD = 0.05  # widen the value range 5% each side
-# Polyline points formatted by one %-call; bounds the temporary tuple and
-# string, not a tuning knob.
+# Polyline points formatted at once; bounds the temporaries, not a tuning
+# knob.
 _POINTS_PER_FORMAT = 2048
 
 _PALETTE = ("#1f6f8b", "#d1495b", "#edae49", "#30638e", "#66a182", "#8d96a3")
@@ -43,9 +43,11 @@ def write_svg(
     """Render one or more labelled lines over a shared time axis.
 
     Polyline coordinates are computed and formatted _POINTS_PER_FORMAT
-    points at a time; the bytes are the same as formatting each point on
-    its own.
+    points at a time by _textfmt.f2_pairs; the bytes are those of
+    formatting each point with "%.2f,%.2f".
     """
+    from ._textfmt import f2_pairs
+
     t = np.asarray(times, dtype=float)
     if t.ndim != 1 or t.size < 2:
         raise InvariantViolation("times must be a 1-d sequence with at least 2 points")
@@ -122,7 +124,7 @@ def write_svg(
     for idx, (label, v) in enumerate(curves):
         color = _PALETTE[idx % len(_PALETTE)]
         points = " ".join(
-            _points(px(t[i : i + step]), py(v[i : i + step])) for i in range(0, t.size, step)
+            f2_pairs(px(t[i : i + step]), py(v[i : i + step])) for i in range(0, t.size, step)
         )
         parts.append(
             f'<polyline points="{points}" fill="none" stroke="{color}" stroke-width="1.5"/>'
@@ -163,12 +165,6 @@ def write_svg(
     data = "\n".join(parts).encode("utf-8") + b"\n"
     with open(path, "wb") as fh:
         fh.write(data)
-
-
-def _points(xs: np.ndarray, ys: np.ndarray) -> str:
-    """`x,y` pairs at two decimals, space separated, by one %-call."""
-    flat = np.column_stack((xs, ys)).ravel().tolist()
-    return " ".join(["%.2f,%.2f"] * xs.size) % tuple(flat)
 
 
 def _padded_range(lo: float, hi: float, pad: float) -> tuple[float, float]:

@@ -159,6 +159,32 @@ class TestRk4:
         assert info.value.step == 8
 
 
+class TestDivergenceAfterStepping:
+    """Both steppers check finiteness once, after the loop, and name the
+    first non-finite node: the step where the old per-step check raised."""
+
+    # With gamma = 0 and a tiny alpha, ydot stays at 1e307 while y grows by
+    # 1e307 a unit step from 1e308 and overflows at step 8.
+    PARAMS = OscillatorParams(gamma=0.0, alpha=1e-300)
+    START = OscState(y=1e308, ydot=1e307)
+
+    @pytest.mark.parametrize("step", [integrate_euler, integrate_rk4])
+    def test_y_overflows_before_ydot(self, step):
+        before = step(self.PARAMS, self.START, np.zeros(8), TimeGrid(0.0, 1.0, 8))
+        assert before.ydot[-1] == 1e307 and float(before.y[-1]) + 1e307 == math.inf
+        with pytest.raises(Divergence) as info:
+            step(self.PARAMS, self.START, np.zeros(20), TimeGrid(0.0, 1.0, 20))
+        assert info.value.step == 8
+        assert str(info.value) == "non-finite state at step 8"
+
+    @pytest.mark.parametrize("step", [integrate_euler, integrate_rk4])
+    def test_blow_up_at_the_last_step(self, step):
+        with pytest.raises(Divergence) as info:
+            step(self.PARAMS, self.START, np.zeros(9), TimeGrid(0.0, 1.0, 9))
+        assert info.value.step == 8
+        assert str(info.value) == "non-finite state at step 8"
+
+
 def _euler_reference(params, init, eps, grid):
     # the per-element numpy loop the integrator replaced; same arithmetic
     y, v = np.empty(grid.n_steps), np.empty(grid.n_steps)

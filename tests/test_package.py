@@ -99,6 +99,27 @@ class TestImportBoundary:
         assert proc.returncode == 0, proc.stderr
         assert proc.stderr.splitlines()[-1] == f"{code} []"
 
+    @pytest.mark.parametrize("command, unused", [
+        (["simulate", "--config", "{cfg}", "--out", "{dir}/out.csv"],
+         ["gapdyn.estimation", "gapdyn.svgplot"]),
+        (["sweep", "--config", "{cfg}", "--gamma-from", "0.5", "--gamma-to", "2",
+          "--gamma-steps", "4"], ["gapdyn.estimation", "gapdyn.svgplot"]),
+        (["estimate", "--in", "{csv}", "--method", "mle"], ["gapdyn.integrate", "gapdyn.svgplot"]),
+    ])
+    def test_command_loads_only_its_layers(self, tmp_path, command, unused):
+        cfg = tmp_path / "scenario.cfg"
+        cfg.write_text("shock = white-noise\nshock_seed = 4\n")
+        csv = Path(__file__).with_name("golden") / "simulate-rk4-white-noise.csv"
+        argv = [a.format(cfg=cfg, dir=tmp_path, csv=csv) for a in command]
+        proc = _fresh(
+            "import sys\n"
+            "from gapdyn.cli import main\n"
+            f"code = main({argv!r})\n"
+            f"print(code, sorted(m for m in {unused!r} if m in sys.modules), file=sys.stderr)\n"
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr.splitlines()[-1] == "0 []"
+
     def test_simulate_in_fresh_process(self, tmp_path, capsys, monkeypatch):
         monkeypatch.delenv("GAPDYN_SEED", raising=False)
         cfg = tmp_path / "scenario.cfg"
