@@ -1,13 +1,24 @@
 """Exact numpy formatting of float64 blocks: the bytes of `%.17g` and `%.2f`.
 
-%.17g: with a = |x| = f * 2**e and k = floor(log10(a)), the digits are
-round-half-even(a * 10**(16 - k)).  10**p = (hi + lo) * 2**q is built
-exactly from Python ints on first use, and a Dekker TwoProduct (Veltkamp
-split, no fused multiply-add) gives a * 10**p to about 2**-100.  A value
-goes to `%` on its own when its fraction lies within _GUARD of one half
-(exact ties included), when log10 put k one off next to a power of ten, or
-when it is not finite.  Digits fill a fixed row of slots (_G17_SLOTS), and
-a keep-mask looked up by form, digit count and sign picks what %g prints.
+%.17g: with a = |x| and k = floor(log10(a)), the digits are
+round-half-even(a * 10**(16 - k)).  Per k, 10**(16 - k) = (hi + lo) * s * s'
+with hi in (1/2, 2) and s, s' powers of two, built exactly from Python ints
+the first time a block uses that k and kept for later blocks.  a * s * s' is
+exact and lies near 10**16, so a Dekker TwoProduct (Veltkamp split, no fused
+multiply-add) of it with hi, plus its product with lo, gives
+a * 10**(16 - k) to about 2**-100 with no rescaling.  A value goes to `%` on
+its own when its fraction lies within _GUARD of one half (exact ties
+included), when log10 put k one off next to a power of ten, or when it is
+not finite.
+
+The digits go 4 at a time from a table into two runs of a fixed row of
+slots (_G17_WIDTH); a "." is written over the second run where %g puts it,
+and one table word per exponent gives the exponent and separator.  The
+number of significant digits comes from per-group tables, and a keep-mask
+looked up by form, digit count and sign picks what %g prints: the sign and
+integer digits from the first run, then one run from the "." (or the "0."
+before it) to the separator.  One boolean index compresses the block, and
+it copies few runs per field.
 
 %.2f: round-half-even(x * 100) is decided exactly from TwoProduct(x, 100).
 A block with a sign bit, a non-finite value or a value that rounds to
@@ -20,14 +31,18 @@ import functools
 
 import numpy as np
 
-# One %.17g field: sign | "0" | 17 integer digits | "." | 3 zeros |
-# 17 fraction digits | "e" | exponent sign | 3 exponent digits | separator.
-# The digits are written to both digit runs; the mask picks what to keep.
-_G17_SLOTS = b"-0" + b"#" * 17 + b".000" + b"#" * 17 + b"e+###,"
-_INT, _DOT, _FRAC, _EXP = 2, 19, 23, 40
+# One %.17g field is a row of 46 slots: "-" | 1-17 the 17 digits |
+# 18-22 "00000" | 23-39 the 17 digits again | 40-45 the exponent and
+# separator, written as one word from slot 38 before the digits.
+_G17_WIDTH = 46
+_SIGN, _INT, _ZEROS, _FRAC, _LAST = 0, 1, 18, 23, 39
+# Row indices of the per-exponent tables: k + _K0 for k in [-324, 308], then
+# zero and values left to `%`; the second _NK rows end in "\n", not ",".
+_K0 = 324
+_ZERO, _LEFT, _NK = 633, 634, 635
 # %g forms: 0-20 fixed with exponent k = form - 4, 21 exponent with two
-# exponent digits, 22 with three, 23 a value left to `%`.
-_EXP2, _EXP3, _LEFT = 21, 22, 23
+# exponent digits, 22 with three, 23 zero, 24 a value left to `%`.
+_EXP2, _EXP3, _ZERO_FORM, _LEFT_FORM = 21, 22, 23, 24
 # A fraction of a * 10**p this close to 1/2 goes to `%`; the double-double
 # product is accurate to ~1e-15 there, so the band is wide on purpose.
 _GUARD = 1e-6
@@ -42,9 +57,16 @@ def _quads() -> np.ndarray:
 
 
 @functools.cache
-def _exponents() -> np.ndarray:
-    """"-400" ... "+399" as little-endian uint32, indexed by exponent + 400."""
-    return np.frombuffer("".join(f"{k:+04d}" for k in range(-400, 400)).encode(), "<u4")
+def _group_digits() -> np.ndarray:
+    """Row j, value g: how many of the first 4 * (j + 1) digits are
+    significant when g is digits 4j + 1 to 4j + 4 and every later digit is
+    zero; 0 for g = 0.  (The first group is never 0: head >= 10**6.)"""
+    zeros = np.zeros(10000, np.uint8)
+    for i in (10, 100, 1000):
+        zeros[::i] += 1
+    table = np.arange(4, 17, 4, dtype=np.uint8)[:, None] - zeros
+    table[:, 0] = 0
+    return table
 
 
 @functools.cache
@@ -56,30 +78,58 @@ def _cents() -> np.ndarray:
 @functools.cache
 def _g17_masks() -> np.ndarray:
     """Slot keep-masks indexed by (form * 17 + significant digits - 1) * 2 + sign."""
-    form, sig, sign = (g.reshape(-1, 1) for g in np.meshgrid(
-        np.arange(24), np.arange(1, 18), np.arange(2), indexing="ij"))
+    form, sig = (g.reshape(-1, 1) for g in np.meshgrid(np.arange(25), np.arange(1, 18), indexing="ij"))
     k = form - 4
     fixed = form < _EXP2
     whole = np.where(fixed, np.maximum(k + 1, 0), 1)
-    col = np.arange(17)
-    keep = np.zeros((form.size, len(_G17_SLOTS)), bool)
-    keep[:, :1] = sign == 1
-    keep[:, 1:2] = fixed & (k < 0)
-    keep[:, _INT:_DOT] = col < whole
-    keep[:, _DOT : _DOT + 1] = sig > whole
-    keep[:, _DOT + 1 : _FRAC] = col[:3] < np.where(fixed & (k < 0), -1 - k, 0)
-    keep[:, _FRAC:_EXP] = (col >= whole) & (col < sig)
-    keep[:, _EXP : _EXP + 5] = ~fixed
-    keep[:, _EXP + 2 : _EXP + 3] &= form == _EXP3
-    keep[(form == _LEFT)[:, 0]] = False
-    keep[:, -1] = True
+    # The second run is kept from its "." on, or from the "0" before it.
+    start = np.where(fixed & (k < 0), _FRAC + k - 1, _FRAC + whole - 1)
+    tail = np.where(form == _EXP2, 5, np.where(form == _EXP3, 6, 1))
+    col = np.arange(_G17_WIDTH)
+    keep = (
+        ((col >= _INT) & (col < _INT + whole))
+        | ((col >= start) & (col < _FRAC + sig) & (sig > whole))
+        | ((col > _LAST) & (col <= _LAST + tail))
+    )
+    keep[(form >= _ZERO_FORM)[:, 0]] = col == _LAST + 1
+    keep[(form == _ZERO_FORM)[:, 0], _LAST] = True
+    keep = np.repeat(keep, 2, axis=0)
+    keep[1 : -2 * 17 : 2, _SIGN] = True  # not for a value left to `%`, which prints it
     return keep
 
 
 @functools.cache
-def _pow10(p: int) -> tuple[float, float, float, float, int]:
-    """10**p = (hi + lo) * 2**q to double-double precision, hi in (1/2, 2);
-    returns (hi, hi's Veltkamp halves, lo, q)."""
+def _g17_codes() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per table row: the form's first keep-mask row less 2, to which
+    2 * significant digits + sign is added; the slot of the "."; the
+    exponent and separator as the uint64 word of slots 38-45, whose first
+    two bytes the digits then take."""
+    k = np.arange(_NK) - _K0
+    fixed = (k >= -4) & (k <= 16)
+    form = np.where(fixed, k + 4, np.where(np.abs(k) < 100, _EXP2, _EXP3))
+    form[[_ZERO, _LEFT]] = _ZERO_FORM, _LEFT_FORM
+    dot = np.where(fixed, _FRAC + k, _FRAC)
+    e = np.abs(k)
+    chars = np.empty((_NK, 8), np.uint8)
+    chars[:] = np.frombuffer(b"##e+000,", np.uint8)
+    chars[k < 0, 3] = ord("-")
+    chars[:, 4:7] += np.stack((e // 100, e // 10 % 10, e % 10), axis=1).astype(np.uint8)
+    chars[e < 100, 4:7] = chars[e < 100, 5:8]  # two exponent digits
+    chars[(form < _EXP2) | (form > _EXP3), 2] = ord(",")
+    ends = np.concatenate((chars, np.where(chars == ord(","), ord("\n"), chars)))
+    return np.tile(form * 34 - 2, 2), np.tile(dot, 2), ends.view("<u8")[:, 0]
+
+
+@functools.cache
+def _scales() -> np.ndarray:
+    """Per k + _K0: s, s', hi, hi's Veltkamp halves and lo of _pow10(16 - k);
+    NaN until a block first uses that k."""
+    return np.full((6, _NK - 2), np.nan)
+
+
+def _pow10(p: int) -> tuple[float, float, float, float, float, float]:
+    """10**p = (hi + lo) * s * s' to double-double precision, hi in (1/2, 2),
+    s and s' powers of two; returns (s, s', hi, hi's Veltkamp halves, lo)."""
     num, den = (10**p, 1) if p >= 0 else (1, 10**-p)
     q = num.bit_length() - den.bit_length()
     num, den = (num, den << q) if q >= 0 else (num << -q, den)
@@ -87,7 +137,7 @@ def _pow10(p: int) -> tuple[float, float, float, float, int]:
     hn, hd = hi.as_integer_ratio()
     lo = (num * hd - hn * den) / (den * hd)
     hh, hl = _split(hi)
-    return hi, hh, hl, lo, q
+    return 2.0 ** (q >> 1), 2.0 ** (q - (q >> 1)), hi, hh, hl, lo
 
 
 def _split(x):
@@ -101,25 +151,32 @@ def g17_rows(block: np.ndarray) -> bytes:
     """`"%.17g,...,%.17g\\n" % row` for every row of an (n, m) float64 block."""
     n, m = block.shape
     x = block.ravel()
-    cnt = x.size
-    digits, k, left = _digits17(x)
-    sig = _significant(digits)
+    head, tail, row = _digits17(x)
+    row.reshape(n, m)[:, -1] += _NK  # the last value of a row ends in "\n"
+    groups, last = _groups(head, tail)
+    base, dot, ends = _g17_codes()
 
-    slots = np.empty((n, m * len(_G17_SLOTS)), np.uint8)
-    slots[:] = np.frombuffer((_G17_SLOTS * m)[:-1] + b"\n", np.uint8)
-    slots = slots.reshape(cnt, -1)
-    slots[:, _INT:_DOT] = digits
-    slots[:, _FRAC:_EXP] = digits
-    slots[:, _EXP + 1 : _EXP + 5] = np.take(_exponents(), k + 400).view(np.uint8).reshape(cnt, 4)
-    form = np.where((k >= -4) & (k < 17), k + 4, np.where(np.abs(k) < 100, _EXP2, _EXP3))
-    form[left] = _LEFT
-    keep = np.take(_g17_masks(), ((form * 17 + sig - 1) << 1) + np.signbit(x), axis=0)
+    slots = np.empty((x.size, _G17_WIDTH), np.uint8)
+    slots[:, _SIGN] = ord("-")
+    _column(slots, _ZEROS, "<u8")[:] = 0x3030303030  # "00000"; the second run goes on top
+    # The exponent word first: the second run's last two digits go over
+    # its first two slots.
+    _column(slots, _LAST - 1, "<u8")[:] = np.take(ends, row)
+    for i, group in enumerate(groups):
+        _column(slots, _INT + 4 * i, "<u4")[:] = np.take(_quads(), group)
+    _column(slots, _FRAC, "<u8")[:] = _column(slots, _INT, "<u8")
+    _column(slots, _FRAC + 8, "<u8")[:] = _column(slots, _INT + 8, "<u8")
+    slots[:, _INT + 16] = slots[:, _LAST] = last + 48.0
+    slots.reshape(-1)[np.arange(0, slots.size, _G17_WIDTH) + np.take(dot, row)] = ord(".")
+
+    key = np.take(base, row) + 2 * _significant(groups, last) + np.signbit(x)
+    keep = np.take(_g17_masks(), key, axis=0)
     text = slots[keep].tobytes()
-    odd = np.flatnonzero(left)
+    odd = np.flatnonzero(row % _NK == _LEFT)
     if not odd.size:
         return text
     # Splice each value left to `%` in front of its separator.
-    ends = np.cumsum(keep.sum(axis=1))[odd] - 1
+    ends = np.cumsum(np.count_nonzero(keep, axis=1))[odd] - 1
     pieces, start = [], 0
     for end, v in zip(ends.tolist(), x[odd].tolist()):
         pieces += [text[start:end], _g17(v)]
@@ -128,15 +185,22 @@ def g17_rows(block: np.ndarray) -> bytes:
     return b"".join(pieces)
 
 
+def _column(slots: np.ndarray, col: int, dtype: str) -> np.ndarray:
+    """The dtype values that start at slot col of every field."""
+    return np.ndarray(len(slots), dtype, slots, col, slots.strides[:1])
+
+
 def _digits17(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(17 ASCII digits, decimal exponent k, left to `%`) per value of x;
-    zeros and values left to `%` give "00000000000000000" and k = 0."""
+    """(head, tail, table row) per value of x: the 17 digits are
+    head * 10**9 + tail, head in [10**7, 10**8) for the values printed here.
+    Zero gets row _ZERO and the digits of 1.0, a value left to `%` row _LEFT
+    (and the digits of 1.0 if it is not finite)."""
     a = np.abs(x)
     finite = np.isfinite(a)
     regular = finite & (a > 0.0)
-    a[~regular] = 1.0
-    k = np.floor(np.log10(a))
-    top, low = _times_pow10(a, (16.0 - k).astype(np.intp))
+    a = np.where(regular, a, 1.0)
+    row = (np.floor(np.log10(a)) + _K0).astype(np.intp)
+    top, low = _times_pow10(a, row)
     whole = np.floor(top)
     rest = (top - whole) + low
     carry = np.floor(rest)
@@ -147,54 +211,59 @@ def _digits17(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     carry = np.floor(tail / 1e9)
     head += carry
     tail -= carry * 1e9
-    # An off-by-one k shows as N outside [10**16, 10**17).
-    left = ~finite | (regular & ((np.abs(frac - 0.5) < _GUARD) | (head < 1e7) | (head >= 1e8)))
+    # An off-by-one k shows as N outside [10**16, 10**17).  Zero and the
+    # non-finite values stand in as 1.0, whose N is exactly 10**16.
+    left = ~finite | (np.abs(frac - 0.5) < _GUARD) | (head < 1e7) | (head >= 1e8)
     # Exact halves are left to `%`, so rounding half up is round-half-even.
     tail += frac > 0.5
     carry = tail == 1e9
     head += carry
-    tail[carry] = 0.0
-    carry = head == 1e8  # 10**17 is 10**16 at exponent k + 1
-    head[carry] = 1e7
-    k += carry
-    blank = ~regular | left
-    head[blank] = tail[blank] = k[blank] = 0.0
-    return _ascii17(head, tail), k.astype(np.intp), left
+    tail -= carry * 1e9
+    # 10**17 is 10**16 at exponent k + 1; this also keeps a head that is
+    # left to `%` inside the digit tables.
+    carry = head >= 1e8
+    head = np.where(carry, 1e7, head)
+    row += carry
+    row = np.where(left, _LEFT, np.where(regular, row, _ZERO))
+    return head, tail, row
 
 
-def _ascii17(head: np.ndarray, tail: np.ndarray) -> np.ndarray:
-    """The 17 ASCII digits of head * 10**9 + tail: the 4-digit groups of
-    head and of tail // 10, then tail's last digit."""
-    eights = np.stack((head, np.floor(tail / 10.0)), axis=1)
-    highs = np.floor(eights / 1e4)
-    groups = np.stack((highs, eights - 1e4 * highs), axis=2).astype(np.intp)
-    digits = np.empty((head.size, 17), np.uint8)
-    digits[:, :16] = np.take(_quads(), groups).view(np.uint8).reshape(-1, 16)
-    digits[:, 16] = tail - 10.0 * eights[:, 1] + 48.0
-    return digits
+def _times_pow10(a: np.ndarray, row: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """a * 10**(16 - k) as top + low: TwoProduct of a * s * s' and hi, plus
+    a * s * s' * lo, with the _scales row of each value's k."""
+    table = _scales()
+    first, end = int(row.min()), int(row.max()) + 1
+    if np.isnan(table[0, first:end]).any():
+        used = np.flatnonzero(np.bincount(row - first)) + first
+        for i in used[np.isnan(table[0, used])].tolist():
+            table[:, i] = _pow10(16 + _K0 - i)
+    s, s2, hi, hh, hl, lo = np.take(table, row, axis=1)
+    a = a * s * s2
+    ah, al = _split(a)
+    top = a * hi
+    low = ((ah * hh - top) + ah * hl + al * hh) + al * hl + a * lo
+    return top, low
 
 
-def _times_pow10(a: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """a * 10**p as top + low: TwoProduct of a's mantissa f and hi, plus f * lo."""
-    base = int(p.min())
-    p = p - base
-    used = np.flatnonzero(np.bincount(p))
-    table = np.empty((5, used[-1] + 1))
-    table[:, used] = np.array([_pow10(base + i) for i in used.tolist()]).T
-    hi, hh, hl, lo, q = table[:, p]
-    f, e = np.frexp(a)
-    fh, fl = _split(f)
-    top = f * hi
-    low = ((fh * hh - top) + fh * hl + fl * hh) + fl * hl + f * lo
-    e = e + q.astype(np.intp)
-    return np.ldexp(top, e), np.ldexp(low, e)
+def _groups(head: np.ndarray, tail: np.ndarray) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+    """Digits 1-4, 5-8, 9-12 and 13-16 of head * 10**9 + tail as intp
+    values, and digit 17 as a float."""
+    tens = np.floor(tail / 10.0)
+    pairs = np.stack((head, tens))
+    highs = np.floor(pairs / 1e4)
+    lows = (pairs - 1e4 * highs).astype(np.intp)
+    highs = highs.astype(np.intp)
+    return (highs[0], lows[0], highs[1], lows[1]), tail - 10.0 * tens
 
 
-def _significant(digits: np.ndarray) -> np.ndarray:
+def _significant(groups: tuple[np.ndarray, ...], last: np.ndarray) -> np.ndarray:
     """Digits up to the last nonzero one, at least one ("0" has one)."""
-    nonzero = digits != 48
-    nonzero[:, 0] = True
-    return 17 - np.argmax(nonzero[:, ::-1], axis=1)
+    table = _group_digits()
+    sig = np.maximum(
+        np.maximum(np.take(table[0], groups[0]), np.take(table[1], groups[1])),
+        np.maximum(np.take(table[2], groups[2]), np.take(table[3], groups[3])),
+    )
+    return np.where(last > 0.0, 17, sig)
 
 
 def _g17(v: float) -> bytes:

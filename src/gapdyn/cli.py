@@ -13,8 +13,9 @@ and the exit status separates failure families:
 Seed precedence for seeded shocks: the --seed flag beats the GAPDYN_SEED
 environment variable, which beats shock_seed in the config file.
 
-The numpy-backed layers are imported inside the functions that use them, so
-`classify`, `check` and usage errors start without loading numpy.
+Every layer is imported inside the functions that use it, so a command loads
+only its own layers, and `classify`, `check` and usage errors start without
+loading numpy.
 """
 
 from __future__ import annotations
@@ -25,14 +26,6 @@ import functools
 import os
 import sys
 
-from .dsge import (
-    DsgeBlockParams,
-    DsgePoint,
-    budget_residual,
-    euler_residual,
-    profit,
-    steady_state_rate,
-)
 from .errors import (
     BadEncoding,
     BadNumber,
@@ -46,7 +39,6 @@ from .errors import (
     NonUniformSpacing,
     UnknownKey,
 )
-from .oscillator import OscillatorParams, classify
 
 _NUMERICAL_ERRORS = (Degenerate, NonStationary, Divergence)
 _DATA_ERRORS = (
@@ -153,6 +145,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_classify(args: argparse.Namespace) -> int:
+    from .oscillator import OscillatorParams, classify
+
     params = OscillatorParams(gamma=args.gamma, alpha=args.alpha)
     regime = classify(params)
     print(f"regime={regime.value} discriminant={_num(params.discriminant)}")
@@ -191,6 +185,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     import numpy as np
 
     from .integrate import sweep_metrics
+    from .oscillator import OscillatorParams
     from .shocks import realize
 
     cfg = _load_config(args.config, seed_flag=args.seed)
@@ -224,6 +219,15 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
+    from .dsge import (
+        DsgeBlockParams,
+        DsgePoint,
+        budget_residual,
+        euler_residual,
+        profit,
+        steady_state_rate,
+    )
+
     params = DsgeBlockParams(
         beta=args.beta, sigma_c=args.sigma_c, theta=args.theta, a_tfp=args.a_tfp
     )
@@ -297,6 +301,7 @@ def _emit_outputs(
 
         write_trajectory_csv(out_path, traj)
     if svg_path:
+        from .oscillator import classify
         from .svgplot import write_svg
 
         label = classify(cfg.params()).value

@@ -9,6 +9,7 @@ to check into golden-file tests.
 from __future__ import annotations
 
 import math
+import sys
 from pathlib import Path
 from typing import Sequence
 
@@ -70,6 +71,10 @@ def write_svg(
     lo = min(float(v.min()) for _, v in curves)
     hi = max(float(v.max()) for _, v in curves)
     y_min, y_max = _padded_range(lo, hi, pad=_RANGE_PAD)
+    scale = 1.0
+    if not 0.0 < y_max - y_min < math.inf:
+        scale, y_min, y_max = _scaled_range(lo, hi)
+        curves = [(label, v * scale) for label, v in curves]
 
     plot_left = _MARGIN_LEFT
     plot_right = _WIDTH - _MARGIN_RIGHT
@@ -112,7 +117,7 @@ def write_svg(
         )
         parts.append(
             f'<text x="{plot_left - 6}" y="{yp + 4:.2f}" font-family="sans-serif" '
-            f'font-size="11" text-anchor="end" fill="#444444">{_tick(yv)}</text>'
+            f'font-size="11" text-anchor="end" fill="#444444">{_tick(yv / scale)}</text>'
         )
 
     parts.append(
@@ -173,6 +178,20 @@ def _padded_range(lo: float, hi: float, pad: float) -> tuple[float, float]:
         return lo - 0.5, hi + 0.5
     span = hi - lo
     return lo - pad * span, hi + pad * span
+
+
+def _scaled_range(lo: float, hi: float) -> tuple[float, float, float]:
+    """(scale, y_min, y_max) for values whose range _padded_range cannot
+    give: a span past the largest float, or a flat line too large for a
+    band of 0.5.  The plot shows the values times the scale, 1/4 so that
+    even a span of twice the largest float, padded, stays finite; its
+    padded ends stay within the largest float times the scale, so every
+    tick label (a tick over the scale) is finite too."""
+    scale = 0.25
+    lo, hi = lo * scale, hi * scale
+    pad = _RANGE_PAD * (hi - lo) if hi > lo else abs(lo) / 4
+    top = sys.float_info.max * scale
+    return scale, max(lo - pad, -top), min(hi + pad, top)
 
 
 def _tick(value: float) -> str:

@@ -120,6 +120,26 @@ class TestSimulate:
         assert text.startswith("<svg")
         assert "critically-damped" in text
 
+    @pytest.mark.parametrize("text", [
+        "gamma = 0\nalpha = 0.1\ndt = 1.0\nt_end = 14898\n",
+        "gamma = 0\nalpha = 1\ny0 = 1e20\ndt = 1e-10\nt_end = 1e-7\n",
+    ], ids=["y-span-past-max", "y-flat-at-1e20"])
+    def test_svg_of_extreme_path_is_finite(self, config_file, tmp_path, text):
+        # A fresh process, so that a numpy warning reaches stderr instead of
+        # pytest's warning capture.
+        svg = tmp_path / "run.svg"
+        src = str(Path(gapdyn.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        proc = subprocess.run(
+            [sys.executable, "-m", "gapdyn.cli", "simulate", "--config", config_file(text),
+             "--svg", str(svg)],
+            capture_output=True, text=True, env=env,
+        )
+        assert (proc.returncode, proc.stderr) == (0, "")
+        body = svg.read_text()
+        assert "nan" not in body and "inf" not in body
+
     def test_missing_config_is_io_error(self, capsys, tmp_path):
         code, _, err = _run(
             capsys, ["simulate", "--config", str(tmp_path / "absent.cfg")]

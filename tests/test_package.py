@@ -101,10 +101,14 @@ class TestImportBoundary:
 
     @pytest.mark.parametrize("command, unused", [
         (["simulate", "--config", "{cfg}", "--out", "{dir}/out.csv"],
-         ["gapdyn.estimation", "gapdyn.svgplot"]),
+         ["gapdyn.estimation", "gapdyn.svgplot", "gapdyn.dsge"]),
         (["sweep", "--config", "{cfg}", "--gamma-from", "0.5", "--gamma-to", "2",
           "--gamma-steps", "4"], ["gapdyn.estimation", "gapdyn.svgplot"]),
-        (["estimate", "--in", "{csv}", "--method", "mle"], ["gapdyn.integrate", "gapdyn.svgplot"]),
+        (["estimate", "--in", "{csv}", "--method", "mle"],
+         ["gapdyn.integrate", "gapdyn.svgplot", "gapdyn.dsge"]),
+        (["classify", "--gamma", "0.5", "--alpha", "4.0"], ["gapdyn.dsge"]),
+        (["check", "--beta", "0.99", "--sigma-c", "2.0", "--point", "r=0.05"],
+         ["gapdyn.oscillator"]),
     ])
     def test_command_loads_only_its_layers(self, tmp_path, command, unused):
         cfg = tmp_path / "scenario.cfg"

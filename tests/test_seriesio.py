@@ -1,5 +1,9 @@
 """CSV round-trips, malformed-file rejection, and SVG rendering."""
 
+import re
+import sys
+import warnings
+
 import numpy as np
 import pytest
 
@@ -170,6 +174,32 @@ class TestSvg:
         path = tmp_path / "flat.svg"
         write_svg(path, [0.0, 1.0, 2.0], [("steady", [1.0, 1.0, 1.0])])
         assert path.read_text().count("<polyline") == 1
+
+    @pytest.mark.parametrize("values", [
+        [-1.0893719596742687e308, 1.774337954730523e308, 0.0],
+        [-sys.float_info.max, sys.float_info.max, 0.0],
+        [1.7e308, 1.7976931348623157e308, 1.79e308],
+        [1e20, 1e20, 1e20],
+        [-sys.float_info.max] * 3,
+    ], ids=["span-past-max", "full-range", "top-pad-past-max", "flat-1e20", "flat-min"])
+    def test_extreme_ranges_stay_finite(self, tmp_path, values):
+        # A span or padded end past the largest float, or a flat line whose
+        # +-0.5 band rounds away, used to give nan coordinates and labels.
+        path = tmp_path / "extreme.svg"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            write_svg(path, [0.0, 1.0, 2.0], [("y", values)])
+        text = path.read_text()
+        assert "nan" not in text and "inf" not in text
+        points = re.search(r'<polyline points="([^"]*)"', text).group(1).split()
+        ys = [float(p.split(",")[1]) for p in points]
+        assert all(20.0 <= y <= 455.0 for y in ys)
+        if values[0] == values[1]:
+            assert ys[0] == ys[1] == ys[2]
+        else:
+            assert ys[0] > ys[2] > ys[1]  # a larger value is drawn higher up
+        labels = re.findall(r'text-anchor="end" fill="#444444">([^<]*)<', text)
+        assert [float(v) for v in labels] == sorted(float(v) for v in labels)
 
     def test_non_finite_values_rejected(self, tmp_path):
         with pytest.raises(InvariantViolation):

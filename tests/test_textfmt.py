@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gapdyn import _textfmt
+from gapdyn import OscillatorParams, OscState, TimeGrid, _textfmt, integrate_rk4
 from gapdyn._textfmt import f2_pairs, g17_rows
 
 _SETTINGS = settings(max_examples=1000, deadline=None, derandomize=True, database=None)
@@ -165,3 +165,59 @@ def test_fallback_takes_every_exact_tie(monkeypatch):
     ties = _exact_ties()
     _assert_g17(ties)
     assert sorted(seen) == sorted(ties.tolist())
+
+
+@pytest.mark.parametrize("path", ["exp-decay", "rk4"])
+def test_g17_long_decay_trajectory_blocks(path):
+    # Trajectory CSV rows: t, y, ydot and an unforced eps column of zeros.
+    # A decaying exponential passes through subnormal values to exact zeros;
+    # the RK4 path of an over-damped oscillator stalls at subnormal values.
+    grid = TimeGrid(t0=0.0, dt=0.1, n_steps=20_001)
+    t = grid.times()
+    if path == "rk4":
+        traj = integrate_rk4(OscillatorParams(gamma=3.0, alpha=1.0), OscState(1.0, 0.5),
+                             np.zeros(grid.n_steps), grid)
+        y, ydot = traj.y, traj.ydot
+    else:
+        y = np.exp(-0.5 * t) * np.cos(2.0 * t)
+        ydot = -0.5 * y - 2.0 * np.exp(-0.5 * t) * np.sin(2.0 * t)
+        assert np.all(y[-1000:] == 0.0) and np.all(ydot[-1000:] == 0.0)
+    assert np.count_nonzero((y != 0.0) & (np.abs(y) < 2.2250738585072014e-308)) > 100
+    _assert_g17(np.column_stack([t, y, ydot, np.zeros_like(t)]).ravel())
+
+
+def test_g17_tables_cold_then_warm_then_extreme_powers():
+    for fn in vars(_textfmt).values():
+        if hasattr(fn, "cache_clear"):
+            fn.cache_clear()
+    normals = np.random.default_rng(4).standard_normal(4096)
+    _assert_g17(normals)
+    _assert_g17(normals * 1e-3)
+    # One block whose lowest exponent is known and whose highest are new.
+    _assert_g17(np.concatenate([normals[:2048], normals[2048:] * 1e5]))
+    with np.errstate(over="ignore"):  # the largest float's neighbours above are inf
+        extremes = _with_neighbours(np.array([1e-323, 1.7976931348623157e308]), 2)
+    _assert_g17(np.concatenate([extremes, -extremes]))
+    _assert_g17(normals[::-1])
+
+
+def _shown_digits(text: bytes) -> int:
+    """Significant digits of a %g field up to its last nonzero one."""
+    mantissa = text.partition(b"e")[0]
+    return len(mantissa.lstrip(b"-").replace(b".", b"").strip(b"0"))
+
+
+def test_g17_every_significant_digit_count():
+    # 17 - z digits for z trailing zeros in the 17-digit rounding, z = 0 to
+    # 16, from exactly representable values: 1 + 2**-j has j decimals;
+    # d * 10**(18 - s) with s digits in d, s <= 11, is an exact integer of
+    # at least 1e17; 2**-j below 1e-4 has the digits of 5**j.
+    fixed = [1.0 + 2.0**-j for j in range(17)]
+    large = [float(int("1234567891"[: s - 1] + "7") * 10 ** (18 - s)) for s in range(1, 12)]
+    small = [2.0**-j for j in range(14, 25)]
+    values = np.array(fixed + large + small)
+    values = np.concatenate([values, -values])
+    shown = {(_shown_digits(b"%.17g" % v), b"e" in b"%.17g" % v, v < 0) for v in values.tolist()}
+    assert shown == {(s, e, neg) for s in range(1, 18) for e in (False, True) for neg in (False, True)}
+    _assert_g17(values, columns=1)
+    _assert_g17(values, columns=4)
