@@ -207,8 +207,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     # The forcing does not depend on gamma: it is realized once for all.
     params = [OscillatorParams(gamma=float(g), alpha=cfg.alpha) for g in gammas]
     grid = cfg.grid()
-    eps = realize(cfg.shock, grid, cfg.shock_scaling)
-    metrics = sweep_metrics(params, cfg.initial_state(), eps, grid, cfg.integrator.value)
+    try:
+        eps = realize(cfg.shock, grid, cfg.shock_scaling)
+        metrics = sweep_metrics(params, cfg.initial_state(), eps, grid, cfg.integrator.value)
+    except MemoryError:
+        raise _too_large(cfg) from None
     rows = ["gamma,settling_time,overshoot,zero_crossings,terminal_abs\n"]
     rows += [
         "%.17g,%.17g,%.17g,%d,%.17g\n" % row
@@ -281,7 +284,15 @@ def _resolve_seed(flag_seed: int | None, shock):
 def _trajectory_for(cfg: ScenarioConfig) -> Trajectory:
     from .shocks import realize
 
-    return _integrate(cfg, realize(cfg.shock, cfg.grid(), cfg.shock_scaling))
+    try:
+        return _integrate(cfg, realize(cfg.shock, cfg.grid(), cfg.shock_scaling))
+    except MemoryError:
+        raise _too_large(cfg) from None
+
+
+def _too_large(cfg: ScenarioConfig) -> InvariantViolation:
+    """The error for a grid whose forcing or path cannot be allocated."""
+    return InvariantViolation(f"cannot allocate a grid of n_steps={cfg.n_steps} nodes")
 
 
 def _integrate(cfg: ScenarioConfig, eps: np.ndarray) -> Trajectory:

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass, field
 
 from .errors import BadValue, InvariantViolation, UnknownKey
@@ -63,6 +64,9 @@ class ScenarioConfig:
             raise InvariantViolation(
                 f"t_end / dt must be finite, got t_end={self.t_end!r} dt={self.dt!r}"
             )
+        # numpy counts a float64 array's bytes in a signed machine word.
+        if self.n_steps > sys.maxsize // 8:
+            raise InvariantViolation(f"n_steps must be <= {sys.maxsize // 8}, got {self.n_steps}")
         if self.shock_scaling not in ("diffusion", "literal"):
             raise InvariantViolation(
                 f"shock_scaling must be 'diffusion' or 'literal', got {self.shock_scaling!r}"

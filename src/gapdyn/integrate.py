@@ -1,16 +1,19 @@
 """Time steppers for the forced oscillator and trajectory recovery metrics.
 
-Both steppers take the forcing as one value per grid node and hold it as a
+Both schemes take the forcing as one value per grid node and hold it as a
 zero-order hold: forcing[i-1] acts, constant, over the whole step from node
 i-1 to node i.  forcing[i] therefore first moves the state at node i+1, and
 the last entry acts on no step.
 
-integrate_batch steps many parameter sets at once, as numpy vectors, for
-`gapdyn sweep`.  Its updates are the scalar steppers' expressions in the
-same order; Python floats and numpy float64 both round every operation
-correctly and neither fuses a multiply-add, so each of its rows is
-bit-identical to the scalar stepper's path.  The scalar steppers stay for
-single runs, where a length-1 numpy loop costs several times more a step.
+Each scheme's arithmetic is written once, as a loop (_euler_steps,
+_rk4_steps) that fills nodes 1.. of position and rate buffers from node 0.
+integrate_euler and integrate_rk4 feed it Python floats, for one parameter
+set, into array('d') buffers.  integrate_batch feeds it (k,) float64 rows,
+one column per parameter set, into (n, k) arrays for `gapdyn sweep`.
+Python floats and numpy float64 both round every operation correctly and
+neither fuses a multiply-add, so each column of a batch is bit-identical
+to the single run.  Both kinds of call end in one finiteness check, which
+raises Divergence at the first non-finite node.
 recovery_metrics is recovery_metrics_block on a one-row block, so the
 metrics have one definition.
 """
@@ -99,6 +102,56 @@ def _forcing_nodes(forcing: Sequence[float] | np.ndarray, grid: TimeGrid) -> np.
     return eps
 
 
+def _euler_steps(y, v, eps, ng, a, dt) -> None:
+    """Fill nodes 1..len(eps) of positions y and rates v from node 0 by
+    explicit Euler, with ng = -gamma and eps[i-1] held over step i; the
+    nodes of y and v, ng and a are all Python floats or all (k,) rows."""
+    yi, vi = y[0], v[0]
+    for i, e in enumerate(eps, start=1):
+        v_next = vi + (ng * vi - a * yi + e) * dt
+        yi = yi + vi * dt
+        vi = v_next
+        y[i] = yi
+        v[i] = vi
+
+
+def _rk4_steps(y, v, eps, ng, a, dt) -> None:
+    """Fill nodes 1..len(eps) of y and v from node 0 by classical RK4, as
+    _euler_steps does; all four stages of step i hold eps[i-1]."""
+    half = 0.5 * dt
+    sixth = dt / 6.0
+    yi, vi = y[0], v[0]
+    for i, e in enumerate(eps, start=1):
+        k1y = vi
+        k1v = ng * vi - a * yi + e
+        k2y = vi + half * k1v
+        k2v = ng * k2y - a * (yi + half * k1y) + e
+        k3y = vi + half * k2v
+        k3v = ng * k3y - a * (yi + half * k2y) + e
+        k4y = vi + dt * k3v
+        k4v = ng * k4y - a * (yi + dt * k3y) + e
+        yi = yi + sixth * (k1y + 2.0 * k2y + 2.0 * k3y + k4y)
+        vi = vi + sixth * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
+        y[i] = yi
+        v[i] = vi
+
+
+_STEPS = {"euler": _euler_steps, "rk4": _rk4_steps}
+
+
+def _check_finite(y: np.ndarray, v: np.ndarray) -> None:
+    """Raise Divergence at the first non-finite node of the lowest-index
+    column of the (n, k) positions y and rates v that has one.
+
+    Under +, - and * a non-finite y or ydot stays non-finite at every later
+    node, so a column's last node is finite exactly when all of them are.
+    """
+    finite = np.isfinite(y[-1]) & np.isfinite(v[-1])
+    if not finite.all():
+        j = int(np.argmin(finite))
+        raise Divergence(int(np.argmin(np.isfinite(y[:, j]) & np.isfinite(v[:, j]))))
+
+
 def integrate_euler(
     params: OscillatorParams,
     init: OscState,
@@ -117,25 +170,9 @@ def integrate_euler(
     update; swapping that order changes every sample and is a different
     scheme.  `forcing` supplies one finite value per grid node; any other
     shape or a non-finite entry raises InvariantViolation.  A non-finite
-    intermediate state aborts with Divergence naming the step.
+    state aborts with Divergence naming its first node.
     """
-    eps = _forcing_nodes(forcing, grid)
-    ng, a, dt = -params.gamma, params.alpha, grid.dt  # -g * v is (-g) * v
-    yi, vi = init.y, init.ydot
-    y = array("d", [yi])
-    v = array("d", [vi])
-    y_append, v_append = y.append, v.append
-    # Overflow to inf is an expected failure mode here; it is caught by the
-    # finiteness check and reported as Divergence, so silence the warning
-    # that numpy scalars in `init` or `params` would give.
-    with np.errstate(over="ignore", invalid="ignore"):
-        for e in eps[:-1].tolist():
-            v_next = vi + (ng * vi - a * yi + e) * dt
-            yi = yi + vi * dt
-            vi = v_next
-            y_append(yi)
-            v_append(vi)
-    return _checked(grid, y, v, eps)
+    return _integrate_one(_euler_steps, params, init, forcing, grid)
 
 
 def integrate_rk4(
@@ -149,46 +186,25 @@ def integrate_rk4(
     `forcing` supplies one value per grid node, checked as in
     integrate_euler.  All four stages of step i >= 1 use forcing[i-1], the
     value held over that step, so the scheme integrates the same
-    zero-order-hold forcing as integrate_euler.  A non-finite intermediate
-    state aborts with Divergence naming the step.
+    zero-order-hold forcing as integrate_euler.  A non-finite state aborts
+    with Divergence naming its first node.
     """
+    return _integrate_one(_rk4_steps, params, init, forcing, grid)
+
+
+def _integrate_one(steps, params, init, forcing, grid) -> Trajectory:
+    """One parameter set stepped on Python floats into array('d') buffers."""
     eps = _forcing_nodes(forcing, grid)
-    ng, a, dt = -params.gamma, params.alpha, grid.dt
-    half = 0.5 * dt
-    sixth = dt / 6.0
-    yi, vi = init.y, init.ydot
-    y = array("d", [yi])
-    v = array("d", [vi])
-    y_append, v_append = y.append, v.append
-    # As in integrate_euler: numpy scalars in `init` or `params` would warn
-    # on the overflow that the finiteness check reports as Divergence.
+    y = array("d", [0.0]) * grid.n_steps
+    v = array("d", y)
+    y[0], v[0] = init.y, init.ydot
+    # Overflow to inf is reported as Divergence, so silence the warning that
+    # numpy scalars in `params` would give; `init` arrives as Python floats.
     with np.errstate(over="ignore", invalid="ignore"):
-        for e in eps[:-1].tolist():
-            k1y = vi
-            k1v = ng * vi - a * yi + e
-            k2y = vi + half * k1v
-            k2v = ng * k2y - a * (yi + half * k1y) + e
-            k3y = vi + half * k2v
-            k3v = ng * k3y - a * (yi + half * k2y) + e
-            k4y = vi + dt * k3v
-            k4v = ng * k4y - a * (yi + dt * k3y) + e
-            yi = yi + sixth * (k1y + 2.0 * k2y + 2.0 * k3y + k4y)
-            vi = vi + sixth * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
-            y_append(yi)
-            v_append(vi)
-    return _checked(grid, y, v, eps)
-
-
-def _checked(grid: TimeGrid, y: array, v: array, eps: np.ndarray) -> Trajectory:
-    """The stepped path, or Divergence at its first non-finite node.
-
-    Under +, - and * a non-finite y or ydot stays non-finite at every later
-    node, so the last node is finite exactly when every node is.
-    """
-    if not (math.isfinite(y[-1]) and math.isfinite(v[-1])):
-        y, v = np.frombuffer(y), np.frombuffer(v)
-        raise Divergence(int(np.argmax(~(np.isfinite(y) & np.isfinite(v)))))
-    return Trajectory(grid, np.frombuffer(y), np.frombuffer(v), eps)
+        steps(y, v, eps[:-1].tolist(), -params.gamma, params.alpha, grid.dt)
+    y, v = np.frombuffer(y), np.frombuffer(v)
+    _check_finite(y[:, None], v[:, None])
+    return Trajectory(grid, y, v, eps)
 
 
 def analytic_trajectory(params: OscillatorParams, init: OscState, grid: TimeGrid) -> Trajectory:
@@ -212,56 +228,31 @@ def integrate_batch(
 
     Returns a (len(params), n_steps) block whose row j is bit-identical to
     integrate_euler (scheme "euler") or integrate_rk4 (scheme "rk4") run on
-    params[j]: each step evaluates that stepper's expressions, in the same
-    order, on (k,) float64 vectors, and float64 rounds every operation
-    exactly as Python floats do.  `forcing` is checked as in the scalar
-    steppers.  Non-finite values persist once they appear, so finiteness
-    is checked once, after the last step; if any row diverged, the scalar
-    stepper is re-run on the lowest-index one and raises its Divergence.
+    params[j]: the same step loop runs on (k,) float64 rows, and float64
+    rounds every operation exactly as Python floats do.  `forcing` is
+    checked as in those steppers.  The lowest-index parameter set whose
+    path turns non-finite raises Divergence at its first non-finite node.
     """
-    if scheme not in ("euler", "rk4"):
+    if scheme not in _STEPS:
         raise InvariantViolation(f"scheme must be 'euler' or 'rk4', got {scheme!r}")
     eps = _forcing_nodes(forcing, grid)
-    # The scalar steppers' -g * v is (-g) * v; negation is exact.
-    neg_g = -np.array([p.gamma for p in params], dtype=float)
+    ng = -np.array([p.gamma for p in params], dtype=float)
     a = np.array([p.alpha for p in params], dtype=float)
-    dt = grid.dt
     y = np.empty((grid.n_steps, len(params)))
-    y[0] = init.y
-    yi, vi = y[0], np.full(len(params), init.ydot, dtype=float)
+    v = np.empty_like(y)
+    y[0], v[0] = init.y, init.ydot
+    # Overflow is reported by _check_finite, not as a numpy warning.
     with np.errstate(over="ignore", invalid="ignore"):
-        if scheme == "euler":
-            for i, e in enumerate(eps[:-1].tolist(), start=1):
-                accel = neg_g * vi - a * yi + e
-                v_next = vi + accel * dt
-                np.add(yi, vi * dt, out=y[i])
-                yi, vi = y[i], v_next
-        else:
-            half = 0.5 * dt
-            for i, e in enumerate(eps[:-1].tolist(), start=1):
-                k1y = vi
-                k1v = neg_g * vi - a * yi + e
-                k2y = vi + half * k1v
-                k2v = neg_g * k2y - a * (yi + half * k1y) + e
-                k3y = vi + half * k2v
-                k3v = neg_g * k3y - a * (yi + half * k2y) + e
-                k4y = vi + dt * k3v
-                k4v = neg_g * k4y - a * (yi + dt * k3y) + e
-                np.add(yi, dt / 6.0 * (k1y + 2.0 * k2y + 2.0 * k3y + k4y), out=y[i])
-                v_next = vi + dt / 6.0 * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
-                yi, vi = y[i], v_next
-    diverged = ~(np.isfinite(yi) & np.isfinite(vi))
-    if diverged.any():
-        step = integrate_euler if scheme == "euler" else integrate_rk4
-        step(params[int(np.argmax(diverged))], init, eps, grid)
-        raise AssertionError("batched and scalar stepping disagree")
+        _STEPS[scheme](y, v, eps[:-1].tolist(), ng, a, grid.dt)
+    _check_finite(y, v)
     return y.T
 
 
 # Bytes of positions that sweep_metrics steps at once: the parameter sets go
 # through integrate_batch in column blocks of this size (at least one
-# column).  Bounds a temporary; it is not a tuning knob.
-_SWEEP_BLOCK_BYTES = 4 * 2**20
+# column).  integrate_batch stores the rates as well, so a block holds
+# twice this, 4 MiB.  Bounds a temporary; it is not a tuning knob.
+_SWEEP_BLOCK_BYTES = 2 * 2**20
 
 
 def sweep_metrics(

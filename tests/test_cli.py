@@ -451,6 +451,36 @@ class TestSweep:
         assert steps in err
 
 
+class TestOversizedGrid:
+    """A grid numpy cannot allocate or index is a data error, not a traceback.
+
+    1e15 nodes need 7.1 PiB, beyond the 128 TiB a 64-bit Linux process can
+    map, so the allocation is refused under any overcommit setting; 5e18
+    float64 nodes overflow numpy's byte count, and 1e30 its index too.  Each
+    command runs in a fresh process.
+    """
+
+    @pytest.mark.parametrize("t_end", ["1e15", "5e18", "1e30"])
+    @pytest.mark.parametrize("command", [
+        ["simulate"],
+        ["impulse", "--magnitude", "1", "--at", "0"],
+        ["sweep", "--gamma-from", "1", "--gamma-to", "2", "--gamma-steps", "3"],
+    ], ids=["simulate", "impulse", "sweep"])
+    def test_exit_2_with_one_error_line(self, config_file, command, t_end):
+        cfg = config_file(f"t_end = {t_end}\ndt = 1\n")
+        src = str(Path(gapdyn.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        proc = subprocess.run(
+            [sys.executable, "-m", "gapdyn.cli", command[0], "--config", cfg, *command[1:]],
+            capture_output=True, text=True, env=env,
+        )
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert len(proc.stderr.splitlines()) == 1
+        assert proc.stderr.startswith("error=InvariantViolation detail=")
+        assert "n_steps" in proc.stderr
+
+
 class TestCheck:
     def test_default_point_has_zero_residuals(self, capsys):
         code, out, _ = _run(capsys, ["check", "--beta", "0.99", "--sigma-c", "2.0"])

@@ -10,6 +10,7 @@ import contextlib
 import dataclasses
 import io
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -142,6 +143,21 @@ class TestIntegrateBatch:
             _SCALAR[scheme](params[2], init, np.zeros(401), grid)
         with pytest.raises(Divergence) as batched:
             integrate_batch(params, init, np.zeros(401), grid, scheme)
+        assert batched.value.step == scalar.value.step
+
+    @pytest.mark.parametrize("scheme", ["euler", "rk4"])
+    def test_divergence_without_warnings(self, scheme):
+        # numpy scalar params, and rows that overflow: the overflow must
+        # surface as the scalar stepper's Divergence, not as a warning.
+        grid = TimeGrid(0.0, 0.1, 201)
+        params = [OscillatorParams(np.float64(g), np.float64(1)) for g in (0.5, 50.0, 2.0)]
+        init = OscState(1e300, 0.0)
+        with pytest.raises(Divergence) as scalar:
+            _SCALAR[scheme](params[1], init, np.zeros(201), grid)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(Divergence) as batched:
+                integrate_batch(params, init, np.zeros(201), grid, scheme)
         assert batched.value.step == scalar.value.step
 
     def test_rate_overflow_on_the_last_step(self):
