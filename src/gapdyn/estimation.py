@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import Degenerate, InvariantViolation, NonStationary
-from .oscillator import OscillatorParams
+from .oscillator import OscillatorParams, _flow_parts
 
 # Relative width of the discriminant band treated as a repeated root when
 # mapping fitted lag coefficients back to (gamma, alpha).
@@ -80,8 +80,9 @@ class EstimationResult:
 def discretize_exact(params: OscillatorParams, dt: float) -> tuple[float, float]:
     """Lag coefficients (phi1, phi2) of the exactly sampled recursion.
 
-    phi2 = -exp(-gamma dt) regardless of regime; phi1 is 2 e^(-gamma dt/2)
-    cos(wd dt) for complex roots and e^(r1 dt) + e^(r2 dt) for real ones.
+    phi2 = -exp(-gamma dt) regardless of regime; phi1, the trace of the step's
+    flow e^(A dt), is 2 e^(-gamma dt/2) cos(wd dt) for complex roots and
+    e^(r1 dt) + e^(r2 dt) for real ones.
     """
     if not (math.isfinite(dt) and dt > 0.0):
         raise InvariantViolation(f"dt must be finite and > 0, got {dt!r}")
@@ -89,15 +90,7 @@ def discretize_exact(params: OscillatorParams, dt: float) -> tuple[float, float]
 
 
 def _phi_pair(g: float, a: float, dt: float) -> tuple[float, float]:
-    d = g * g - 4.0 * a
-    if d < 0.0:
-        wd = 0.5 * math.sqrt(-d)
-        phi1 = 2.0 * math.exp(-0.5 * g * dt) * math.cos(wd * dt)
-    else:
-        # The slow root as alpha / fast: -g/2 + sqrt(d)/2 cancels when g^2 >> alpha.
-        fast = -0.5 * g - 0.5 * math.sqrt(d)
-        phi1 = math.exp(a / fast * dt) + math.exp(fast * dt)
-    return phi1, -math.exp(-g * dt)
+    return 2.0 * _flow_parts(g, a, dt, math)[0], -math.exp(-g * dt)
 
 
 def conditional_loglik(series: ObservedSeries, params: OscillatorParams) -> float:
@@ -307,13 +300,15 @@ def _profile_loglik(n: int, ssr: float) -> float:
 def _root_product(phi1: float, phi2: float, dt: float) -> float:
     """Product of the continuous roots ln(lam)/dt of lam^2 - phi1 lam - phi2.
 
-    Complex pairs go through modulus and argument, |lam|^2 = -phi2; a guard
-    band around the repeated-root boundary, where the split into two nearby
-    roots is ill-conditioned, uses the modulus and the split's first-order
-    term -disc4/half^2, on which the real and complex branches agree (without
-    it alpha is off by up to 1e-10/(alpha dt^2) relative).  For phi1 < 0 that
-    boundary is the Nyquist angle, so the band keeps its (pi/dt)^2 term: the
-    value on the aliasing curve, alpha = gamma^2/4 + (pi/dt)^2.
+    Complex pairs go through modulus and argument, |lam|^2 = -phi2.  The guard
+    band around the repeated-root boundary serves this inverse map alone (the
+    forward map `_phi_pair` branches on the exact sign): there the split into
+    two nearby roots is ill-conditioned, so the band uses the modulus and the
+    split's first-order term -disc4/half^2, on which the real and complex
+    branches agree (without it alpha is off by up to 1e-10/(alpha dt^2)
+    relative).  For phi1 < 0 that boundary is the Nyquist angle, so the band
+    keeps its (pi/dt)^2 term: the value on the aliasing curve,
+    alpha = gamma^2/4 + (pi/dt)^2.
     Principal-branch logarithms are used throughout.
     """
     half = 0.5 * phi1

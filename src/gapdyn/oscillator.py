@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 from .errors import InvariantViolation
 
-# Width of the relative band around gamma^2 == 4*alpha inside which a
-# parameterization is treated as critically damped.
+# Width of the relative band around gamma^2 == 4*alpha inside which `classify`
+# labels a parameterization critically damped.  It only names the regime.
 DEFAULT_REL_TOL = 1e-9
 
 
@@ -101,7 +101,9 @@ def classify(params: OscillatorParams, rel_tol: float = DEFAULT_REL_TOL) -> Regi
 
     Floating point makes the exact boundary undecidable, so the regime is
     critical whenever |gamma^2 - 4*alpha| <= rel_tol * max(gamma^2, 4*alpha).
-    gamma = 0 (no damping at all) classifies as under-damped.
+    gamma = 0 (no damping at all) classifies as under-damped.  The label is
+    for readers (the CLI `classify` line, the SVG legend): the closed form and
+    the lag coefficients branch on the exact sign of the discriminant instead.
     """
     if not (math.isfinite(rel_tol) and rel_tol >= 0.0):
         raise InvariantViolation(f"rel_tol must be finite and >= 0, got {rel_tol!r}")
@@ -116,16 +118,9 @@ def classify(params: OscillatorParams, rel_tol: float = DEFAULT_REL_TOL) -> Regi
 def solve_analytic(params: OscillatorParams, init: OscState, t: float) -> OscState:
     """Exact solution of the unforced equation advanced from `init` to time t.
 
-    The branch is chosen by `classify` with the default tolerance:
-
-      under-damped      y = e^(-gamma t/2) (A cos(wd t) + B sin(wd t)),
-                        wd = sqrt(alpha - gamma^2/4)
-      critically damped y = (A + B t) e^(-gamma t/2)
-      over-damped       y = A e^(r1 t) + B e^(r2 t),
-                        r = (-gamma +- sqrt(gamma^2 - 4 alpha)) / 2
-
-    with A, B fixed by the initial conditions.  t must be finite and >= 0;
-    t = 0 returns `init` unchanged.
+    The state moves by e^(A t) = e^(-gamma t/2) (c(t) I + s(t) N) for the
+    companion matrix A and N = A + gamma/2 I, with c and s as in `_flow_parts`.
+    t must be finite and >= 0; t = 0 returns `init` unchanged.
     """
     if not math.isfinite(t) or t < 0.0:
         raise InvariantViolation(f"t must be finite and >= 0, got {t!r}")
@@ -152,30 +147,38 @@ def _homogeneous(
     """Vectorized closed-form (y, ydot) of the unforced equation at times t."""
     import numpy as np
 
-    g = params.gamma
-    regime = classify(params)
-    decay = np.exp(-0.5 * g * t)
-    if regime is Regime.CRITICALLY_DAMPED:
-        ca = init.y
-        cb = init.ydot + 0.5 * g * init.y
-        y = (ca + cb * t) * decay
-        ydot = (cb - 0.5 * g * (ca + cb * t)) * decay
-    elif regime is Regime.UNDER_DAMPED:
-        wd = math.sqrt(params.alpha - 0.25 * g * g)
-        ca = init.y
-        cb = (init.ydot + 0.5 * g * init.y) / wd
-        cos_t = np.cos(wd * t)
-        sin_t = np.sin(wd * t)
-        y = decay * (ca * cos_t + cb * sin_t)
-        ydot = decay * ((cb * wd - 0.5 * g * ca) * cos_t - (ca * wd + 0.5 * g * cb) * sin_t)
-    else:
-        s = math.sqrt(0.25 * g * g - params.alpha)
-        r_slow = -0.5 * g + s
-        r_fast = -0.5 * g - s
-        ca = (init.ydot - r_fast * init.y) / (r_slow - r_fast)
-        cb = init.y - ca
-        e_slow = np.exp(r_slow * t)
-        e_fast = np.exp(r_fast * t)
-        y = ca * e_slow + cb * e_fast
-        ydot = ca * r_slow * e_slow + cb * r_fast * e_fast
+    g, a = params.gamma, params.alpha
+    ec, es, ed = _flow_parts(g, a, t, np)
+    y = ec * init.y + es * (0.5 * g * init.y + init.ydot)
+    ydot = ed * init.ydot - es * (a * init.y)
     return y, ydot
+
+
+def _flow_parts(gamma: float, alpha: float, t, xp):
+    """Parts of the flow e^(A t) = e^(mu t) (c(t) I + s(t) N) of the unforced law.
+
+    A = [[0, 1], [-alpha, -gamma]], mu = -gamma/2 and N = A - mu I, whose
+    square is delta I with delta = gamma^2/4 - alpha.  Returns e^(mu t) c,
+    e^(mu t) s and the (2, 2) entry e^(mu t) (c + mu s).  Only the exact sign
+    of delta picks the formula: (c, s) = (cos(w t), sin(w t)/w) with
+    w^2 = -delta, (cosh(r t), sinh(r t)/r) with r^2 = delta, or (1, t).
+    Over-damped, the slow root is alpha/fast, e^(mu t) s goes through expm1
+    and the (2, 2) entry is e^(fast t) + slow e^(mu t) s, so nothing cancels
+    when gamma^2 >> alpha.  `xp` is numpy for an array t, math for a scalar.
+    """
+    mu = -0.5 * gamma
+    delta = 0.25 * gamma * gamma - alpha
+    if delta > 0.0:
+        r = math.sqrt(delta)
+        fast = mu - r
+        slow = alpha / fast
+        e_slow, e_fast = xp.exp(slow * t), xp.exp(fast * t)
+        es = -e_slow * xp.expm1(-2.0 * r * t) / (2.0 * r)
+        return 0.5 * (e_slow + e_fast), es, e_fast + slow * es
+    decay = xp.exp(mu * t)
+    if delta < 0.0:
+        w = math.sqrt(-delta)
+        ec, es = decay * xp.cos(w * t), decay * xp.sin(w * t) / w
+    else:
+        ec, es = decay, t * decay
+    return ec, es, ec + mu * es

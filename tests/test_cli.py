@@ -599,12 +599,16 @@ class TestDeterminism:
 
 class TestInstalledScript:
     def test_console_entry_point(self):
+        src = str(Path(gapdyn.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
         proc = subprocess.run(
             [sys.executable, "-c",
              "import sys; from gapdyn.cli import main; "
              "sys.exit(main(['classify', '--gamma', '4.0', '--alpha', '1.0']))"],
             capture_output=True,
             text=True,
+            env=env,
         )
         assert proc.returncode == 0
         assert proc.stdout == "regime=over-damped discriminant=12\n"
