@@ -14,6 +14,10 @@ Python floats and numpy float64 both round every operation correctly and
 neither fuses a multiply-add, so each column of a batch is bit-identical
 to the single run.  Both kinds of call end in one finiteness check, which
 raises Divergence at the first non-finite node.
+With eps held, RK4 on x' = A x + b eps, x = (y, ydot), is the affine map
+x[i] = R x[i-1] + dt S b eps[i-1]: z = A dt, S = I + z/2 + z^2/6 + z^3/24,
+and R = I + z S is RK4's stability function.  Their entries come from those
+scalar operations too, not `@` or np.linalg, which may reach FMA kernels.
 recovery_metrics is recovery_metrics_block on a one-row block, so the
 metrics have one definition.
 """
@@ -116,22 +120,17 @@ def _euler_steps(y, v, eps, ng, a, dt) -> None:
 
 
 def _rk4_steps(y, v, eps, ng, a, dt) -> None:
-    """Fill nodes 1..len(eps) of y and v from node 0 by classical RK4, as
-    _euler_steps does; all four stages of step i hold eps[i-1]."""
-    half = 0.5 * dt
-    sixth = dt / 6.0
+    """Fill nodes 1..len(eps) of y and v from node 0 as _euler_steps does, by
+    RK4's map: S = I + z/2 (I + z/3 (I + z/4)) by Horner on the entries
+    [[p, q], [r, s]], then R = I + z S, and gy, gv = dt S (0, 1)."""
+    p, q, r, s = 1.0, 0.0, 0.0, 1.0
+    for h in (dt / 4.0, dt / 3.0, dt / 2.0):
+        p, q, r, s = 1.0 + h * r, h * s, h * (ng * r - a * p), 1.0 + h * (ng * s - a * q)
+    gy, gv = dt * q, dt * s
+    p, q, r, s = 1.0 + dt * r, dt * s, dt * (ng * r - a * p), 1.0 + dt * (ng * s - a * q)
     yi, vi = y[0], v[0]
     for i, e in enumerate(eps, start=1):
-        k1y = vi
-        k1v = ng * vi - a * yi + e
-        k2y = vi + half * k1v
-        k2v = ng * k2y - a * (yi + half * k1y) + e
-        k3y = vi + half * k2v
-        k3v = ng * k3y - a * (yi + half * k2y) + e
-        k4y = vi + dt * k3v
-        k4v = ng * k4y - a * (yi + dt * k3y) + e
-        yi = yi + sixth * (k1y + 2.0 * k2y + 2.0 * k3y + k4y)
-        vi = vi + sixth * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
+        yi, vi = p * yi + q * vi + gy * e, r * yi + s * vi + gv * e
         y[i] = yi
         v[i] = vi
 
@@ -184,10 +183,10 @@ def integrate_rk4(
     """Classical fourth-order Runge-Kutta on the first-order system (y, ydot).
 
     `forcing` supplies one value per grid node, checked as in
-    integrate_euler.  All four stages of step i >= 1 use forcing[i-1], the
-    value held over that step, so the scheme integrates the same
-    zero-order-hold forcing as integrate_euler.  A non-finite state aborts
-    with Divergence naming its first node.
+    integrate_euler.  Step i >= 1 holds forcing[i-1] in all four stages, the
+    zero-order hold of integrate_euler, and is the affine map R, S of the
+    module docstring.  A non-finite state aborts with Divergence naming its
+    first node, node 1 if an entry of R or S overflows (gamma*dt > ~1e77).
     """
     return _integrate_one(_rk4_steps, params, init, forcing, grid)
 

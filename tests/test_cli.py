@@ -175,7 +175,16 @@ class TestSimulate:
         code, out, err = _run(capsys, ["simulate", "--config", cfg])
         assert code == 3
         assert out == ""
-        assert err == "error=Divergence detail=non-finite state at step 8\n"
+        # 9, not 8: the affine map forms no stage values, which overflowed at 8
+        assert err == "error=Divergence detail=non-finite state at step 9\n"
+
+    def test_rk4_overflowing_step_map_exit_3(self, capsys, config_file):
+        # gamma*dt = 1e99 overflows an entry of RK4's step map, so even the
+        # rest state at zero forcing turns nan (0*inf) at node 1
+        cfg = config_file("integrator = rk4\ngamma = 1e100\ny0 = 0\nydot0 = 0\n")
+        code, out, err = _run(capsys, ["simulate", "--config", cfg])
+        assert (code, out) == (3, "")
+        assert err == "error=Divergence detail=non-finite state at step 1\n"
 
     def test_rk4_integrator_accepted(self, capsys, config_file):
         code, out, _ = _run(

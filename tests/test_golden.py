@@ -17,6 +17,8 @@ from __future__ import annotations
 import contextlib
 import io
 import os
+import platform
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -151,6 +153,46 @@ def test_case_output_matches_golden(name, tmp_path):
     for suffix, data in _run_case(name, tmp_path).items():
         expected = (GOLDEN / f"{name}.{suffix}").read_bytes()
         assert data == expected, f"{name}.{suffix} differs from the golden file"
+
+
+# Kernel choices made at run time on x86-64: numpy's SIMD dispatch level
+# (NEP 38) and the CPU type of a DYNAMIC_ARCH OpenBLAS.  Each acts only on
+# the process it is set in.
+_KERNELS = [
+    {"NPY_ENABLE_CPU_FEATURES": "X86_V2"},
+    {"NPY_ENABLE_CPU_FEATURES": "X86_V3"},
+    {"OPENBLAS_CORETYPE": "Haswell"},
+    {"OPENBLAS_CORETYPE": "Sandybridge"},
+    {"OPENBLAS_CORETYPE": "Nehalem"},
+]
+
+_CHILD = """
+import sys
+from pathlib import Path
+from test_golden import GOLDEN, _run
+for name in sys.argv[2:]:
+    for suffix, data in _run(name, Path(sys.argv[1])).items():
+        if data != (GOLDEN / f"{name}.{suffix}").read_bytes():
+            print(f"{name}.{suffix}")
+"""
+
+
+@pytest.mark.skipif(
+    platform.machine().lower() not in ("x86_64", "amd64"), reason="x86-64 kernel names"
+)
+@pytest.mark.parametrize("kernel", _KERNELS, ids=lambda env: "=".join(*env.items()))
+def test_rk4_bytes_do_not_depend_on_kernels(kernel, tmp_path):
+    # RK4's step map is built from scalar products and sums, never `@`, so a
+    # BLAS or SIMD kernel that fuses multiply-adds cannot move its bits.
+    src = Path(__file__).resolve().parents[1] / "src"
+    path = [str(src), str(GOLDEN.parent), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p), **kernel)
+    env.pop("GAPDYN_SEED", None)
+    proc = subprocess.run(
+        [sys.executable, "-c", _CHILD, str(tmp_path), "sweep-rk4-ar1", "simulate-rk4-white-noise"],
+        capture_output=True, text=True, env=env,
+    )
+    assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", "")
 
 
 def _regenerate() -> None:

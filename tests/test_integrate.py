@@ -21,6 +21,7 @@ from gapdyn import (
     recovery_metrics,
     realize,
 )
+from gapdyn.integrate import _rk4_steps, integrate_batch
 from gapdyn.oscillator import _homogeneous
 
 UNDER = OscillatorParams(gamma=0.5, alpha=1.0)
@@ -156,7 +157,44 @@ class TestRk4:
             with pytest.raises(Divergence) as info:
                 integrate_rk4(OscillatorParams(np.float64(50), np.float64(1)),
                               OscState(1e300, 0), np.zeros(201), TimeGrid(0, 0.1, 201))
-        assert info.value.step == 8
+        # 9, not 8: the affine map forms no stage values, which overflowed at 8
+        assert info.value.step == 9
+
+
+class TestOverflowingStepMap:
+    """Once gamma*dt or alpha*dt**2 is large enough, an entry of RK4's step
+    map R or S overflows; node 1 is then inf or 0*inf = nan from any start
+    and forcing, so the run raises Divergence at step 1."""
+
+    CASES = [
+        (OscillatorParams(1e100, 1.0), OscState(0.0, 0.0)),
+        (OscillatorParams(1e80, 1.0), OscState(1.0, 0.0)),
+        (OscillatorParams(2e78, 1.0), OscState(0.0, -3.0)),
+        (OscillatorParams(0.0, 1e300), OscState(1.0, 1.0)),
+    ]
+
+    @pytest.mark.parametrize("params", [params for params, _ in CASES])
+    def test_map_is_non_finite(self, params):
+        # the columns of R and dt S (0, 1): one step from (1, 0), from (0, 1),
+        # and from (0, 0) under unit forcing
+        entries = []
+        for y0, v0, e in ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)):
+            y, v = [y0, 0.0], [v0, 0.0]
+            _rk4_steps(y, v, [e], -params.gamma, params.alpha, GRID.dt)
+            entries += [y[1], v[1]]
+        assert not all(map(math.isfinite, entries))
+
+    @pytest.mark.parametrize("params, init", CASES)
+    @pytest.mark.parametrize("forcing", [np.zeros(201), np.ones(201)], ids=["zero", "one"])
+    def test_divergence_at_step_1(self, params, init, forcing):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(Divergence) as info:
+                integrate_rk4(params, init, forcing, GRID)
+            assert info.value.step == 1
+            with pytest.raises(Divergence) as info:
+                integrate_batch([UNDER, params], init, forcing, GRID, "rk4")
+            assert info.value.step == 1
 
 
 class TestDivergenceAfterStepping:
@@ -196,8 +234,33 @@ def _euler_reference(params, init, eps, grid):
     return y, v
 
 
+def _rk4_map_reference(params, init, eps, grid):
+    # per-element numpy loop over RK4's affine step map, with z = A dt:
+    # S = I + z/2 (I + z/3 (I + z/4)), R = I + z S, x[i] = R x[i-1] + dt S b e;
+    # every 2x2 product is written out entry by entry
+    dt = grid.dt
+    A = ((0.0, 1.0), (-params.alpha, -params.gamma))
+
+    def identity_plus(h, M):
+        return [[float(i == j) + h * (A[i][0] * M[0][j] + A[i][1] * M[1][j])
+                 for j in (0, 1)] for i in (0, 1)]
+
+    S = [[1.0, 0.0], [0.0, 1.0]]
+    for h in (dt / 4.0, dt / 3.0, dt / 2.0):
+        S = identity_plus(h, S)
+    R = identity_plus(dt, S)
+    g = (dt * S[0][1], dt * S[1][1])
+    x = np.empty((grid.n_steps, 2))
+    x[0] = init.y, init.ydot
+    for i in range(1, grid.n_steps):
+        for j in (0, 1):
+            x[i, j] = R[j][0] * x[i - 1, 0] + R[j][1] * x[i - 1, 1] + g[j] * eps[i - 1]
+    return x[:, 0], x[:, 1]
+
+
 def _rk4_reference(params, init, eps, grid):
-    # per-element numpy loop; every stage of step i holds eps[i - 1]
+    # per-element numpy loop over RK4's four stages; every stage of step i
+    # holds eps[i - 1]
     g, a, dt = params.gamma, params.alpha, grid.dt
     half = 0.5 * dt
     y, v = np.empty(grid.n_steps), np.empty(grid.n_steps)
@@ -243,10 +306,15 @@ class TestMatchesElementLoop:
         init = OscState(0.3, -1.25)
         traj = integrate_rk4(params, init, forcing, self.GRID)
         eps = np.asarray(forcing, dtype=float)
-        y, v = _rk4_reference(params, init, eps, self.GRID)
+        y, v = _rk4_map_reference(params, init, eps, self.GRID)
         assert traj.y.tobytes() == y.tobytes()
         assert traj.ydot.tobytes() == v.tobytes()
         assert traj.forcing.tobytes() == eps.tobytes()
+        # the four stages and the map are one scheme, up to rounding
+        y, v = _rk4_reference(params, init, eps, self.GRID)
+        limit = 1e-13 * max(np.max(np.abs(y)), np.max(np.abs(v)))
+        assert np.max(np.abs(traj.y - y)) <= limit
+        assert np.max(np.abs(traj.ydot - v)) <= limit
 
 
 def _zoh_exact(params, init, eps, grid):
