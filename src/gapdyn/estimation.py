@@ -57,7 +57,8 @@ class ObservedSeries:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.dt) and self.dt > 0.0):
             raise InvariantViolation(f"dt must be finite and > 0, got {self.dt!r}")
-        arr = np.asarray(self.values, dtype=float)
+        # A copy: freezing the caller's own array would make it read-only.
+        arr = np.array(self.values, dtype=float)
         if arr.ndim != 1 or arr.size < 2:
             raise InvariantViolation("values must be a 1-d sequence with at least two samples")
         if not np.all(np.isfinite(arr)):
@@ -99,10 +100,8 @@ def conditional_loglik(series: ObservedSeries, params: OscillatorParams) -> floa
     Conditions on the first two observations; the innovation variance is
     concentrated out analytically at its maximizing value SSR/n.
     """
-    lag2, lag1, target = _lagged(series.values)
     phi1, phi2 = discretize_exact(params, series.dt)
-    resid = target - phi1 * lag1 - phi2 * lag2
-    return _profile_loglik(resid.size, float(resid @ resid))
+    return _profile_loglik(series.values.size - 2, _ssr(series.values, phi1, phi2))
 
 
 def estimate_ar2(series: ObservedSeries) -> EstimationResult:
@@ -110,22 +109,25 @@ def estimate_ar2(series: ObservedSeries) -> EstimationResult:
 
     Regresses y[i] on (y[i-1], y[i-2]) with no intercept, then inverts the
     exact discretization: gamma_hat = -ln(-phi2)/dt, and alpha_hat is the
-    product of the continuous roots ln(lam)/dt.  Raises Degenerate when the
-    regression is rank-deficient (an all-zero or too-short series) and
-    NonStationary when -phi2 lands outside (0, 1), where no damping
+    product of the continuous roots ln(lam)/dt.  The least-squares point and
+    its SSR come from `_LagFit`: a Gram-Schmidt factor of the lag design and
+    one step of iterative refinement, from elementwise products summed by
+    np.sum, so no BLAS kernel choice moves the digits.  Raises Degenerate
+    when the regression is rank-deficient (an all-zero or too-short series)
+    and NonStationary when -phi2 lands outside (0, 1), where no damping
     coefficient exists.  converged is True only when alpha_hat > 0.
     """
-    lag2, lag1, target = _lagged(series.values)
-    phi1, phi2, ssr = _ols_two_lags(lag2, lag1, target)
+    fit = _LagFit(series.values)
+    phi1, phi2 = fit.phi
     mag2 = -phi2
     if not (0.0 < mag2 < 1.0):
         raise NonStationary(f"-phi2 = {mag2!r} outside (0, 1)")
     dt = series.dt
     gamma_hat = -math.log(mag2) / dt
     alpha_hat = _root_product(phi1, phi2, dt)
-    n_eff = target.size
-    loglik = _profile_loglik(n_eff, ssr)
-    sigma_hat = math.sqrt(ssr / n_eff / dt)
+    n_eff = series.values.size - 2
+    loglik = _profile_loglik(n_eff, fit.ssr)
+    sigma_hat = math.sqrt(fit.ssr / n_eff / dt)
     converged = math.isfinite(alpha_hat) and alpha_hat > 0.0
     return EstimationResult(
         gamma_hat=gamma_hat,
@@ -152,30 +154,40 @@ def estimate_mle(series: ObservedSeries) -> EstimationResult:
     - Interior: when the least-squares point lies in S it is the MLE.  It is
       mapped to (gamma, alpha) as in estimate_ar2, then a few Gauss-Newton
       steps and a machine-precision polish undo the rounding of that map.
+      They rank points by SSR(phi) - SSR(phi*) = |R (phi - phi*)|^2, from the
+      lag design's 2x2 factor R (see `_LagFit`), so each likelihood
+      evaluation is O(1).  Where the refined SSR is at the data's rounding
+      floor (a noise-free series) that exact excess says nothing about the
+      float residual, and the same polish runs once more on the float SSR.
       converged=True.
     - Boundary: otherwise the MLE lies on the boundary of S's closure: the
       aliasing curve phi = (-2s, -s^2), 0 <= s <= 1 (complex roots at the
       Nyquist angle, alpha = gamma^2/4 + (pi/dt)^2), or one of the edges
       alpha -> 0 (phi1 = 1 - phi2), gamma -> infinity (phi2 = 0) and
       gamma = 0 (phi2 = -1).  Each piece is minimized in closed form and the
-      best is returned.  An edge point that no finite gamma >= 0, alpha > 0
-      reaches is moved just inside S.  converged=False: the likelihood has
-      no interior maximum there.
+      candidate with the lowest float SSR is returned.  An edge point that no
+      finite gamma >= 0, alpha > 0 reaches is moved just inside S.
+      converged=False: the likelihood has no interior maximum there.
 
-    loglik and sigma_hat are those at the returned (gamma, alpha).  A
+    loglik and sigma_hat come from the float residual at the returned
+    (gamma, alpha), so loglik equals conditional_loglik there.  A
     rank-deficient series raises Degenerate.
     """
-    lag2, lag1, target = _lagged(series.values)
-    phi1, phi2, _ = _ols_two_lags(lag2, lag1, target)
+    y = series.values
+    m = y.size - 2
+    fit = _LagFit(y)
+    phi1, phi2 = fit.phi
     dt = series.dt
 
-    def residual(gamma: float, alpha: float) -> np.ndarray:
-        p1, p2 = _phi_pair(gamma, alpha, dt)
-        return target - p1 * lag1 - p2 * lag2
+    def float_ssr(gamma: float, alpha: float) -> float:
+        return _ssr(y, *_phi_pair(gamma, alpha, dt))
 
-    def neg_loglik(gamma: float, alpha: float) -> float:
-        resid = residual(gamma, alpha)
-        return -_profile_loglik(resid.size, float(resid @ resid))
+    def offset(gamma: float, alpha: float) -> tuple[float, float]:
+        return fit.offset(*_phi_pair(gamma, alpha, dt))
+
+    def excess(gamma: float, alpha: float) -> float:
+        z1, z2 = offset(gamma, alpha)
+        return z1 * z1 + z2 * z2
 
     interior = -1.0 <= phi2 < 0.0 and -2.0 * math.sqrt(-phi2) <= phi1 < 1.0 - phi2
     if interior:
@@ -184,34 +196,32 @@ def estimate_mle(series: ObservedSeries) -> EstimationResult:
         # the boundary search then finds the admissible optimum.
         interior = math.isfinite(alpha) and alpha > 0.0
     if interior:
-        gamma, alpha = _gauss_newton(residual, gamma, alpha)
-        gamma, alpha, value = _ulp_polish(neg_loglik, gamma, alpha, neg_loglik(gamma, alpha))
+        gamma, alpha = _gauss_newton(offset, gamma, alpha)
+        gamma, alpha = _ulp_polish(excess, gamma, alpha)
+        if fit.ssr <= m * (64.0 * _EPS * float(np.max(np.abs(y)))) ** 2:
+            gamma, alpha = _ulp_polish(float_ssr, gamma, alpha)
     else:
-        gamma, alpha, value = min(
-            ((g, a, neg_loglik(g, a)) for g, a in _boundary_candidates(lag2, lag1, target, dt)),
-            key=lambda cand: cand[2],
-        )
+        gamma, alpha = min(_boundary_candidates(y, dt), key=lambda cand: float_ssr(*cand))
 
-    resid = residual(gamma, alpha)
+    ssr = float_ssr(gamma, alpha)
     return EstimationResult(
         gamma_hat=gamma,
         alpha_hat=alpha,
-        sigma_hat=math.sqrt(float(resid @ resid) / resid.size / dt),
-        loglik=-value,
+        sigma_hat=math.sqrt(ssr / m / dt),
+        loglik=_profile_loglik(m, ssr),
         method=Method.MLE,
         converged=interior,
-        n_obs=series.values.size,
+        n_obs=y.size,
     )
 
 
-def _boundary_candidates(
-    lag2: np.ndarray, lag1: np.ndarray, target: np.ndarray, dt: float
-) -> list[tuple[float, float]]:
+def _boundary_candidates(values: np.ndarray, dt: float) -> list[tuple[float, float]]:
     """(gamma, alpha) at the SSR minimum of each piece of S's boundary.
 
     Edge points outside S are moved _EDGE_NUDGE inside it: phi2 up to
     -_EDGE_NUDGE (a finite gamma) and alpha down to _EDGE_NUDGE / dt^2.
     """
+    lag2, lag1, target = _lagged(values)
     nudge_gamma = -math.log(_EDGE_NUDGE) / dt
     nudge_alpha = _EDGE_NUDGE / (dt * dt)
     out = []
@@ -220,7 +230,8 @@ def _boundary_candidates(
     # is a quartic in s; its minimum on [0, 1] is an end or a real root of
     # the cubic derivative.
     b = 2.0 * lag1
-    ab, ac, bb, bc, cc = target @ b, target @ lag2, b @ b, b @ lag2, lag2 @ lag2
+    ab, ac, bb = _dot(target, b), _dot(target, lag2), _dot(b, b)
+    bc, cc = _dot(b, lag2), _dot(lag2, lag2)
     # Real parts of complex roots are harmless extra candidates.
     roots = np.clip(np.roots([2.0 * cc, 3.0 * bc, bb + 2.0 * ac, ab]).real, 0.0, 1.0)
     for s in (0.0, 1.0, *roots.tolist()):
@@ -241,38 +252,41 @@ def _boundary_candidates(
 
 def _segment_min(r0: np.ndarray, v: np.ndarray, lo: float, hi: float) -> float:
     """argmin over u in [lo, hi] of |r0 - u v|^2."""
-    return min(max(float(r0 @ v) / float(v @ v), lo), hi)
+    return min(max(_dot(r0, v) / _dot(v, v), lo), hi)
 
 
-def _gauss_newton(residual, gamma: float, alpha: float) -> tuple[float, float]:
+def _gauss_newton(offset, gamma: float, alpha: float) -> tuple[float, float]:
     """A few Gauss-Newton steps on SSR in (gamma, alpha).
 
     Closes the gap between the least-squares point, solved in (phi1, phi2),
     and the best float (gamma, alpha): on noise-free data the residuals are
-    rounding noise and the mapped point can lose several digits of fit.  The
-    Jacobian of the lag coefficients is a central difference of
-    `residual(gamma, alpha) = target - phi1 lag1 - phi2 lag2`; a step is kept
-    only when it lowers SSR and stays admissible.
+    rounding noise and the mapped point can lose several digits of fit.
+    `offset(gamma, alpha)` is the 2-vector z with SSR = SSR* + |z|^2, so each
+    step solves the 2x2 system J step = z, with J = -dz/d(gamma, alpha) by
+    central differences; a step is kept only when it lowers |z| and stays
+    admissible.
     """
-    resid = residual(gamma, alpha)
-    ssr = float(resid @ resid)
+    z1, z2 = offset(gamma, alpha)
+    value = z1 * z1 + z2 * z2
     for _ in range(_GN_STEPS):
         scale = gamma + math.sqrt(alpha)
         h_g, h_a = _FD_STEP * scale, _FD_STEP * scale * scale
-        # Columns are -d resid / d(gamma, alpha): resid(+step) ~ resid - design @ step.
-        design = np.column_stack([
-            (residual(gamma - h_g, alpha) - residual(gamma + h_g, alpha)) / (2.0 * h_g),
-            (residual(gamma, alpha - h_a) - residual(gamma, alpha + h_a)) / (2.0 * h_a),
-        ])
-        step = np.linalg.lstsq(design, resid, rcond=None)[0]
-        cand_g, cand_a = gamma + float(step[0]), alpha + float(step[1])
+        (gm1, gm2), (gp1, gp2) = offset(gamma - h_g, alpha), offset(gamma + h_g, alpha)
+        (am1, am2), (ap1, ap2) = offset(gamma, alpha - h_a), offset(gamma, alpha + h_a)
+        j11, j21 = (gm1 - gp1) / (2.0 * h_g), (gm2 - gp2) / (2.0 * h_g)
+        j12, j22 = (am1 - ap1) / (2.0 * h_a), (am2 - ap2) / (2.0 * h_a)
+        det = j11 * j22 - j12 * j21
+        if not abs(det) > 0.0:
+            break
+        cand_g = gamma + (z1 * j22 - j12 * z2) / det
+        cand_a = alpha + (j11 * z2 - j21 * z1) / det
         if not (cand_g >= 0.0 and cand_a > 0.0 and math.isfinite(cand_g + cand_a)):
             break
-        cand_resid = residual(cand_g, cand_a)
-        cand_ssr = float(cand_resid @ cand_resid)
-        if not cand_ssr < ssr:
+        c1, c2 = offset(cand_g, cand_a)
+        cand_value = c1 * c1 + c2 * c2
+        if not cand_value < value:
             break
-        gamma, alpha, resid, ssr = cand_g, cand_a, cand_resid, cand_ssr
+        gamma, alpha, z1, z2, value = cand_g, cand_a, c1, c2, cand_value
     return gamma, alpha
 
 
@@ -280,15 +294,74 @@ def _lagged(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return values[:-2], values[1:-1], values[2:]
 
 
-def _ols_two_lags(
-    lag2: np.ndarray, lag1: np.ndarray, target: np.ndarray
-) -> tuple[float, float, float]:
-    design = np.column_stack([lag1, lag2])
-    solution, _, rank, _ = np.linalg.lstsq(design, target, rcond=None)
-    if rank < 2:
-        raise Degenerate(f"lag regression has rank {rank} < 2")
-    resid = target - design @ solution
-    return float(solution[0]), float(solution[1]), float(resid @ resid)
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    # Elementwise products summed by np.sum, never `a @ b`: on 1-d arrays `@`
+    # is BLAS ddot, whose rounding depends on the kernel OpenBLAS picks.
+    return float(np.sum(a * b))
+
+
+def _ssr(values: np.ndarray, phi1: float, phi2: float) -> float:
+    """Float SSR of the recursion's residuals at (phi1, phi2), one O(n) pass."""
+    lag2, lag1, target = _lagged(values)
+    resid = target - phi1 * lag1 - phi2 * lag2
+    return _dot(resid, resid)
+
+
+class _LagFit:
+    """Least-squares fit of y[i] on (y[i-1], y[i-2]), with an O(1) SSR.
+
+    The lag design X = [y[i-1], y[i-2]] is factored X = QR by Gram-Schmidt,
+    R = [[r11, r12], [0, r22]].  The least-squares point phi* is held in two
+    parts, phi_hat + delta: phi_hat solves R^T R phi = X^T target, and delta
+    is one step of iterative refinement from the float residual at phi_hat
+    (Björck, BIT 7, 1967).  As X^T r = 0 at phi*, for every phi
+
+        SSR(phi) = ssr + |R (phi - phi_hat - delta)|^2,
+
+    and `offset(phi)` is that 2-vector, formed as ((phi - phi_hat) - delta)
+    so it keeps digits below phi*'s last bit.  The sums run on the values
+    scaled by 2^-shift, exactly, so that squares neither overflow nor
+    underflow; `offset` is in those units, `ssr` in the data's.
+    """
+
+    def __init__(self, values: np.ndarray) -> None:
+        shift = math.frexp(float(np.max(np.abs(values))))[1]
+        lag2, lag1, target = _lagged(np.ldexp(values, -shift))
+        s11 = _dot(lag1, lag1)
+        if not s11 > 0.0:
+            raise Degenerate(f"lag regression has rank {int(np.any(lag2))} < 2")
+        c = _dot(lag1, lag2) / s11
+        w = lag2 - c * lag1
+        ww = _dot(w, w)
+        r11, r22 = math.sqrt(s11), math.sqrt(ww)
+        r12 = c * r11
+        # np.linalg.lstsq's singular-value cutoff, within a factor of two.
+        if not r11 * r22 > _EPS * max(target.size, 2) * (s11 + r12 * r12 + ww):
+            raise Degenerate("lag regression has rank 1 < 2")
+
+        def solve(rhs: np.ndarray) -> tuple[float, float, float]:
+            # (p1, p2) with R^T R p = X^T rhs, and |R p|^2.  Modified
+            # Gram-Schmidt: rhs loses its lag1 part before it meets w, so
+            # w's small error along lag1 is not multiplied by all of rhs.
+            u1 = _dot(lag1, rhs) / s11
+            u2 = _dot(w, rhs - u1 * lag1) / ww
+            return u1 - c * u2, u2, u1 * u1 * s11 + u2 * u2 * ww
+
+        b1, b2, _ = solve(target)
+        resid = target - b1 * lag1 - b2 * lag2
+        d1, d2, shrink = solve(resid)
+        self.shift = shift
+        self.phi = (b1 + d1, b2 + d2)
+        self.ssr = math.ldexp(max(_dot(resid, resid) - shrink, 0.0), 2 * shift)
+        self._centre = (b1, b2, d1, d2)
+        self._r = (r11, r12, r22)
+
+    def offset(self, phi1: float, phi2: float) -> tuple[float, float]:
+        b1, b2, d1, d2 = self._centre
+        r11, r12, r22 = self._r
+        e1 = (phi1 - b1) - d1
+        e2 = (phi2 - b2) - d2
+        return r11 * e1 + r12 * e2, r22 * e2
 
 
 def _profile_loglik(n: int, ssr: float) -> float:
@@ -332,13 +405,14 @@ def _root_product(phi1: float, phi2: float, dt: float) -> float:
     return (math.log(-lam_big) * math.log(-lam_small) - math.pi * math.pi) / (dt * dt)
 
 
-def _ulp_polish(neg_loglik, gamma: float, alpha: float, value: float):
-    """Greedy machine-precision descent around an optimum.
+def _ulp_polish(objective, gamma: float, alpha: float) -> tuple[float, float]:
+    """Greedy machine-precision descent of objective(gamma, alpha).
 
     Scans multiplicative perturbations of a few ulps up to ~1e-12 relative in
     the eight axis and diagonal directions, moving to the best improvement
     until none remains.  Deterministic, at most a few thousand evaluations.
     """
+    value = objective(gamma, alpha)
     for _ in range(40):
         best = (value, gamma, alpha)
         for k in (4096.0, 1024.0, 256.0, 64.0, 16.0, 4.0, 1.0):
@@ -349,10 +423,10 @@ def _ulp_polish(neg_loglik, gamma: float, alpha: float, value: float):
             ):
                 cand_g = gamma * (1.0 + dg)
                 cand_a = alpha * (1.0 + da)
-                cand_v = neg_loglik(cand_g, cand_a)
+                cand_v = objective(cand_g, cand_a)
                 if cand_v < best[0]:
                     best = (cand_v, cand_g, cand_a)
         if best[0] >= value:
             break
         value, gamma, alpha = best
-    return gamma, alpha, value
+    return gamma, alpha

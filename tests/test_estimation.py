@@ -27,7 +27,7 @@ from gapdyn import (
     estimate_mle,
     standard_normals,
 )
-from gapdyn.estimation import _root_product
+from gapdyn.estimation import _LagFit, _root_product, _ssr
 
 UNDER = OscillatorParams(gamma=0.5, alpha=1.0)
 CRITICAL = OscillatorParams(gamma=2.0, alpha=1.0)
@@ -65,6 +65,12 @@ class TestObservedSeries:
         s = ObservedSeries(dt=0.1, values=[1.0, 2.0, 3.0])
         with pytest.raises(ValueError):
             s.values[0] = 9.0
+
+    def test_caller_array_stays_writable(self):
+        a = np.array([1.0, 2.0, 3.0])
+        s = ObservedSeries(dt=0.1, values=a)
+        a[0] = 5.0
+        assert s.values[0] == 1.0
 
 
 class TestDiscretizeExact:
@@ -295,3 +301,41 @@ class TestConditionalLoglik:
         good = conditional_loglik(series, CRITICAL)
         bad = conditional_loglik(series, OscillatorParams(8.0, 0.2))
         assert good > bad
+
+
+# Noisy series from the sampled recursion, at any scale: the lag fit's inputs.
+_noisy_series = st.builds(
+    lambda g, a, dt, seed, n, exp10: ObservedSeries(
+        dt=dt,
+        values=10.0 ** exp10 * _recursion_series(OscillatorParams(g, a), 0.05, seed, n, dt).values,
+    ),
+    g=st.floats(0.0, 4.0), a=st.floats(0.05, 4.0), dt=st.floats(0.05, 1.0),
+    seed=st.integers(0, 2**31), n=st.integers(20, 400), exp10=st.integers(-150, 150),
+)
+
+
+class TestLagFit:
+    # SSR(phi) = SSR* + |R (phi - phi*)|^2 holds exactly when X^T r* = 0.  In
+    # floats each residual r_i = y[i] - phi1 y[i-1] - phi2 y[i-2] is within
+    # 2 eps K max|y| of exact, K = 1 + |phi1| + |phi2|, and |r_i| <= K max|y|,
+    # so a float SSR errs by at most about 5 n eps K^2 max|y|^2.  The fit's
+    # side is such a sum at its own point, plus the 2x2 terms; one bound with
+    # K over both points and a factor 16 covers the two.
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(series=_noisy_series, phi1=st.floats(-2.5, 2.5), phi2=st.floats(-1.5, 1.5))
+    def test_ssr_identity(self, series, phi1, phi2):
+        y = series.values
+        fit = _LagFit(y)
+        z1, z2 = fit.offset(phi1, phi2)
+        identity = fit.ssr + math.ldexp(z1 * z1 + z2 * z2, 2 * fit.shift)
+        k = 1.0 + abs(phi1) + abs(phi2) + abs(fit.phi[0]) + abs(fit.phi[1])
+        peak = float(np.max(np.abs(y)))
+        bound = 16.0 * (y.size - 2) * 2.0**-52 * (k * peak) ** 2
+        assert abs(identity - _ssr(y, phi1, phi2)) <= bound
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(series=_noisy_series)
+    def test_mle_loglik_is_conditional_loglik_at_its_estimate(self, series):
+        r = estimate_mle(series)
+        assert r.loglik == conditional_loglik(series, OscillatorParams(r.gamma_hat, r.alpha_hat))
+

@@ -169,9 +169,10 @@ _KERNELS = [
 _CHILD = """
 import sys
 from pathlib import Path
-from test_golden import GOLDEN, _run
+from test_golden import GOLDEN, SCENARIOS, _run, _run_case
 for name in sys.argv[2:]:
-    for suffix, data in _run(name, Path(sys.argv[1])).items():
+    run = _run if name in SCENARIOS else _run_case
+    for suffix, data in run(name, Path(sys.argv[1])).items():
         if data != (GOLDEN / f"{name}.{suffix}").read_bytes():
             print(f"{name}.{suffix}")
 """
@@ -190,6 +191,27 @@ def test_rk4_bytes_do_not_depend_on_kernels(kernel, tmp_path):
     env.pop("GAPDYN_SEED", None)
     proc = subprocess.run(
         [sys.executable, "-c", _CHILD, str(tmp_path), "sweep-rk4-ar1", "simulate-rk4-white-noise"],
+        capture_output=True, text=True, env=env,
+    )
+    assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", "")
+
+
+@pytest.mark.skipif(
+    platform.machine().lower() not in ("x86_64", "amd64"), reason="x86-64 kernel names"
+)
+@pytest.mark.parametrize("kernel", _KERNELS, ids=lambda env: "=".join(*env.items()))
+def test_estimate_bytes_do_not_depend_on_kernels(kernel, tmp_path):
+    # The lag fit and every SSR sum elementwise products with np.sum, never
+    # `@` or np.linalg, so no BLAS kernel choice can move an estimate's digits.
+    # The child first writes (and checks) the scenario CSVs the cases read.
+    estimates = sorted(name for name in CASES if name.startswith("estimate-"))
+    sources = sorted({f"simulate-{name.split('-', 2)[2]}" for name in estimates})
+    src = Path(__file__).resolve().parents[1] / "src"
+    path = [str(src), str(GOLDEN.parent), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p), **kernel)
+    env.pop("GAPDYN_SEED", None)
+    proc = subprocess.run(
+        [sys.executable, "-c", _CHILD, str(tmp_path), *sources, *estimates],
         capture_output=True, text=True, env=env,
     )
     assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", "")
