@@ -98,10 +98,11 @@ def conditional_loglik(series: ObservedSeries, params: OscillatorParams) -> floa
     """Gaussian log-likelihood of the sampled recursion at (gamma, alpha).
 
     Conditions on the first two observations; the innovation variance is
-    concentrated out analytically at its maximizing value SSR/n.
+    concentrated out analytically at its maximizing value SSR/n.  A flat or
+    geometric series has a finite value; two samples raise Degenerate.
     """
-    phi1, phi2 = discretize_exact(params, series.dt)
-    return _profile_loglik(series.values.size - 2, _ssr(series.values, phi1, phi2))
+    lags = _ScaledLags(series.values)
+    return lags.loglik(lags.ssr_at(*discretize_exact(params, series.dt)))
 
 
 def estimate_ar2(series: ObservedSeries) -> EstimationResult:
@@ -123,21 +124,9 @@ def estimate_ar2(series: ObservedSeries) -> EstimationResult:
     if not (0.0 < mag2 < 1.0):
         raise NonStationary(f"-phi2 = {mag2!r} outside (0, 1)")
     dt = series.dt
-    gamma_hat = -math.log(mag2) / dt
     alpha_hat = _root_product(phi1, phi2, dt)
-    n_eff = series.values.size - 2
-    loglik = _profile_loglik(n_eff, fit.ssr)
-    sigma_hat = math.sqrt(fit.ssr / n_eff / dt)
     converged = math.isfinite(alpha_hat) and alpha_hat > 0.0
-    return EstimationResult(
-        gamma_hat=gamma_hat,
-        alpha_hat=alpha_hat,
-        sigma_hat=sigma_hat,
-        loglik=loglik,
-        method=Method.AR2_OLS,
-        converged=converged,
-        n_obs=series.values.size,
-    )
+    return fit.result(Method.AR2_OLS, -math.log(mag2) / dt, alpha_hat, fit.ssr, dt, converged)
 
 
 def estimate_mle(series: ObservedSeries) -> EstimationResult:
@@ -149,23 +138,22 @@ def estimate_mle(series: ObservedSeries) -> EstimationResult:
 
         S = {-1 <= phi2 < 0,  -2 sqrt(-phi2) <= phi1 < 1 - phi2},
 
-    is convex, so the fit is solved exactly rather than searched for:
+    is convex, so the fit is solved exactly rather than searched for.  Both
+    branches rank points by the exact excess SSR(phi) - SSR(phi*) =
+    |R (phi - phi*)|^2 from the lag design's 2x2 factor R (see `_LagFit`):
 
     - Interior: when the least-squares point lies in S it is the MLE.  It is
       mapped to (gamma, alpha) as in estimate_ar2, then a few Gauss-Newton
       steps and a machine-precision polish undo the rounding of that map.
-      They rank points by SSR(phi) - SSR(phi*) = |R (phi - phi*)|^2, from the
-      lag design's 2x2 factor R (see `_LagFit`), so each likelihood
-      evaluation is O(1).  Where the refined SSR is at the data's rounding
-      floor (a noise-free series) that exact excess says nothing about the
-      float residual, and the same polish runs once more on the float SSR.
-      converged=True.
+      Where the refined SSR is at the data's rounding floor (a noise-free
+      series) the exact excess says nothing about the float residual, and
+      the same polish runs once more on the float SSR.  converged=True.
     - Boundary: otherwise the MLE lies on the boundary of S's closure: the
       aliasing curve phi = (-2s, -s^2), 0 <= s <= 1 (complex roots at the
       Nyquist angle, alpha = gamma^2/4 + (pi/dt)^2), or one of the edges
       alpha -> 0 (phi1 = 1 - phi2), gamma -> infinity (phi2 = 0) and
       gamma = 0 (phi2 = -1).  Each piece is minimized in closed form and the
-      candidate with the lowest float SSR is returned.  An edge point that no
+      candidate with the lowest excess is returned.  An edge point that no
       finite gamma >= 0, alpha > 0 reaches is moved just inside S.
       converged=False: the likelihood has no interior maximum there.
 
@@ -173,14 +161,12 @@ def estimate_mle(series: ObservedSeries) -> EstimationResult:
     (gamma, alpha), so loglik equals conditional_loglik there.  A
     rank-deficient series raises Degenerate.
     """
-    y = series.values
-    m = y.size - 2
-    fit = _LagFit(y)
+    fit = _LagFit(series.values)
     phi1, phi2 = fit.phi
     dt = series.dt
 
     def float_ssr(gamma: float, alpha: float) -> float:
-        return _ssr(y, *_phi_pair(gamma, alpha, dt))
+        return fit.ssr_at(*_phi_pair(gamma, alpha, dt))
 
     def offset(gamma: float, alpha: float) -> tuple[float, float]:
         return fit.offset(*_phi_pair(gamma, alpha, dt))
@@ -198,61 +184,54 @@ def estimate_mle(series: ObservedSeries) -> EstimationResult:
     if interior:
         gamma, alpha = _gauss_newton(offset, gamma, alpha)
         gamma, alpha = _ulp_polish(excess, gamma, alpha)
-        if fit.ssr <= m * (64.0 * _EPS * float(np.max(np.abs(y)))) ** 2:
+        if fit.ssr <= fit.m * (64.0 * _EPS * fit.peak) ** 2:
             gamma, alpha = _ulp_polish(float_ssr, gamma, alpha)
     else:
-        gamma, alpha = min(_boundary_candidates(y, dt), key=lambda cand: float_ssr(*cand))
-
-    ssr = float_ssr(gamma, alpha)
-    return EstimationResult(
-        gamma_hat=gamma,
-        alpha_hat=alpha,
-        sigma_hat=math.sqrt(ssr / m / dt),
-        loglik=_profile_loglik(m, ssr),
-        method=Method.MLE,
-        converged=interior,
-        n_obs=y.size,
-    )
+        gamma, alpha = min(_boundary_candidates(fit, dt), key=lambda cand: excess(*cand))
+    return fit.result(Method.MLE, gamma, alpha, float_ssr(gamma, alpha), dt, interior)
 
 
-def _boundary_candidates(values: np.ndarray, dt: float) -> list[tuple[float, float]]:
+def _boundary_candidates(fit: _LagFit, dt: float) -> list[tuple[float, float]]:
     """(gamma, alpha) at the SSR minimum of each piece of S's boundary.
 
-    Edge points outside S are moved _EDGE_NUDGE inside it: phi2 up to
-    -_EDGE_NUDGE (a finite gamma) and alpha down to _EDGE_NUDGE / dt^2.
+    A piece phi(t) = phi0 + t d1 + t^2 d2 has excess |e0 + t e1 + t^2 e2|^2
+    over the least-squares SSR, with e0 = fit.offset(phi0) and e1, e2 =
+    R d1, R d2 (as X^T X = R^T R): 2-vectors, so no piece sums over the
+    series.  Edge points outside S are moved _EDGE_NUDGE inside it: phi2 up
+    to -_EDGE_NUDGE (a finite gamma) and alpha down to _EDGE_NUDGE / dt^2.
     """
-    lag2, lag1, target = _lagged(values)
-    nudge_gamma = -math.log(_EDGE_NUDGE) / dt
     nudge_alpha = _EDGE_NUDGE / (dt * dt)
     out = []
 
-    # Aliasing curve phi = (-2s, -s^2): SSR(s) = |target + 2s lag1 + s^2 lag2|^2
-    # is a quartic in s; its minimum on [0, 1] is an end or a real root of
-    # the cubic derivative.
-    b = 2.0 * lag1
-    ab, ac, bb = _dot(target, b), _dot(target, lag2), _dot(b, b)
-    bc, cc = _dot(b, lag2), _dot(lag2, lag2)
+    # Aliasing curve phi = (-2s, -s^2): the quartic |a + s b + s^2 c|^2 is
+    # least at an end of [0, 1] or at a real root of its cubic derivative.
+    a, b, c = fit.offset(0.0, 0.0), fit.r_times(-2.0, 0.0), fit.r_times(0.0, -1.0)
+    cubic = [2.0 * _dot2(c, c), 3.0 * _dot2(b, c), _dot2(b, b) + 2.0 * _dot2(a, c), _dot2(a, b)]
     # Real parts of complex roots are harmless extra candidates.
-    roots = np.clip(np.roots([2.0 * cc, 3.0 * bc, bb + 2.0 * ac, ab]).real, 0.0, 1.0)
+    roots = np.clip(np.roots(cubic).real, 0.0, 1.0)
     for s in (0.0, 1.0, *roots.tolist()):
         gamma = -2.0 * math.log(max(s, math.sqrt(_EDGE_NUDGE))) / dt
         out.append((gamma, 0.25 * gamma * gamma + (math.pi / dt) ** 2))
 
     # Edge alpha -> 0: phi = (1 + u, -u), a unit root beside the root u.
-    u = _segment_min(target - lag1, lag1 - lag2, 0.0, 1.0)
+    u = _segment_min(fit.offset(1.0, 0.0), fit.r_times(1.0, -1.0), 0.0, 1.0)
     out.append((-math.log(max(u, _EDGE_NUDGE)) / dt, nudge_alpha))
     # Edge gamma -> infinity: phi = (u, 0), held at phi2 = -_EDGE_NUDGE.
-    u = _segment_min(target, lag1, 0.0, 1.0)
-    out.append((nudge_gamma, max(_root_product(u, -_EDGE_NUDGE, dt), nudge_alpha)))
+    u = _segment_min(a, fit.r_times(1.0, 0.0), 0.0, 1.0)
+    out.append((-math.log(_EDGE_NUDGE) / dt, max(_root_product(u, -_EDGE_NUDGE, dt), nudge_alpha)))
     # Edge gamma = 0: phi = (u, -1), an undamped oscillation of angle acos(u/2).
-    u = _segment_min(target + lag2, lag1, -2.0, 2.0)
+    u = _segment_min(fit.offset(0.0, -1.0), fit.r_times(1.0, 0.0), -2.0, 2.0)
     out.append((0.0, max((math.acos(0.5 * u) / dt) ** 2, nudge_alpha)))
     return out
 
 
-def _segment_min(r0: np.ndarray, v: np.ndarray, lo: float, hi: float) -> float:
-    """argmin over u in [lo, hi] of |r0 - u v|^2."""
-    return min(max(_dot(r0, v) / _dot(v, v), lo), hi)
+def _segment_min(e0: tuple[float, float], e1: tuple[float, float], lo: float, hi: float) -> float:
+    """argmin over u in [lo, hi] of |e0 + u e1|^2."""
+    return min(max(-_dot2(e0, e1) / _dot2(e1, e1), lo), hi)
+
+
+def _dot2(u: tuple[float, float], v: tuple[float, float]) -> float:
+    return u[0] * v[0] + u[1] * v[1]
 
 
 def _gauss_newton(offset, gamma: float, alpha: float) -> tuple[float, float]:
@@ -290,43 +269,72 @@ def _gauss_newton(offset, gamma: float, alpha: float) -> tuple[float, float]:
     return gamma, alpha
 
 
-def _lagged(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    return values[:-2], values[1:-1], values[2:]
-
-
 def _dot(a: np.ndarray, b: np.ndarray) -> float:
     # Elementwise products summed by np.sum, never `a @ b`: on 1-d arrays `@`
     # is BLAS ddot, whose rounding depends on the kernel OpenBLAS picks.
     return float(np.sum(a * b))
 
 
-def _ssr(values: np.ndarray, phi1: float, phi2: float) -> float:
-    """Float SSR of the recursion's residuals at (phi1, phi2), one O(n) pass."""
-    lag2, lag1, target = _lagged(values)
-    resid = target - phi1 * lag1 - phi2 * lag2
-    return _dot(resid, resid)
+class _ScaledLags:
+    """The lag rows (y[i-2], y[i-1], y[i]) of a series scaled by 2^-shift.
+
+    shift is the binary exponent of max|y|, so the scaled series peaks at
+    `peak` in [0.5, 1) and the scaling is exact: its sums of squares neither
+    overflow nor underflow, whatever the data's magnitude.  Every SSR here
+    is in these units, 2^(-2 shift) times the data's; `result` and `loglik`
+    carry sigma and the log-likelihood back to the data's units
+    analytically, so no intermediate leaves the float range.
+    """
+
+    def __init__(self, values: np.ndarray) -> None:
+        if values.size < 3:
+            raise Degenerate("a two-sample series has no lag rows")
+        peak, shift = math.frexp(float(np.max(np.abs(values))))
+        y = np.ldexp(values, -shift)
+        self.lag2, self.lag1, self.target = y[:-2], y[1:-1], y[2:]
+        self.m, self.peak, self.shift = y.size - 2, peak, shift
+
+    def ssr_at(self, phi1: float, phi2: float) -> float:
+        """Float SSR of the recursion's residuals at (phi1, phi2), one O(n) pass."""
+        resid = self.target - phi1 * self.lag1 - phi2 * self.lag2
+        return _dot(resid, resid)
+
+    def loglik(self, ssr: float) -> float:
+        """-m/2 (ln(2 pi SSR/m) + 1) in the data's units; the clamp keeps it finite."""
+        log_var = math.log(2.0 * math.pi * max(ssr, 1e-300) / self.m)
+        return -0.5 * self.m * (log_var + 2.0 * self.shift * math.log(2.0) + 1.0)
+
+    def result(self, method: Method, gamma: float, alpha: float, ssr: float, dt: float,
+               converged: bool) -> EstimationResult:
+        sigma = math.sqrt(ssr / self.m / dt)
+        # math.ldexp raises OverflowError past the float range: sigma_hat is inf there.
+        in_range = math.frexp(sigma)[1] + self.shift <= 1024
+        sigma = math.ldexp(sigma, self.shift) if in_range else math.inf
+        return EstimationResult(gamma, alpha, sigma, self.loglik(ssr), method, converged,
+                                self.m + 2)
 
 
-class _LagFit:
+class _LagFit(_ScaledLags):
     """Least-squares fit of y[i] on (y[i-1], y[i-2]), with an O(1) SSR.
 
-    The lag design X = [y[i-1], y[i-2]] is factored X = QR by Gram-Schmidt,
-    R = [[r11, r12], [0, r22]].  The least-squares point phi* is held in two
-    parts, phi_hat + delta: phi_hat solves R^T R phi = X^T target, and delta
-    is one step of iterative refinement from the float residual at phi_hat
-    (Björck, BIT 7, 1967).  As X^T r = 0 at phi*, for every phi
+    The scaled lag design X = [y[i-1], y[i-2]] is factored X = QR by
+    Gram-Schmidt, R = [[r11, r12], [0, r22]].  The least-squares point phi*
+    is held in two parts, phi_hat + delta: phi_hat solves R^T R phi =
+    X^T target, and delta is one step of iterative refinement from the float
+    residual at phi_hat (Björck, BIT 7, 1967).  As X^T r = 0 at phi*, for
+    every phi
 
         SSR(phi) = ssr + |R (phi - phi_hat - delta)|^2,
 
     and `offset(phi)` is that 2-vector, formed as ((phi - phi_hat) - delta)
-    so it keeps digits below phi*'s last bit.  The sums run on the values
-    scaled by 2^-shift, exactly, so that squares neither overflow nor
-    underflow; `offset` is in those units, `ssr` in the data's.
+    so it keeps digits below phi*'s last bit; `r_times(d)` is R d.  All
+    three are in `_ScaledLags`' units.  The factor, the refinement and
+    `ssr_at` are the estimators' only passes over the series.
     """
 
     def __init__(self, values: np.ndarray) -> None:
-        shift = math.frexp(float(np.max(np.abs(values))))[1]
-        lag2, lag1, target = _lagged(np.ldexp(values, -shift))
+        super().__init__(values)
+        lag2, lag1, target = self.lag2, self.lag1, self.target
         s11 = _dot(lag1, lag1)
         if not s11 > 0.0:
             raise Degenerate(f"lag regression has rank {int(np.any(lag2))} < 2")
@@ -350,24 +358,18 @@ class _LagFit:
         b1, b2, _ = solve(target)
         resid = target - b1 * lag1 - b2 * lag2
         d1, d2, shrink = solve(resid)
-        self.shift = shift
         self.phi = (b1 + d1, b2 + d2)
-        self.ssr = math.ldexp(max(_dot(resid, resid) - shrink, 0.0), 2 * shift)
+        self.ssr = max(_dot(resid, resid) - shrink, 0.0)
         self._centre = (b1, b2, d1, d2)
         self._r = (r11, r12, r22)
 
+    def r_times(self, d1: float, d2: float) -> tuple[float, float]:
+        r11, r12, r22 = self._r
+        return r11 * d1 + r12 * d2, r22 * d2
+
     def offset(self, phi1: float, phi2: float) -> tuple[float, float]:
         b1, b2, d1, d2 = self._centre
-        r11, r12, r22 = self._r
-        e1 = (phi1 - b1) - d1
-        e2 = (phi2 - b2) - d2
-        return r11 * e1 + r12 * e2, r22 * e2
-
-
-def _profile_loglik(n: int, ssr: float) -> float:
-    # The clamp keeps the concentrated likelihood finite on noise-free data.
-    ssr = max(ssr, 1e-300)
-    return -0.5 * n * (math.log(2.0 * math.pi * ssr / n) + 1.0)
+        return self.r_times((phi1 - b1) - d1, (phi2 - b2) - d2)
 
 
 def _root_product(phi1: float, phi2: float, dt: float) -> float:

@@ -104,11 +104,16 @@ def classify(params: OscillatorParams, rel_tol: float = DEFAULT_REL_TOL) -> Regi
     gamma = 0 (no damping at all) classifies as under-damped.  The label is
     for readers (the CLI `classify` line, the SVG legend): the closed form and
     the lag coefficients branch on the exact sign of the discriminant instead.
+    The comparison is made on (gamma 2^-e, alpha 2^-2e), e the binary
+    exponent of max(gamma, sqrt(alpha)): a time rescaling, which keeps the
+    regime, so that gamma^2 and 4 alpha cannot overflow to inf.
     """
     if not (math.isfinite(rel_tol) and rel_tol >= 0.0):
         raise InvariantViolation(f"rel_tol must be finite and >= 0, got {rel_tol!r}")
-    gg = params.gamma * params.gamma
-    fa = 4.0 * params.alpha
+    e = math.frexp(max(params.gamma, math.sqrt(params.alpha)))[1]
+    gamma = math.ldexp(params.gamma, -e)
+    gg = gamma * gamma
+    fa = 4.0 * math.ldexp(params.alpha, -2 * e)
     d = gg - fa
     if abs(d) <= rel_tol * max(gg, fa):
         return Regime.CRITICALLY_DAMPED

@@ -1,5 +1,6 @@
 """Command-line behavior: output contracts, exit statuses, seed precedence."""
 
+import math
 import os
 import subprocess
 import sys
@@ -264,6 +265,23 @@ class TestEstimate:
         code, _, err = _run(capsys, ["estimate", "--in", str(path)])
         assert code == 3
         assert err.startswith("error=NonStationary")
+
+    @pytest.mark.parametrize("method", ["ar2", "mle"])
+    def test_series_scaled_by_1e160_fits(self, capsys, tmp_path, method):
+        # squares of these values are past the float range
+        eta = standard_normals(5, 300)
+        y = [0.0, 0.0]
+        for i in range(2, 300):
+            y.append(1.2 * y[-1] - 0.5 * y[-2] + eta[i])
+        path = tmp_path / "big.csv"
+        rows = ["t,y"] + ["%.17g,%.17g" % (0.1 * i, 1e160 * y[i]) for i in range(300)]
+        path.write_text("\n".join(rows) + "\n")
+        code, out, err = _run(capsys, ["estimate", "--in", str(path), "--method", method])
+        assert code == 0
+        assert err == ""
+        pairs = _kv(out)
+        assert math.isfinite(float(pairs["sigma_hat"]))
+        assert math.isfinite(float(pairs["loglik"]))
 
     def test_constant_series_is_degenerate(self, capsys, tmp_path):
         path = tmp_path / "flat.csv"

@@ -110,13 +110,17 @@ class TestClassify:
             classify(CRITICAL, rel_tol=-1e-9)
 
     def test_time_rescaling_invariance(self):
-        # classify(c*gamma, c^2*alpha) == classify(gamma, alpha) for c > 0
+        # classify(c*gamma, c^2*alpha) == classify(gamma, alpha) for c > 0;
+        # at c = 2^511 gamma^2 or 4 alpha can pass the float range, and at
+        # c = 2^-511 c^2 alpha can be subnormal
         rng = np.random.default_rng(7)
         for _ in range(1000):
             p = _random_params(rng)
-            c = float(rng.uniform(0.1, 10.0))
-            scaled = OscillatorParams(gamma=c * p.gamma, alpha=c * c * p.alpha)
-            assert classify(scaled) is classify(p)
+            for c in (float(rng.uniform(0.1, 10.0)), 2.0**511, 2.0**-511):
+                scaled = OscillatorParams(gamma=c * p.gamma, alpha=c * c * p.alpha)
+                assert classify(scaled) is classify(p)
+        assert classify(OscillatorParams(gamma=1e200, alpha=1.0)) is Regime.OVER_DAMPED
+        assert classify(OscillatorParams(gamma=0.0, alpha=1e308)) is Regime.UNDER_DAMPED
 
 
 class TestSolveAnalytic:
