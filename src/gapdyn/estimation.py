@@ -199,7 +199,16 @@ def _boundary_candidates(fit: _LagFit, dt: float) -> list[tuple[float, float]]:
     R d1, R d2 (as X^T X = R^T R): 2-vectors, so no piece sums over the
     series.  Edge points outside S are moved _EDGE_NUDGE inside it: phi2 up
     to -_EDGE_NUDGE (a finite gamma) and alpha down to _EDGE_NUDGE / dt^2.
+    A candidate's alpha is at most gamma^2/4 + (pi/dt)^2 with gamma =
+    -ln(_EDGE_NUDGE)/dt, about 200/dt^2; a dt (below about 1e-153) that puts
+    it past the float range raises InvariantViolation.
     """
+    top = -math.log(_EDGE_NUDGE) / dt
+    nyquist = math.pi / dt
+    if not 0.25 * top * top + nyquist * nyquist < math.inf:
+        raise InvariantViolation(
+            f"dt = {dt!r} is too small for the MLE: alpha would pass the float range"
+        )
     nudge_alpha = _EDGE_NUDGE / (dt * dt)
     out = []
 
@@ -381,30 +390,39 @@ def _root_product(phi1: float, phi2: float, dt: float) -> float:
     two nearby roots is ill-conditioned, so the band uses the modulus and the
     split's first-order term -disc4/half^2, on which the real and complex
     branches agree (without it alpha is off by up to 1e-10/(alpha dt^2)
-    relative).  For phi1 < 0 that boundary is the Nyquist angle, so the band
-    keeps its (pi/dt)^2 term: the value on the aliasing curve,
+    relative).  For phi1 < 0 that boundary is the Nyquist angle: complex
+    roots (disc4 <= 0) keep their argument there, and only a negative real
+    pair in the band takes the value on the aliasing curve,
     alpha = gamma^2/4 + (pi/dt)^2.
     Principal-branch logarithms are used throughout.
     """
     half = 0.5 * phi1
     disc4 = half * half + phi2
     scale = max(phi1 * phi1, 4.0 * abs(phi2))
-    if scale > 0.0 and abs(4.0 * disc4) <= _REPEATED_ROOT_GUARD * scale:
+    band = scale > 0.0 and abs(4.0 * disc4) <= _REPEATED_ROOT_GUARD * scale
+    if band and (phi1 > 0.0 or disc4 > 0.0):
         ln_mod = 0.5 * math.log(-phi2)
         if phi1 < 0.0:
-            return (ln_mod * ln_mod + math.pi * math.pi) / (dt * dt)
-        return (ln_mod * ln_mod - disc4 / (half * half)) / (dt * dt)
-    if disc4 < 0.0:
+            return _per_dt2(ln_mod * ln_mod + math.pi * math.pi, dt)
+        return _per_dt2(ln_mod * ln_mod - disc4 / (half * half), dt)
+    if disc4 <= 0.0:
         ln_mod = 0.5 * math.log(-phi2)
         theta = math.atan2(math.sqrt(-disc4), half)
-        return (ln_mod * ln_mod + theta * theta) / (dt * dt)
+        return _per_dt2(ln_mod * ln_mod + theta * theta, dt)
     s = math.sqrt(disc4)
     lam_big = half + math.copysign(s, half)
     lam_small = -phi2 / lam_big
     if lam_big > 0.0:
-        return math.log(lam_big) * math.log(lam_small) / (dt * dt)
+        return _per_dt2(math.log(lam_big) * math.log(lam_small), dt)
     # Negative real pair: principal logs carry an i*pi each.
-    return (math.log(-lam_big) * math.log(-lam_small) - math.pi * math.pi) / (dt * dt)
+    return _per_dt2(math.log(-lam_big) * math.log(-lam_small) - math.pi * math.pi, dt)
+
+
+def _per_dt2(x: float, dt: float) -> float:
+    """x / dt^2.  Where dt^2 underflows to 0, and Python's float division
+    would raise, x / +0 as IEEE-754 defines it: +-inf, or nan for x = 0."""
+    dt2 = dt * dt
+    return x / dt2 if dt2 > 0.0 else x * math.inf
 
 
 def _ulp_polish(objective, gamma: float, alpha: float) -> tuple[float, float]:

@@ -8,11 +8,13 @@ the last entry acts on no step.
 Each scheme's arithmetic is written once, as a loop (_euler_steps,
 _rk4_steps) that fills nodes 1.. of position and rate buffers from node 0.
 integrate_euler and integrate_rk4 feed it Python floats, for one parameter
-set, into array('d') buffers.  integrate_batch feeds it (k,) float64 rows,
-one column per parameter set, into (n, k) arrays for `gapdyn sweep`.
-Python floats and numpy float64 both round every operation correctly and
-neither fuses a multiply-add, so each column of a batch is bit-identical
-to the single run.  Both kinds of call end in one finiteness check, which
+set, through memoryviews of (n,) arrays.  integrate_batch feeds it (k,)
+float64 rows, one column per parameter set, into (n, k) arrays for
+`gapdyn sweep`.  Python floats and numpy float64 both round every operation
+correctly and neither fuses a multiply-add, so each column of a batch is
+bit-identical to the single run.  Both kinds of call run the loop through
+_step_nodes, which stops once the state no longer changes (a settled run
+decays to a float fixed point), and end in one finiteness check, which
 raises Divergence at the first non-finite node.
 With eps held, RK4 on x' = A x + b eps, x = (y, ydot), is the affine map
 x[i] = R x[i-1] + dt S b eps[i-1]: z = A dt, S = I + z/2 + z^2/6 + z^3/24,
@@ -25,7 +27,6 @@ metrics have one definition.
 from __future__ import annotations
 
 import math
-from array import array
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -137,6 +138,39 @@ def _rk4_steps(y, v, eps, ng, a, dt) -> None:
 
 _STEPS = {"euler": _euler_steps, "rk4": _rk4_steps}
 
+# Steps between two checks for a settled state: bounds the steps taken after
+# a run settles, not a tuning knob.
+_CHUNK = 1024
+
+
+def _step_nodes(steps, y, v, eps, ng, a, dt) -> None:
+    """Fill nodes 1.. of the (n,) or (n, k) positions y and rates v from
+    node 0 with `steps` (_euler_steps or _rk4_steps), _CHUNK steps a call.
+
+    After a call that ends at node i, stepping stops when node i is finite
+    and equal bit for bit to node i-1 (in every column) and eps[i-1:-1], the
+    forcing of every later step, is one value bit for bit: each later step
+    then has the inputs of step i and gives node i again, so node i fills
+    the rest.  Bitwise, so -0.0 and +0.0 stay apart.  One parameter set
+    (1-d buffers) steps on Python floats through memoryviews.
+    """
+    rows = memoryview if y.ndim == 1 else np.asarray
+    last = len(eps) - 1
+    yb, vb, eb = y.view(np.int64), v.view(np.int64), eps.view(np.int64)
+    for start in range(0, last, _CHUNK):
+        i = min(start + _CHUNK, last)
+        steps(rows(y[start:]), rows(v[start:]), eps[start:i].tolist(), ng, a, dt)
+        if (
+            i < last
+            and np.all(yb[i] == yb[i - 1])
+            and np.all(vb[i] == vb[i - 1])
+            and np.all(np.isfinite(y[i]) & np.isfinite(v[i]))
+            and np.all(eb[i - 1 : last] == eb[i - 1])
+        ):
+            y[i + 1 :] = y[i]
+            v[i + 1 :] = v[i]
+            return
+
 
 def _check_finite(y: np.ndarray, v: np.ndarray) -> None:
     """Raise Divergence at the first non-finite node of the lowest-index
@@ -192,16 +226,15 @@ def integrate_rk4(
 
 
 def _integrate_one(steps, params, init, forcing, grid) -> Trajectory:
-    """One parameter set stepped on Python floats into array('d') buffers."""
+    """One parameter set stepped on Python floats into (n,) arrays."""
     eps = _forcing_nodes(forcing, grid)
-    y = array("d", [0.0]) * grid.n_steps
-    v = array("d", y)
+    y = np.empty(grid.n_steps)
+    v = np.empty_like(y)
     y[0], v[0] = init.y, init.ydot
     # Overflow to inf is reported as Divergence, so silence the warning that
     # numpy scalars in `params` would give; `init` arrives as Python floats.
     with np.errstate(over="ignore", invalid="ignore"):
-        steps(y, v, eps[:-1].tolist(), -params.gamma, params.alpha, grid.dt)
-    y, v = np.frombuffer(y), np.frombuffer(v)
+        _step_nodes(steps, y, v, eps, -params.gamma, params.alpha, grid.dt)
     _check_finite(y[:, None], v[:, None])
     return Trajectory(grid, y, v, eps)
 
@@ -242,7 +275,7 @@ def integrate_batch(
     y[0], v[0] = init.y, init.ydot
     # Overflow is reported by _check_finite, not as a numpy warning.
     with np.errstate(over="ignore", invalid="ignore"):
-        _STEPS[scheme](y, v, eps[:-1].tolist(), ng, a, grid.dt)
+        _step_nodes(_STEPS[scheme], y, v, eps, ng, a, grid.dt)
     _check_finite(y, v)
     return y.T
 

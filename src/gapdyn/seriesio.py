@@ -40,15 +40,36 @@ def write_trajectory_csv(path: str | Path, traj: Trajectory) -> None:
 
     Rows are formatted _ROWS_PER_WRITE at a time by _textfmt.g17_rows; the
     bytes are those of formatting each row with "%.17g,%.17g,%.17g,%.17g\\n".
+    A settled run ends in rows whose (y, ydot, eps) never change bit for
+    bit: from the first of them on, only t is formatted per row, and
+    "y,ydot,eps\\n" is formatted once and put in place of t's "\\n".
     """
     from ._textfmt import g17_rows
 
-    columns = (traj.grid.times(), traj.y, traj.ydot, traj.forcing)
+    times = traj.grid.times()
+    columns = (times, traj.y, traj.ydot, traj.forcing)
+    n = traj.grid.n_steps
+    head = _settled_from(columns[1:]) + 1  # rows formatted whole
     step = _ROWS_PER_WRITE
     with open(path, "wb") as fh:
         fh.write(_TRAJECTORY_HEADER)
-        for i in range(0, traj.grid.n_steps, step):
-            fh.write(g17_rows(np.column_stack([col[i : i + step] for col in columns])))
+        for i in range(0, head, step):
+            fh.write(g17_rows(np.column_stack([col[i : min(i + step, head)] for col in columns])))
+        if head < n:
+            rest = b"," + g17_rows(np.array([[col[head - 1] for col in columns[1:]]]))
+            # One field a row: four times the rows make the same temporaries.
+            for i in range(head, n, 4 * step):
+                fh.write(g17_rows(times[i : i + 4 * step, None]).replace(b"\n", rest))
+
+
+def _settled_from(columns: tuple[np.ndarray, ...]) -> int:
+    """The first row from which every column keeps its bits to the end."""
+    changed = np.zeros(len(columns[0]) - 1, bool)
+    for col in columns:
+        bits = col.view(np.int64)
+        changed |= bits[1:] != bits[:-1]
+    last = np.flatnonzero(changed)
+    return int(last[-1]) + 1 if last.size else 0
 
 
 def read_series_csv(path: str | Path) -> ObservedSeries:

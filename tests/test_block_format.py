@@ -3,7 +3,10 @@
 write_trajectory_csv and write_svg format their rows and points in blocks;
 these tests pin the bytes to a row-by-row rendering at sizes on both sides of
 the block boundaries, with values whose formatting is easy to get wrong:
-signed zeros, subnormals and magnitudes near 1e300.
+signed zeros, subnormals and magnitudes near 1e300.  The CSV writer formats
+a settled tail (rows whose y, ydot and eps never change again) from one
+formatted row, so settled trajectories with tails starting on both sides of
+those boundaries are pinned too.
 """
 
 import re
@@ -12,6 +15,7 @@ import numpy as np
 import pytest
 
 from gapdyn import OscState, TimeGrid, Trajectory, write_trajectory_csv
+from gapdyn._textfmt import _LEFT, _digits17
 from gapdyn.svgplot import _padded_range, write_svg
 
 SIZES = [2, 1023, 1024, 1025, 2049, 4097]
@@ -53,10 +57,49 @@ def _polyline_reference(t: np.ndarray, curves: list[np.ndarray]) -> list[str]:
     return [" ".join(f"{px(xv):.2f},{py(yv):.2f}" for xv, yv in zip(t, v)) for v in curves]
 
 
-@pytest.mark.parametrize("n", SIZES)
-def test_csv_matches_row_by_row(tmp_path, n):
-    traj = Trajectory(TimeGrid(t0=-3.7, dt=1e-3, n_steps=n),
+def _random_trajectory(n: int) -> Trajectory:
+    return Trajectory(TimeGrid(t0=-3.7, dt=1e-3, n_steps=n),
                       _values(n, 1, True), _values(n, 2, True), _values(n, 3, True))
+
+
+def _settled(n: int, start: int, tail=(2e-323, -0.0, 0.25), before=None,
+             moving=None) -> Trajectory:
+    """A random trajectory whose (y, ydot, eps) are `tail` from row `start`
+    on; rows before it are random, or `before` bit for bit if given.  The
+    column numbered `moving` stays random throughout."""
+    columns = [_values(n, seed, True) for seed in (1, 2, 3)]
+    for k, (col, value, prior) in enumerate(zip(columns, tail, before or (None,) * 3)):
+        if k == moving:
+            continue
+        if prior is not None:
+            col[:start] = prior
+        col[start:] = value
+    return Trajectory(TimeGrid(t0=-3.7, dt=1e-3, n_steps=n), *columns)
+
+
+def _tail_left_to_percent() -> Trajectory:
+    # _textfmt leaves 1e23 to `%` (log10 puts it one power of ten off), so
+    # the settled row takes that path
+    assert _digits17(np.array([1e23]))[2][0] == _LEFT
+    return _settled(1500, 700, (1e23, -1e23, 1e23))
+
+
+CSV_CASES = {str(n): lambda n=n: _random_trajectory(n) for n in SIZES}
+# Whole rows end at row `start`, on both sides of 1024; the tail is
+# formatted 4096 rows at a time and has 4097 and 4096 rows from 1102 and 1103.
+CSV_CASES.update({f"tail-from-{start}": lambda start=start: _settled(5200, start)
+                  for start in (0, 1, 1022, 1023, 1024, 1025, 1102, 1103, 5198)})
+CSV_CASES.update({
+    "negative-zero-tail": lambda: _settled(2100, 1500, (-0.0, -0.0, -0.0), (0.0, 0.0, 0.0)),
+    "tail-left-to-percent": _tail_left_to_percent,
+    "eps-moves-under-a-settled-state": lambda: _settled(2100, 500, moving=2),
+    "one-row": lambda: _settled(1, 0),
+})
+
+
+@pytest.mark.parametrize("case", CSV_CASES)
+def test_csv_matches_row_by_row(tmp_path, case):
+    traj = CSV_CASES[case]()
     path = tmp_path / "traj.csv"
     write_trajectory_csv(path, traj)
     assert path.read_bytes() == _csv_reference(traj)

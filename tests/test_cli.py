@@ -283,6 +283,37 @@ class TestEstimate:
         assert math.isfinite(float(pairs["sigma_hat"]))
         assert math.isfinite(float(pairs["loglik"]))
 
+    # A valid series at spacings whose alpha (about 1/dt^2) passes the float
+    # range; the fit's printout at 1e-155 is pinned as it was before the
+    # MLE and the dt^2 underflow below 1e-162 were mapped.
+    TINY_AR2_1E155 = ("gamma_hat=5.14216155058e+154\nalpha_hat=inf\nsigma_hat=3.14054957471e+77\n"
+                      "loglik=-420.789050941\nmethod=ar2\nconverged=false\nn_obs=300\n")
+
+    @pytest.mark.parametrize("dt", [1e-155, 1e-160, 1e-200])
+    @pytest.mark.parametrize("method", ["ar2", "mle"])
+    def test_tiny_spacing_maps_to_the_protocol(self, capsys, tmp_path, method, dt):
+        eta = standard_normals(5, 300)
+        y = [0.0, 0.0]
+        for i in range(2, 300):
+            y.append(1.2 * y[-1] - 0.5 * y[-2] + eta[i])
+        path = tmp_path / "tiny.csv"
+        rows = ["t,y"] + ["%.17g,%.17g" % (dt * i, y[i]) for i in range(300)]
+        path.write_text("\n".join(rows) + "\n")
+        code, out, err = _run(capsys, ["estimate", "--in", str(path), "--method", method])
+        if method == "ar2":
+            # alpha_hat past the float range reads inf, and the fit is not converged
+            assert (code, err) == (0, "")
+            pairs = _kv(out)
+            assert pairs["alpha_hat"] == "inf" and pairs["converged"] == "false"
+            assert math.isfinite(float(pairs["gamma_hat"]))
+            if dt == 1e-155:
+                assert out == self.TINY_AR2_1E155
+        else:
+            # the MLE's boundary candidates cannot be formed
+            assert (code, out) == (2, "")
+            assert err.startswith("error=InvariantViolation detail=dt = ")
+            assert len(err.splitlines()) == 1
+
     def test_constant_series_is_degenerate(self, capsys, tmp_path):
         path = tmp_path / "flat.csv"
         rows = ["t,y"] + ["%.1f,0.0" % (0.1 * i) for i in range(10)]

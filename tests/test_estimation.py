@@ -170,6 +170,29 @@ class TestEstimateAr2:
         assert r.converged
         assert r.alpha_hat == pytest.approx(truth, rel=1e-6)
 
+    @pytest.mark.parametrize("estimator", [estimate_ar2, estimate_mle])
+    def test_complex_roots_inside_the_nyquist_band(self, estimator):
+        # Within about 1e-5 rad of the Nyquist angle the fitted lag roots fall
+        # in the repeated-root guard band.  Complex roots keep their argument
+        # there; read off the aliasing curve, alpha was off by up to 6.4e-6
+        # relative (dt 1, gamma 0.05, offset 5e-6 gave 9.87022940109
+        # against 9.87019798519).
+        worst = 0.0
+        for dt in (0.1, 0.5, 1.0, 2.0):
+            for gamma in (0.01, 0.05):
+                for offset in (2e-6, 5e-6, 9e-6):
+                    theta = math.pi - offset
+                    phi1 = 2.0 * math.exp(-0.5 * gamma * dt) * math.cos(theta)
+                    phi2 = -math.exp(-gamma * dt)
+                    eta = 1e-13 * standard_normals(1, 200)
+                    y = [1.0, 0.2]
+                    for i in range(2, 200):
+                        y.append(phi1 * y[-1] + phi2 * y[-2] + eta[i])
+                    truth = 0.25 * gamma * gamma + (theta / dt) ** 2
+                    r = estimator(ObservedSeries(dt=dt, values=y))
+                    worst = max(worst, abs(r.alpha_hat - truth) / truth)
+        assert worst <= 1e-8
+
     def test_round_trip_property_randomized(self):
         # 100 random parameterizations, 500-point noise-free series; the
         # near-critical band is ill-conditioned and gets a looser tolerance

@@ -21,6 +21,7 @@ from gapdyn import (
     recovery_metrics,
     realize,
 )
+import gapdyn.integrate as integrate
 from gapdyn.integrate import _rk4_steps, integrate_batch
 from gapdyn.oscillator import _homogeneous
 
@@ -315,6 +316,104 @@ class TestMatchesElementLoop:
         limit = 1e-13 * max(np.max(np.abs(y)), np.max(np.abs(v)))
         assert np.max(np.abs(traj.y - y)) <= limit
         assert np.max(np.abs(traj.ydot - v)) <= limit
+
+
+class TestSettledRuns:
+    """The steppers stop once the state repeats bit for bit under constant
+    forcing and fill the rest; single runs and batch columns must equal a
+    loop that steps every node, and a kick after a stall must still act."""
+
+    GRID = TimeGrid(t0=0.0, dt=0.5, n_steps=4000)
+    PARAMS = [CRITICAL, OscillatorParams(gamma=2.0, alpha=0.75)]
+    START = OscState(1.0, 0.3)
+    REFERENCE = {"euler": _euler_reference, "rk4": _rk4_map_reference}
+    SINGLE = {"euler": integrate_euler, "rk4": integrate_rk4}
+
+    @staticmethod
+    def _forcing(kind):
+        eps = np.zeros(TestSettledRuns.GRID.n_steps)
+        if kind == "step":
+            eps[300:] = 2.5
+        elif kind == "release":
+            # settled under 2.5, released by the last entry a check at node
+            # _CHUNK reads: that step repeats the state, the next one does not
+            eps[: integrate._CHUNK] = 2.5
+        elif kind == "kick":
+            eps[3500] = 3.0
+        return eps
+
+    @pytest.fixture
+    def stepped(self, monkeypatch):
+        """Nodes the step loops fill, summed over calls."""
+        counts = []
+        for scheme in ("euler", "rk4"):
+            loop = integrate._STEPS[scheme]
+
+            def counting(y, v, eps, ng, a, dt, loop=loop):
+                counts.append(len(eps))
+                loop(y, v, eps, ng, a, dt)
+
+            monkeypatch.setattr(integrate, f"_{scheme}_steps", counting)
+            monkeypatch.setitem(integrate._STEPS, scheme, counting)
+        return counts
+
+    # Both parameter sets repeat a state by node 2979 unforced and by node
+    # 450 under the step, so stepping stops before the last of 3999 steps;
+    # after the release only CRITICAL settles again.
+    @pytest.mark.parametrize("scheme", ["euler", "rk4"])
+    @pytest.mark.parametrize("kind, settles", [
+        ("none", True), ("step", True), ("release", None), ("kick", False),
+    ])
+    def test_matches_full_length_loop(self, stepped, scheme, kind, settles):
+        eps = self._forcing(kind)
+        last = self.GRID.n_steps - 1
+        for j, params in enumerate(self.PARAMS):
+            y, v = self.REFERENCE[scheme](params, self.START, eps, self.GRID)
+            stepped.clear()
+            traj = self.SINGLE[scheme](params, self.START, eps, self.GRID)
+            assert traj.y.tobytes() == y.tobytes()
+            assert traj.ydot.tobytes() == v.tobytes()
+            # the fill path was taken, or (a late kick) every node was stepped
+            assert settles is None or (sum(stepped) < last) == settles
+            block = integrate_batch(self.PARAMS, self.START, eps, self.GRID, scheme)
+            assert block[j].tobytes() == y.tobytes()
+        stepped.clear()
+        integrate_batch(self.PARAMS, self.START, eps, self.GRID, scheme)
+        assert settles is None or (sum(stepped) < last) == settles
+
+    @pytest.mark.parametrize("scheme", ["euler", "rk4"])
+    @pytest.mark.parametrize("params, start", [
+        # y = 1e8 moves by less than half an ulp a step while the rate decays
+        (OscillatorParams(gamma=0.01, alpha=1e-20), OscState(1e8, 1e-9)),
+        # the rate keeps its bits while y drifts
+        (OscillatorParams(gamma=0.0, alpha=1e-300), OscState(1.0, 1.0)),
+    ], ids=["rate-moves", "position-moves"])
+    def test_one_coordinate_still_moving(self, scheme, params, start):
+        eps = np.zeros(self.GRID.n_steps)
+        y, v = self.REFERENCE[scheme](params, start, eps, self.GRID)
+        i = integrate._CHUNK
+        assert (y[i] == y[i - 1]) != (v[i] == v[i - 1])  # repeats in one only
+        traj = self.SINGLE[scheme](params, start, eps, self.GRID)
+        assert traj.y.tobytes() == y.tobytes()
+        assert traj.ydot.tobytes() == v.tobytes()
+        block = integrate_batch([params], start, eps, self.GRID, scheme)
+        assert block[0].tobytes() == y.tobytes()
+
+    @pytest.mark.parametrize("scheme, params", [
+        ("euler", OscillatorParams(gamma=0.5, alpha=5.0)),
+        ("rk4", OscillatorParams(gamma=0.0, alpha=35.0)),
+    ])
+    def test_divergence_at_the_same_node(self, scheme, params):
+        with np.errstate(over="ignore", invalid="ignore"):
+            y, v = self.REFERENCE[scheme](params, self.START, np.zeros(4000), self.GRID)
+        first = int(np.argmin(np.isfinite(y) & np.isfinite(v)))
+        assert integrate._CHUNK < first < 3999  # past the first settled-state check
+        with pytest.raises(Divergence) as info:
+            self.SINGLE[scheme](params, self.START, np.zeros(4000), self.GRID)
+        assert info.value.step == first
+        with pytest.raises(Divergence) as info:
+            integrate_batch([CRITICAL, params], self.START, np.zeros(4000), self.GRID, scheme)
+        assert info.value.step == first
 
 
 def _zoh_exact(params, init, eps, grid):
