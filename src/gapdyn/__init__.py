@@ -20,17 +20,17 @@ from . import errors
 
 __version__ = "0.1.0"
 
-# The public names, by the submodule that defines them.
+# The public names, by the submodule that defines them: every error class
+# in `errors`, and the names listed for the others.
 _EXPORTS = {
     "config": ("Integrator", "ScenarioConfig", "parse_config"),
     "dsge": (
         "DsgeBlockParams", "DsgePoint", "budget_residual", "euler_residual",
         "production", "profit", "steady_state_rate", "utility",
     ),
-    "errors": (
-        "BadEncoding", "BadNumber", "BadValue", "Degenerate", "Divergence",
-        "GapdynError", "ImpulseOutsideGrid", "InvariantViolation", "MissingHeader",
-        "NonStationary", "NonUniformSpacing", "UnknownKey",
+    "errors": tuple(
+        name for name, value in vars(errors).items()
+        if isinstance(value, type) and issubclass(value, errors.GapdynError)
     ),
     "estimation": (
         "EstimationResult", "Method", "ObservedSeries", "conditional_loglik",

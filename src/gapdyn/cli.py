@@ -10,6 +10,9 @@ and the exit status separates failure families:
     2  data error (config, CSV, or filesystem problems)
     3  numerical error (degenerate or non-stationary fits, divergence)
 
+Each error class in errors.py owns its family as `exit_code`; main maps an
+OSError to 2 and a usage error to 1.
+
 Seed precedence for seeded shocks: the --seed flag beats the GAPDYN_SEED
 environment variable, which beats shock_seed in the config file.
 
@@ -26,31 +29,7 @@ import functools
 import os
 import sys
 
-from .errors import (
-    BadEncoding,
-    BadNumber,
-    BadValue,
-    Degenerate,
-    Divergence,
-    ImpulseOutsideGrid,
-    InvariantViolation,
-    MissingHeader,
-    NonStationary,
-    NonUniformSpacing,
-    UnknownKey,
-)
-
-_NUMERICAL_ERRORS = (Degenerate, NonStationary, Divergence)
-_DATA_ERRORS = (
-    UnknownKey,
-    BadValue,
-    InvariantViolation,
-    MissingHeader,
-    NonUniformSpacing,
-    BadNumber,
-    BadEncoding,
-    ImpulseOutsideGrid,
-)
+from .errors import BadValue, GapdynError, InvariantViolation, UnknownKey
 
 
 class _UsageError(Exception):
@@ -72,12 +51,9 @@ def main(argv: list[str] | None = None) -> int:
     except _UsageError as exc:
         _fail("Usage", str(exc))
         return 1
-    except _NUMERICAL_ERRORS as exc:
+    except GapdynError as exc:
         _fail(type(exc).__name__, str(exc))
-        return 3
-    except _DATA_ERRORS as exc:
-        _fail(type(exc).__name__, str(exc))
-        return 2
+        return exc.exit_code
     except OSError as exc:
         _fail("IoError", str(exc))
         return 2
@@ -135,13 +111,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    from .integrate import recovery_metrics
-
-    cfg = _load_config(args.config, seed_flag=args.seed)
-    traj = _trajectory_for(cfg)
-    _emit_outputs(cfg, traj, args.out, args.svg)
-    _print_metrics(recovery_metrics(traj))
-    return 0
+    return _run_scenario(_load_config(args.config, seed_flag=args.seed), args)
 
 
 def _cmd_classify(args: argparse.Namespace) -> int:
@@ -170,15 +140,12 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
 
 
 def _cmd_impulse(args: argparse.Namespace) -> int:
-    from .integrate import recovery_metrics
     from .shocks import Impulse
 
-    cfg = _load_config(args.config, seed_flag=None)
-    cfg = dataclasses.replace(cfg, shock=Impulse(at=args.at, magnitude=args.magnitude))
-    traj = _trajectory_for(cfg)
-    _emit_outputs(cfg, traj, args.out, args.svg)
-    _print_metrics(recovery_metrics(traj))
-    return 0
+    # The impulse replaces the config's shock, so no seed is resolved.
+    cfg = _read_config(args.config)
+    shock = Impulse(at=args.at, magnitude=args.magnitude)
+    return _run_scenario(dataclasses.replace(cfg, shock=shock), args)
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
@@ -253,11 +220,16 @@ def _cmd_check(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_config(path: str, seed_flag: int | None) -> ScenarioConfig:
+def _read_config(path: str) -> ScenarioConfig:
     from .config import parse_config
     from .seriesio import read_text
 
-    cfg = parse_config(read_text(path))
+    return parse_config(read_text(path))
+
+
+def _load_config(path: str, seed_flag: int | None) -> ScenarioConfig:
+    """The scenario in `path` with its shock's seed resolved (module docstring)."""
+    cfg = _read_config(path)
     shock = _resolve_seed(seed_flag, cfg.shock)
     if shock is not cfg.shock:
         cfg = dataclasses.replace(cfg, shock=shock)
@@ -281,13 +253,38 @@ def _resolve_seed(flag_seed: int | None, shock):
     return shock
 
 
-def _trajectory_for(cfg: ScenarioConfig) -> Trajectory:
+def _run_scenario(cfg: ScenarioConfig, args: argparse.Namespace) -> int:
+    """Step cfg's scenario, write args.out and args.svg, and print its
+    recovery metrics: `simulate` and `impulse` differ only in cfg."""
+    from .integrate import recovery_metrics
     from .shocks import realize
 
     try:
-        return _integrate(cfg, realize(cfg.shock, cfg.grid(), cfg.shock_scaling))
+        traj = _integrate(cfg, realize(cfg.shock, cfg.grid(), cfg.shock_scaling))
     except MemoryError:
         raise _too_large(cfg) from None
+    if args.out:
+        from .seriesio import write_trajectory_csv
+
+        write_trajectory_csv(args.out, traj)
+    if args.svg:
+        from .oscillator import classify
+        from .svgplot import write_svg
+
+        label = classify(cfg.params()).value
+        write_svg(
+            args.svg,
+            traj.grid.times(),
+            [(label, traj.y)],
+            x_label="time",
+            y_label="output gap",
+        )
+    metrics = recovery_metrics(traj)
+    print(f"settling_time={_num(metrics.settling_time)}")
+    print(f"overshoot={_num(metrics.overshoot)}")
+    print(f"zero_crossings={metrics.zero_crossings}")
+    print(f"terminal_abs={_num(metrics.terminal_abs)}")
+    return 0
 
 
 def _too_large(cfg: ScenarioConfig) -> InvariantViolation:
@@ -302,34 +299,6 @@ def _integrate(cfg: ScenarioConfig, eps: np.ndarray) -> Trajectory:
 
     step = integrate_euler if cfg.integrator is Integrator.EULER else integrate_rk4
     return step(cfg.params(), cfg.initial_state(), eps, cfg.grid())
-
-
-def _emit_outputs(
-    cfg: ScenarioConfig, traj: Trajectory, out_path: str | None, svg_path: str | None
-) -> None:
-    if out_path:
-        from .seriesio import write_trajectory_csv
-
-        write_trajectory_csv(out_path, traj)
-    if svg_path:
-        from .oscillator import classify
-        from .svgplot import write_svg
-
-        label = classify(cfg.params()).value
-        write_svg(
-            svg_path,
-            traj.grid.times(),
-            [(label, traj.y)],
-            x_label="time",
-            y_label="output gap",
-        )
-
-
-def _print_metrics(metrics: RecoveryMetrics) -> None:
-    print(f"settling_time={_num(metrics.settling_time)}")
-    print(f"overshoot={_num(metrics.overshoot)}")
-    print(f"zero_crossings={metrics.zero_crossings}")
-    print(f"terminal_abs={_num(metrics.terminal_abs)}")
 
 
 def _parse_point(text: str) -> list[tuple[str, float]]:

@@ -22,7 +22,7 @@ from __future__ import annotations
 import enum
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .errors import BadValue, InvariantViolation, UnknownKey
 from .integrate import TimeGrid
@@ -87,14 +87,16 @@ class ScenarioConfig:
         return OscState(y=self.y0, ydot=self.ydot0)
 
 
+_SHOCK_KINDS = {"none": NoShock, "impulse": Impulse, "white-noise": WhiteNoise, "ar1": Ar1}
+
 _FLOAT_KEYS = frozenset(
     ["gamma", "alpha", "y0", "ydot0", "t_end", "dt",
      "shock_at", "shock_magnitude", "shock_sigma", "shock_rho"]
 )
 _INT_KEYS = frozenset(["shock_seed"])
 _ENUM_KEYS = {
-    "integrator": ("euler", "rk4"),
-    "shock": ("none", "impulse", "white-noise", "ar1"),
+    "integrator": tuple(scheme.value for scheme in Integrator),
+    "shock": tuple(_SHOCK_KINDS),
     "shock_scaling": ("diffusion", "literal"),
 }
 
@@ -145,27 +147,14 @@ def parse_config(text: str) -> ScenarioConfig:
         else:
             raise UnknownKey(f"line {lineno}: unknown key {key!r}")
 
-    shock_fields = dict(_SHOCK_DEFAULTS)
-    for name in shock_fields:
-        if name in entries:
-            shock_fields[name] = entries.pop(name)
-    shock = _build_shock(shock_fields)
-
-    kwargs: dict = {}
-    for name in ("gamma", "alpha", "y0", "ydot0", "t_end", "dt", "shock_scaling"):
-        if name in entries:
-            kwargs[name] = entries.pop(name)
+    shock_fields = {name: entries.pop(name, value) for name, value in _SHOCK_DEFAULTS.items()}
     if "integrator" in entries:
-        kwargs["integrator"] = Integrator(entries.pop("integrator"))
-    return ScenarioConfig(shock=shock, **kwargs)
+        entries["integrator"] = Integrator(entries["integrator"])
+    # Every key left names a ScenarioConfig field.
+    return ScenarioConfig(shock=_build_shock(shock_fields), **entries)
 
 
-def _build_shock(fields: dict) -> ShockSpec:
-    kind = fields["shock"]
-    if kind == "none":
-        return NoShock()
-    if kind == "impulse":
-        return Impulse(at=fields["shock_at"], magnitude=fields["shock_magnitude"])
-    if kind == "white-noise":
-        return WhiteNoise(sigma=fields["shock_sigma"], seed=fields["shock_seed"])
-    return Ar1(rho=fields["shock_rho"], sigma=fields["shock_sigma"], seed=fields["shock_seed"])
+def _build_shock(values: dict) -> ShockSpec:
+    """The shock of kind values["shock"], its field f read from key shock_f."""
+    kind = _SHOCK_KINDS[values["shock"]]
+    return kind(**{f.name: values[f"shock_{f.name}"] for f in fields(kind)})

@@ -1,12 +1,16 @@
 """Exception types shared across the package.
 
 Class names double as the machine-readable tags printed by the command-line
-interface, so they stay short and description-free.
+interface, so they stay short and description-free.  Each class's
+`exit_code` is its failure family, the CLI's exit status: 2 for data errors
+(the default), 3 for numerical ones.
 """
 
 
 class GapdynError(Exception):
     """Base class for every error raised by this package."""
+
+    exit_code = 2
 
 
 class InvariantViolation(GapdynError, ValueError):
@@ -15,6 +19,8 @@ class InvariantViolation(GapdynError, ValueError):
 
 class Divergence(GapdynError, ArithmeticError):
     """Numerical integration produced a non-finite state."""
+
+    exit_code = 3
 
     def __init__(self, step: int):
         self.step = step
@@ -28,9 +34,13 @@ class ImpulseOutsideGrid(GapdynError, ValueError):
 class Degenerate(GapdynError, ValueError):
     """The estimation problem carries no usable signal (rank-deficient)."""
 
+    exit_code = 3
+
 
 class NonStationary(GapdynError, ValueError):
     """The fitted lag polynomial admits no real damping coefficient."""
+
+    exit_code = 3
 
 
 class UnknownKey(GapdynError, ValueError):

@@ -13,9 +13,9 @@ float64 rows, one column per parameter set, into (n, k) arrays for
 `gapdyn sweep`.  Python floats and numpy float64 both round every operation
 correctly and neither fuses a multiply-add, so each column of a batch is
 bit-identical to the single run.  Both kinds of call run the loop through
-_step_nodes, which stops once the state no longer changes (a settled run
-decays to a float fixed point), and end in one finiteness check, which
-raises Divergence at the first non-finite node.
+one driver, _run, and its _step_nodes, which stops once the state no longer
+changes (a settled run decays to a float fixed point), and end in one
+finiteness check, which raises Divergence at the first non-finite node.
 With eps held, RK4 on x' = A x + b eps, x = (y, ydot), is the affine map
 x[i] = R x[i-1] + dt S b eps[i-1]: z = A dt, S = I + z/2 + z^2/6 + z^3/24,
 and R = I + z S is RK4's stability function.  Their entries come from those
@@ -227,16 +227,24 @@ def integrate_rk4(
 
 def _integrate_one(steps, params, init, forcing, grid) -> Trajectory:
     """One parameter set stepped on Python floats into (n,) arrays."""
+    return Trajectory(grid, *_run(steps, -params.gamma, params.alpha, init, forcing, grid, ()))
+
+
+def _run(steps, ng, a, init, forcing, grid, cols):
+    """(y, v, eps): the (n, *cols) positions and rates that `steps` fills
+    from `init` with ng = -gamma and a = alpha (Python floats for cols (),
+    (k,) rows for cols (k,)), and the checked forcing.  A non-finite node
+    raises Divergence, as _check_finite does."""
     eps = _forcing_nodes(forcing, grid)
-    y = np.empty(grid.n_steps)
+    y = np.empty((grid.n_steps, *cols))
     v = np.empty_like(y)
     y[0], v[0] = init.y, init.ydot
     # Overflow to inf is reported as Divergence, so silence the warning that
-    # numpy scalars in `params` would give; `init` arrives as Python floats.
+    # (k,) rows or numpy scalars in `params` would give.
     with np.errstate(over="ignore", invalid="ignore"):
-        _step_nodes(steps, y, v, eps, -params.gamma, params.alpha, grid.dt)
-    _check_finite(y[:, None], v[:, None])
-    return Trajectory(grid, y, v, eps)
+        _step_nodes(steps, y, v, eps, ng, a, grid.dt)
+    _check_finite(y.reshape(grid.n_steps, -1), v.reshape(grid.n_steps, -1))
+    return y, v, eps
 
 
 def analytic_trajectory(params: OscillatorParams, init: OscState, grid: TimeGrid) -> Trajectory:
@@ -267,17 +275,9 @@ def integrate_batch(
     """
     if scheme not in _STEPS:
         raise InvariantViolation(f"scheme must be 'euler' or 'rk4', got {scheme!r}")
-    eps = _forcing_nodes(forcing, grid)
     ng = -np.array([p.gamma for p in params], dtype=float)
     a = np.array([p.alpha for p in params], dtype=float)
-    y = np.empty((grid.n_steps, len(params)))
-    v = np.empty_like(y)
-    y[0], v[0] = init.y, init.ydot
-    # Overflow is reported by _check_finite, not as a numpy warning.
-    with np.errstate(over="ignore", invalid="ignore"):
-        _step_nodes(_STEPS[scheme], y, v, eps, ng, a, grid.dt)
-    _check_finite(y, v)
-    return y.T
+    return _run(_STEPS[scheme], ng, a, init, forcing, grid, (len(params),))[0].T
 
 
 # Bytes of positions that sweep_metrics steps at once: the parameter sets go

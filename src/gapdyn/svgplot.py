@@ -173,7 +173,7 @@ def write_svg(
 
 
 def _padded_range(lo: float, hi: float, pad: float) -> tuple[float, float]:
-    if math.isclose(lo, hi, rel_tol=0.0, abs_tol=0.0) or hi - lo == 0.0:
+    if hi == lo:
         # a flat line still needs a drawable band
         return lo - 0.5, hi + 0.5
     span = hi - lo

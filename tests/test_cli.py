@@ -638,6 +638,15 @@ class TestSeedPrecedence:
         code, _, _ = _run(capsys, ["simulate", "--config", config_file()])
         assert code == 0
 
+    def test_env_ignored_for_impulse_over_seeded_shock(self, capsys, config_file, monkeypatch):
+        # The impulse replaces the config's white noise, so no seed is read.
+        argv = ["impulse", "--config", config_file(self.CONFIG), "--magnitude", "1", "--at", "1"]
+        code, want, _ = _run(capsys, argv)
+        assert code == 0
+        monkeypatch.setenv("GAPDYN_SEED", "lots")
+        code, out, err = _run(capsys, argv)
+        assert (code, out, err) == (0, want, "")
+
 
 class TestDeterminism:
     def test_repeat_runs_are_byte_identical(self, capsys, config_file, tmp_path):

@@ -74,6 +74,27 @@ class TestLazyExports:
         assert proc.stdout == "[]\n"
 
 
+class TestErrorTaxonomy:
+    # Every error class in gapdyn.errors and its CLI exit status.
+    EXIT_CODES = {
+        "GapdynError": 2, "InvariantViolation": 2, "ImpulseOutsideGrid": 2,
+        "UnknownKey": 2, "BadValue": 2, "MissingHeader": 2, "NonUniformSpacing": 2,
+        "BadNumber": 2, "BadEncoding": 2,
+        "Degenerate": 3, "NonStationary": 3, "Divergence": 3,
+    }
+
+    def test_every_error_class_has_its_family_exit_code_and_is_public(self):
+        classes = {
+            name: value for name, value in vars(gapdyn.errors).items()
+            if inspect.isclass(value) and issubclass(value, gapdyn.errors.GapdynError)
+        }
+        assert {name: cls.exit_code for name, cls in classes.items()} == self.EXIT_CODES
+        for name, cls in classes.items():
+            assert cls.__module__ == "gapdyn.errors", name
+            assert getattr(gapdyn, name) is cls, name
+            assert name in gapdyn.__all__, name
+
+
 class TestImportBoundary:
     def test_import_loads_no_numpy(self):
         proc = _fresh(f"import sys, gapdyn, gapdyn.cli; print({_NUMPY_LOADED})")
