@@ -47,8 +47,21 @@ class OscillatorParams:
 
     @property
     def discriminant(self) -> float:
-        """gamma^2 - 4*alpha; its sign separates the damping regimes."""
-        return self.gamma * self.gamma - 4.0 * self.alpha
+        """gamma^2 - 4*alpha; its sign separates the damping regimes.
+
+        Where gamma^2 or 4 alpha passes the float range, the difference is
+        taken on _scaled_squares and scaled back with one rounding, so it is
+        +-inf only where gamma^2 - 4 alpha itself overflows.
+        """
+        d = self.gamma * self.gamma - 4.0 * self.alpha
+        if math.isfinite(d):  # both terms finite: the plain expression, bit for bit
+            return d
+        e, gg, fa = _scaled_squares(self)
+        d = gg - fa
+        try:
+            return math.ldexp(d, 2 * e)
+        except OverflowError:
+            return math.copysign(math.inf, d)
 
 
 @dataclass(frozen=True)
@@ -104,20 +117,25 @@ def classify(params: OscillatorParams, rel_tol: float = DEFAULT_REL_TOL) -> Regi
     gamma = 0 (no damping at all) classifies as under-damped.  The label is
     for readers (the CLI `classify` line, the SVG legend): the closed form and
     the lag coefficients branch on the exact sign of the discriminant instead.
-    The comparison is made on (gamma 2^-e, alpha 2^-2e), e the binary
-    exponent of max(gamma, sqrt(alpha)): a time rescaling, which keeps the
-    regime, so that gamma^2 and 4 alpha cannot overflow to inf.
+    The comparison is made on _scaled_squares, which cannot overflow to inf.
     """
     if not (math.isfinite(rel_tol) and rel_tol >= 0.0):
         raise InvariantViolation(f"rel_tol must be finite and >= 0, got {rel_tol!r}")
-    e = math.frexp(max(params.gamma, math.sqrt(params.alpha)))[1]
-    gamma = math.ldexp(params.gamma, -e)
-    gg = gamma * gamma
-    fa = 4.0 * math.ldexp(params.alpha, -2 * e)
+    _, gg, fa = _scaled_squares(params)
     d = gg - fa
     if abs(d) <= rel_tol * max(gg, fa):
         return Regime.CRITICALLY_DAMPED
     return Regime.UNDER_DAMPED if d < 0.0 else Regime.OVER_DAMPED
+
+
+def _scaled_squares(params: OscillatorParams) -> tuple[int, float, float]:
+    """(e, gamma'^2, 4 alpha') for (gamma', alpha') = (gamma 2^-e, alpha 2^-2e),
+    e the binary exponent of max(gamma, sqrt(alpha)): a time rescaling, which
+    keeps the regime, and after which gamma'^2 <= 1 and 4 alpha' <= 4, so
+    neither overflows.  gamma^2 - 4 alpha = (gamma'^2 - 4 alpha') 2^2e."""
+    e = math.frexp(max(params.gamma, math.sqrt(params.alpha)))[1]
+    gamma = math.ldexp(params.gamma, -e)
+    return e, gamma * gamma, 4.0 * math.ldexp(params.alpha, -2 * e)
 
 
 def solve_analytic(params: OscillatorParams, init: OscState, t: float) -> OscState:

@@ -86,7 +86,8 @@ def read_series_csv(path: str | Path) -> ObservedSeries:
     two or more rows that are finite and uniformly spaced.  Every other file
     goes to the row-by-row reader, which is the only source of errors.  Both
     paths convert cells through the same C routine and test spacing with the
-    same expression, so they give the same series.
+    same expression, so they give the same series.  numpy gets the text as
+    a list of its lines, split at "\\n" only.
     """
     text = read_text(path)
     series = _read_plain(text)
@@ -94,21 +95,30 @@ def read_series_csv(path: str | Path) -> ObservedSeries:
 
 
 def _read_plain(text: str) -> ObservedSeries | None:
-    """The series in a plain file, or None to leave the file to _read_rows."""
+    """The series in a plain file, or None to leave the file to _read_rows.
+
+    The text is split once at "\\n": the first line is the header, and the
+    list goes to np.loadtxt whole, which skips the header and reads each
+    item as one line (a CR before the "\\n" ends it, a lone CR inside it
+    fails the parse).  A list of lines costs numpy less than a file object
+    over the same text.
+    """
     from .estimation import ObservedSeries
 
     if any(char in text for char in _ROW_READER_ONLY):
         return None
-    header, _, body = text.partition("\n")
-    header = header.removesuffix("\r")
+    # Not splitlines(): it also ends lines at \v, \f, U+001C-U+001E, U+0085,
+    # U+2028 and U+2029, where csv and numpy do not.
+    lines = text.split("\n")
+    header = lines[0].removesuffix("\r")
     # csv ends a row at a lone CR too; such a header is not plain.
     if "\r" in header or [c.strip().lower() for c in header.split(",")[:2]] != ["t", "y"]:
         return None
-    if not body or body.isspace():  # no rows; loadtxt would warn
+    if not any(map(str.strip, lines[1:])):  # no rows; loadtxt would warn
         return None
     try:
         data = np.loadtxt(
-            io.StringIO(body), delimiter=",", comments=None, usecols=(0, 1), ndmin=2
+            lines, delimiter=",", comments=None, skiprows=1, usecols=(0, 1), ndmin=2
         )
     except ValueError:
         return None

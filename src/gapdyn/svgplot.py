@@ -125,51 +125,58 @@ def write_svg(
         f'height="{plot_bottom - plot_top}" fill="none" stroke="#444444" stroke-width="1"/>'
     )
 
+    # Each polyline stays in its formatted chunks, written one by one, so
+    # the document is never copied whole.
     step = _POINTS_PER_FORMAT
+    polylines: list[list[str]] = []
     for idx, (label, v) in enumerate(curves):
         color = _PALETTE[idx % len(_PALETTE)]
-        points = " ".join(
-            f2_pairs(px(t[i : i + step]), py(v[i : i + step])) for i in range(0, t.size, step)
-        )
-        parts.append(
-            f'<polyline points="{points}" fill="none" stroke="{color}" stroke-width="1.5"/>'
-        )
+        pieces = ['<polyline points="']
+        for i in range(0, t.size, step):
+            if i:
+                pieces.append(" ")
+            pieces.append(f2_pairs(px(t[i : i + step]), py(v[i : i + step])))
+        pieces.append(f'" fill="none" stroke="{color}" stroke-width="1.5"/>\n')
+        polylines.append(pieces)
 
     # Legend in the top-right corner of the plot area.
+    tail: list[str] = []
     labelled = [(i, label) for i, (label, _) in enumerate(curves) if label]
     for row, (idx, label) in enumerate(labelled):
         color = _PALETTE[idx % len(_PALETTE)]
         ly = plot_top + 14 + 16 * row
         lx = plot_right - 130
-        parts.append(
+        tail.append(
             f'<line x1="{lx}" y1="{ly}" x2="{lx + 22}" y2="{ly}" '
             f'stroke="{color}" stroke-width="1.5"/>'
         )
-        parts.append(
+        tail.append(
             f'<text x="{lx + 28}" y="{ly + 4}" font-family="sans-serif" '
             f'font-size="11" fill="#222222">{_escape(label)}</text>'
         )
 
     if title:
-        parts.append(
+        tail.append(
             f'<text x="{(plot_left + plot_right) / 2:.2f}" y="15" font-family="sans-serif" '
             f'font-size="13" text-anchor="middle" fill="#222222">{_escape(title)}</text>'
         )
-    parts.append(
+    tail.append(
         f'<text x="{(plot_left + plot_right) / 2:.2f}" y="{_HEIGHT - 8}" '
         'font-family="sans-serif" font-size="12" text-anchor="middle" '
         f'fill="#222222">{_escape(x_label)}</text>'
     )
-    parts.append(
+    tail.append(
         f'<text x="14" y="{(plot_top + plot_bottom) / 2:.2f}" font-family="sans-serif" '
         'font-size="12" text-anchor="middle" fill="#222222" '
         f'transform="rotate(-90 14 {(plot_top + plot_bottom) / 2:.2f})">{_escape(y_label)}</text>'
     )
-    parts.append("</svg>")
+    tail.append("</svg>")
 
-    data = "\n".join(parts).encode("utf-8") + b"\n"
-    with open(path, "wb") as fh:
-        fh.write(data)
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write("\n".join(parts) + "\n")
+        for pieces in polylines:
+            fh.writelines(pieces)
+        fh.write("\n".join(tail) + "\n")
 
 
 def _padded_range(lo: float, hi: float, pad: float) -> tuple[float, float]:

@@ -63,6 +63,19 @@ class TestClassify:
         assert _kv(out)["regime"] == "under-damped"
         assert float(_kv(out)["discriminant"]) == -15.75
 
+    @pytest.mark.parametrize(
+        "gamma, alpha, line",
+        [
+            ("1e308", "1e308", "regime=over-damped discriminant=inf"),
+            ("1.5e154", "1e308", "regime=under-damped discriminant=-1.75e+308"),
+            ("1.4e154", "5e307", "regime=under-damped discriminant=-4e+306"),
+            ("2e154", "1e308", "regime=critically-damped discriminant=0"),
+        ],
+    )
+    def test_discriminant_past_the_float_range(self, capsys, gamma, alpha, line):
+        code, out, err = _run(capsys, ["classify", "--gamma", gamma, "--alpha", alpha])
+        assert (code, out, err) == (0, line + "\n", "")
+
     def test_invalid_params_exit_2(self, capsys):
         code, _, err = _run(capsys, ["classify", "--gamma", "-1.0", "--alpha", "1.0"])
         assert code == 2

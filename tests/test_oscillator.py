@@ -1,9 +1,15 @@
-"""Closed-form solutions, regime classification, and the physical-form bridge."""
+"""Closed-form solutions, regime classification, and the physical-form bridge.
+
+Property tests use hypothesis (MacIver et al., "Hypothesis: A new approach
+to property-based testing", JOSS 4(43), 2019).
+"""
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gapdyn import (
     DEFAULT_REL_TOL,
@@ -35,6 +41,34 @@ class TestParamTypes:
     def test_discriminant(self):
         assert CRITICAL.discriminant == 0.0
         assert OVER.discriminant == 12.0
+
+    @settings(max_examples=500, deadline=None, derandomize=True, database=None)
+    @given(
+        gamma=st.floats(min_value=0.0, allow_infinity=False),
+        alpha=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+    )
+    def test_discriminant_is_the_plain_expression_where_it_is_finite(self, gamma, alpha):
+        # Where gamma^2 or 4 alpha overflows, the result is still a number
+        # with the sign classify compares.
+        d = OscillatorParams(gamma=gamma, alpha=alpha).discriminant
+        if math.isfinite(gamma * gamma) and math.isfinite(4.0 * alpha):
+            assert d.hex() == (gamma * gamma - 4.0 * alpha).hex()
+        else:
+            regime = classify(OscillatorParams(gamma=gamma, alpha=alpha), rel_tol=0.0)
+            sign = {Regime.UNDER_DAMPED: -1.0, Regime.CRITICALLY_DAMPED: 0.0}
+            assert np.sign(d) == sign.get(regime, 1.0)
+
+    @pytest.mark.parametrize(
+        "gamma, alpha, want",
+        [
+            (1e308, 1e308, math.inf),
+            (1.5e154, 1e308, -1.7499999999999996e308),
+            (1.4e154, 5e307, -4.0000000000000144e306),
+            (2e154, 1e308, 0.0),  # gamma^2 rounds to 4 alpha
+        ],
+    )
+    def test_discriminant_past_the_float_range(self, gamma, alpha, want):
+        assert OscillatorParams(gamma=gamma, alpha=alpha).discriminant == want
 
     def test_rejects_negative_gamma(self):
         with pytest.raises(InvariantViolation):

@@ -119,6 +119,23 @@ def test_trajectory_csv_round_trips_bit_for_bit(csv_path, t0, dt, y):
     assert series.values.tobytes() == np.array(y).tobytes()
 
 
+# Characters where str.splitlines ends a line and csv and numpy do not.  Each
+# body reads as a valid series only if the row is broken there.
+@pytest.mark.parametrize("char", ["\x0b", "\x0c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"])
+def test_lines_end_only_at_newlines(csv_path, char):
+    csv_path.write_bytes(f"t,y\n0,1{char}1,2\n2,3\n".encode("utf-8"))
+    got = _outcome(lambda: read_series_csv(csv_path))
+    assert got == _outcome(lambda: _read_rows(csv_path, read_text(csv_path)))
+    assert got[0] == "error"
+
+
+def test_lone_cr_in_a_crlf_file(csv_path):
+    csv_path.write_bytes(b"t,y\r\n0,1\r\n1,2\r2,3\r\n3,4\r\n")
+    got = _outcome(lambda: read_series_csv(csv_path))
+    assert got == _outcome(lambda: _read_rows(csv_path, read_text(csv_path)))
+    assert got[0] == "ok"
+
+
 @pytest.mark.parametrize(
     "text",
     [
