@@ -27,7 +27,7 @@ from dataclasses import dataclass, field, fields
 from .errors import BadValue, InvariantViolation, UnknownKey
 from .integrate import TimeGrid
 from .oscillator import OscillatorParams, OscState
-from .shocks import Ar1, Impulse, NoShock, ShockSpec, WhiteNoise
+from .shocks import SCALINGS, Ar1, Impulse, NoShock, ShockSpec, WhiteNoise
 
 
 class Integrator(enum.Enum):
@@ -67,7 +67,7 @@ class ScenarioConfig:
         # numpy counts a float64 array's bytes in a signed machine word.
         if self.n_steps > sys.maxsize // 8:
             raise InvariantViolation(f"n_steps must be <= {sys.maxsize // 8}, got {self.n_steps}")
-        if self.shock_scaling not in ("diffusion", "literal"):
+        if self.shock_scaling not in SCALINGS:
             raise InvariantViolation(
                 f"shock_scaling must be 'diffusion' or 'literal', got {self.shock_scaling!r}"
             )
@@ -97,7 +97,7 @@ _INT_KEYS = frozenset(["shock_seed"])
 _ENUM_KEYS = {
     "integrator": tuple(scheme.value for scheme in Integrator),
     "shock": tuple(_SHOCK_KINDS),
-    "shock_scaling": ("diffusion", "literal"),
+    "shock_scaling": SCALINGS,
 }
 
 _SHOCK_DEFAULTS = {

@@ -34,11 +34,6 @@ _EPS = 2.0**-52
 # reaches into the admissible set, in lag-coefficient units.
 _EDGE_NUDGE = 1e-12
 
-# Gauss-Newton refinement of the interior MLE: step cap and the relative
-# central-difference step (about the cube root of the machine epsilon).
-_GN_STEPS = 5
-_FD_STEP = 6e-6
-
 
 class Method(enum.Enum):
     """Which fitting route produced an estimate."""
@@ -143,11 +138,12 @@ def estimate_mle(series: ObservedSeries) -> EstimationResult:
     |R (phi - phi*)|^2 from the lag design's 2x2 factor R (see `_LagFit`):
 
     - Interior: when the least-squares point lies in S it is the MLE.  It is
-      mapped to (gamma, alpha) as in estimate_ar2, then a few Gauss-Newton
-      steps and a machine-precision polish undo the rounding of that map.
-      Where the refined SSR is at the data's rounding floor (a noise-free
-      series) the exact excess says nothing about the float residual, and
-      the same polish runs once more on the float SSR.  converged=True.
+      mapped to (gamma, alpha) as in estimate_ar2, and `_ulp_polish` on the
+      excess undoes the rounding of that map: no point of its stencil
+      around the returned (gamma, alpha) has a lower excess.  Where the SSR
+      is at the data's rounding floor (a noise-free series) the exact excess
+      says nothing about the float residual, and the same polish runs once
+      more on the float SSR.  converged=True.
     - Boundary: otherwise the MLE lies on the boundary of S's closure: the
       aliasing curve phi = (-2s, -s^2), 0 <= s <= 1 (complex roots at the
       Nyquist angle, alpha = gamma^2/4 + (pi/dt)^2), or one of the edges
@@ -168,11 +164,8 @@ def estimate_mle(series: ObservedSeries) -> EstimationResult:
     def float_ssr(gamma: float, alpha: float) -> float:
         return fit.ssr_at(*_phi_pair(gamma, alpha, dt))
 
-    def offset(gamma: float, alpha: float) -> tuple[float, float]:
-        return fit.offset(*_phi_pair(gamma, alpha, dt))
-
     def excess(gamma: float, alpha: float) -> float:
-        z1, z2 = offset(gamma, alpha)
+        z1, z2 = fit.offset(*_phi_pair(gamma, alpha, dt))
         return z1 * z1 + z2 * z2
 
     interior = -1.0 <= phi2 < 0.0 and -2.0 * math.sqrt(-phi2) <= phi1 < 1.0 - phi2
@@ -182,7 +175,6 @@ def estimate_mle(series: ObservedSeries) -> EstimationResult:
         # the boundary search then finds the admissible optimum.
         interior = math.isfinite(alpha) and alpha > 0.0
     if interior:
-        gamma, alpha = _gauss_newton(offset, gamma, alpha)
         gamma, alpha = _ulp_polish(excess, gamma, alpha)
         if fit.ssr <= fit.m * (64.0 * _EPS * fit.peak) ** 2:
             gamma, alpha = _ulp_polish(float_ssr, gamma, alpha)
@@ -241,41 +233,6 @@ def _segment_min(e0: tuple[float, float], e1: tuple[float, float], lo: float, hi
 
 def _dot2(u: tuple[float, float], v: tuple[float, float]) -> float:
     return u[0] * v[0] + u[1] * v[1]
-
-
-def _gauss_newton(offset, gamma: float, alpha: float) -> tuple[float, float]:
-    """A few Gauss-Newton steps on SSR in (gamma, alpha).
-
-    Closes the gap between the least-squares point, solved in (phi1, phi2),
-    and the best float (gamma, alpha): on noise-free data the residuals are
-    rounding noise and the mapped point can lose several digits of fit.
-    `offset(gamma, alpha)` is the 2-vector z with SSR = SSR* + |z|^2, so each
-    step solves the 2x2 system J step = z, with J = -dz/d(gamma, alpha) by
-    central differences; a step is kept only when it lowers |z| and stays
-    admissible.
-    """
-    z1, z2 = offset(gamma, alpha)
-    value = z1 * z1 + z2 * z2
-    for _ in range(_GN_STEPS):
-        scale = gamma + math.sqrt(alpha)
-        h_g, h_a = _FD_STEP * scale, _FD_STEP * scale * scale
-        (gm1, gm2), (gp1, gp2) = offset(gamma - h_g, alpha), offset(gamma + h_g, alpha)
-        (am1, am2), (ap1, ap2) = offset(gamma, alpha - h_a), offset(gamma, alpha + h_a)
-        j11, j21 = (gm1 - gp1) / (2.0 * h_g), (gm2 - gp2) / (2.0 * h_g)
-        j12, j22 = (am1 - ap1) / (2.0 * h_a), (am2 - ap2) / (2.0 * h_a)
-        det = j11 * j22 - j12 * j21
-        if not abs(det) > 0.0:
-            break
-        cand_g = gamma + (z1 * j22 - j12 * z2) / det
-        cand_a = alpha + (j11 * z2 - j21 * z1) / det
-        if not (cand_g >= 0.0 and cand_a > 0.0 and math.isfinite(cand_g + cand_a)):
-            break
-        c1, c2 = offset(cand_g, cand_a)
-        cand_value = c1 * c1 + c2 * c2
-        if not cand_value < value:
-            break
-        gamma, alpha, z1, z2, value = cand_g, cand_a, c1, c2, cand_value
-    return gamma, alpha
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> float:

@@ -85,8 +85,8 @@ def read_series_csv(path: str | Path) -> ObservedSeries:
     strips around a number and `float()` does not), and `np.loadtxt` parses
     two or more rows that are finite and uniformly spaced.  Every other file
     goes to the row-by-row reader, which is the only source of errors.  Both
-    paths convert cells through the same C routine and test spacing with the
-    same expression, so they give the same series.  numpy gets the text as
+    paths convert cells through the same C routine and test spacing with
+    `_spacing`, so they give the same series.  numpy gets the text as
     a list of its lines, split at "\\n" only.
     """
     text = read_text(path)
@@ -124,18 +124,12 @@ def _read_plain(text: str) -> ObservedSeries | None:
         return None
     if len(data) < 2 or not np.isfinite(data).all():
         return None
-    steps = np.diff(data[:, 0])
-    dt = float(steps[0])
-    rest = steps[1:]
-    if dt <= 0.0 or np.any(
-        np.abs(rest - dt) > _SPACING_REL_TOL * np.maximum(np.abs(rest), abs(dt))
-    ):
-        return None
-    return ObservedSeries(dt=dt, values=np.ascontiguousarray(data[:, 1]))
+    dt, off_grid = _spacing(data[:, 0])
+    return None if dt <= 0.0 or off_grid else ObservedSeries(dt=dt, values=data[:, 1])
 
 
 def _read_rows(path: str | Path, text: str) -> ObservedSeries:
-    """read_series_csv row by row: csv cells, float() and a spacing loop."""
+    """read_series_csv row by row: csv cells and float()."""
     from .estimation import ObservedSeries
 
     with io.StringIO(text, newline="") as fh:
@@ -163,17 +157,23 @@ def _read_rows(path: str | Path, text: str) -> ObservedSeries:
 
     if len(values) < 2:
         raise InvariantViolation(f"{path}: need at least 2 data rows, got {len(values)}")
-
-    dt = times[1] - times[0]
+    dt, i = _spacing(np.array(times))
     if dt <= 0.0:
         raise NonUniformSpacing(f"{path}: time column must be strictly increasing")
-    for i in range(2, len(times)):
+    if i:
         step = times[i] - times[i - 1]
-        if abs(step - dt) > _SPACING_REL_TOL * max(abs(step), abs(dt)):
-            raise NonUniformSpacing(
-                f"{path}: row {rownums[i]}: spacing {step!r} differs from {dt!r}"
-            )
+        raise NonUniformSpacing(f"{path}: row {rownums[i]}: spacing {step!r} differs from {dt!r}")
     return ObservedSeries(dt=dt, values=values)
+
+
+def _spacing(times: np.ndarray) -> tuple[float, int]:
+    """First spacing dt of a time column, and the index of the first node
+    whose step misses dt by over _SPACING_REL_TOL relative (0 if none)."""
+    with np.errstate(over="ignore", invalid="ignore"):  # a step past the float range is inf
+        steps = np.diff(times)
+        dt = float(steps[0])
+        off = np.abs(steps - dt) > _SPACING_REL_TOL * np.maximum(np.abs(steps), abs(dt))
+    return dt, int(np.argmax(off)) + 1 if off.any() else 0
 
 
 def _numbered_rows(path: str | Path, fh: io.StringIO) -> Iterator[tuple[int, list[str]]]:

@@ -18,6 +18,8 @@ from .integrate import TimeGrid
 
 _SEED_LIMIT = 2**64
 _TWO_NEG53 = 2.0**-53
+# realize's white-noise scalings; config reads them from here.
+SCALINGS = ("diffusion", "literal")
 
 
 def _check_seed(seed: int) -> None:
@@ -96,8 +98,6 @@ def standard_normals(seed: int, n: int) -> np.ndarray:
     _check_seed(seed)
     if not (isinstance(n, int) and n >= 0):
         raise InvariantViolation(f"n must be an integer >= 0, got {n!r}")
-    if n == 0:
-        return np.empty(0)
     pairs = (n + 1) // 2
     raw = np.random.Philox(key=seed).random_raw(2 * pairs)
     u1 = ((raw[0::2] >> np.uint64(11)) + np.uint64(1)) * _TWO_NEG53
@@ -119,7 +119,7 @@ def realize(spec: ShockSpec, grid: TimeGrid, scaling: str = "diffusion") -> np.n
     unit time.  scaling="literal" applies sigma per step with no dt factor.
     AR(1) forcing has stationary standard deviation sigma under either mode.
     """
-    if scaling not in ("diffusion", "literal"):
+    if scaling not in SCALINGS:
         raise InvariantViolation(f"scaling must be 'diffusion' or 'literal', got {scaling!r}")
     n = grid.n_steps
     if isinstance(spec, NoShock):

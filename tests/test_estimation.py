@@ -239,14 +239,46 @@ class TestEstimateAr2:
 
 
 class TestEstimateMle:
-    def test_noise_free_round_trip_beats_truth(self):
-        series = _analytic_series(UNDER)
+    @pytest.mark.parametrize("params", [UNDER, CRITICAL, OVER], ids=["under", "critical", "over"])
+    def test_noise_free_round_trip_beats_truth(self, params):
+        series = _analytic_series(params)
         r = estimate_mle(series)
-        assert r.gamma_hat == pytest.approx(0.5, rel=1e-4)
-        assert r.alpha_hat == pytest.approx(1.0, rel=1e-4)
+        assert r.gamma_hat == pytest.approx(params.gamma, rel=1e-4)
+        assert r.alpha_hat == pytest.approx(params.alpha, rel=1e-4)
         assert r.method is Method.MLE
         # the optimizer must not degrade the exact fit
-        assert r.loglik >= conditional_loglik(series, UNDER)
+        assert r.loglik >= conditional_loglik(series, params)
+
+    @pytest.mark.parametrize("params", [UNDER, CRITICAL, OVER], ids=["under", "critical", "over"])
+    def test_no_polish_stencil_point_beats_an_interior_fit(self, params):
+        # An interior fit above the rounding floor is the mapped least-squares
+        # point polished on the exact excess |R (phi - phi*)|^2: no point of
+        # the polish's stencil (eight directions, k 2^-52 relative for k =
+        # 4096, 1024, ..., 1) around it has a lower excess.  Floor fits are
+        # polished on the float SSR instead, and boundary fits not at all.
+        clean = _analytic_series(params).values
+        checked = 0
+        for rel in (1e-12, 1e-10, 1e-3):
+            for seed in range(4):
+                y = clean + rel * np.max(np.abs(clean)) * standard_normals(seed, clean.size)
+                fit = _LagFit(y)
+                r = estimate_mle(ObservedSeries(dt=0.1, values=y))
+                if not r.converged or fit.ssr <= fit.m * (64.0 * 2.0**-52 * fit.peak) ** 2:
+                    continue
+
+                def excess(gamma, alpha):
+                    z1, z2 = fit.offset(*discretize_exact(OscillatorParams(gamma, alpha), 0.1))
+                    return z1 * z1 + z2 * z2
+
+                least = excess(r.gamma_hat, r.alpha_hat)
+                for k in (4096.0, 1024.0, 256.0, 64.0, 16.0, 4.0, 1.0):
+                    for dg in (-1.0, 0.0, 1.0):
+                        for da in (-1.0, 0.0, 1.0):
+                            point = (r.gamma_hat * (1.0 + dg * k * 2.0**-52),
+                                     r.alpha_hat * (1.0 + da * k * 2.0**-52))
+                            assert excess(*point) >= least, (rel, seed, k, dg, da)
+                checked += 1
+        assert checked >= 9
 
     def test_white_noise_reports_instead_of_raising(self):
         # seed 0 drives the OLS initializer non-stationary; MLE falls back
