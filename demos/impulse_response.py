@@ -21,7 +21,7 @@ from gapdyn import (
 grid = TimeGrid(t0=0.0, dt=0.1, n_steps=201)
 rest = OscState(y=0.0, ydot=0.0)
 kick = Impulse(at=2.0, magnitude=5.0)
-eps = realize(kick, grid, scaling="diffusion")
+eps = realize(kick, grid)
 
 print(f"shock lands on grid node {int(np.flatnonzero(eps)[0])}")
 

@@ -11,8 +11,8 @@ from gapdyn import Ar1, TimeGrid, WhiteNoise, realize, standard_normals, write_s
 grid = TimeGrid(t0=0.0, dt=0.1, n_steps=201)
 
 # Same seed, same underlying draws: persistence is the only difference.
-white = realize(WhiteNoise(sigma=0.3, seed=5), grid, scaling="diffusion")
-persistent = realize(Ar1(rho=0.9, sigma=0.3, seed=5), grid, scaling="diffusion")
+white = realize(WhiteNoise(sigma=0.3, seed=5), grid)
+persistent = realize(Ar1(rho=0.9, sigma=0.3, seed=5), grid)
 
 print(f"white noise   std {np.std(white):.3f}, lag-1 corr "
       f"{np.corrcoef(white[:-1], white[1:])[0, 1]:+.3f}")

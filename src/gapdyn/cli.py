@@ -175,7 +175,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     params = [OscillatorParams(gamma=float(g), alpha=cfg.alpha) for g in gammas]
     grid = cfg.grid()
     try:
-        eps = realize(cfg.shock, grid, cfg.shock_scaling)
+        eps = realize(cfg.shock, grid)
         metrics = sweep_metrics(params, cfg.initial_state(), eps, grid, cfg.integrator.value)
     except MemoryError:
         raise _too_large(cfg) from None
@@ -237,9 +237,7 @@ def _load_config(path: str, seed_flag: int | None) -> ScenarioConfig:
 
 
 def _resolve_seed(flag_seed: int | None, shock):
-    from .shocks import Ar1, WhiteNoise
-
-    if not isinstance(shock, (WhiteNoise, Ar1)):
+    if not hasattr(shock, "seed"):
         return shock
     if flag_seed is not None:
         return dataclasses.replace(shock, seed=flag_seed)
@@ -260,7 +258,7 @@ def _run_scenario(cfg: ScenarioConfig, args: argparse.Namespace) -> int:
     from .shocks import realize
 
     try:
-        traj = _integrate(cfg, realize(cfg.shock, cfg.grid(), cfg.shock_scaling))
+        traj = _integrate(cfg, realize(cfg.shock, cfg.grid()))
     except MemoryError:
         raise _too_large(cfg) from None
     if args.out:

@@ -47,7 +47,6 @@ class ScenarioConfig:
     dt: float = 0.1
     shock: ShockSpec = field(default_factory=NoShock)
     integrator: Integrator = Integrator.EULER
-    shock_scaling: str = "diffusion"
 
     def __post_init__(self) -> None:
         self.params()
@@ -67,10 +66,6 @@ class ScenarioConfig:
         # numpy counts a float64 array's bytes in a signed machine word.
         if self.n_steps > sys.maxsize // 8:
             raise InvariantViolation(f"n_steps must be <= {sys.maxsize // 8}, got {self.n_steps}")
-        if self.shock_scaling not in SCALINGS:
-            raise InvariantViolation(
-                f"shock_scaling must be 'diffusion' or 'literal', got {self.shock_scaling!r}"
-            )
 
     @property
     def n_steps(self) -> int:
@@ -89,24 +84,17 @@ class ScenarioConfig:
 
 _SHOCK_KINDS = {"none": NoShock, "impulse": Impulse, "white-noise": WhiteNoise, "ar1": Ar1}
 
-_FLOAT_KEYS = frozenset(
-    ["gamma", "alpha", "y0", "ydot0", "t_end", "dt",
-     "shock_at", "shock_magnitude", "shock_sigma", "shock_rho"]
+# Each key's default, and so its type, is that of the field it fills: a
+# ScenarioConfig field, or field f of a shock kind as key shock_f.  Kinds
+# that share a field must share its default, since shock_f keeps only one.
+_DEFAULTS = {f.name: f.default for f in fields(ScenarioConfig) if f.name != "shock"}
+_DEFAULTS.update(
+    (f"shock_{f.name}", f.default) for kind in _SHOCK_KINDS.values() for f in fields(kind)
 )
-_INT_KEYS = frozenset(["shock_seed"])
 _ENUM_KEYS = {
     "integrator": tuple(scheme.value for scheme in Integrator),
     "shock": tuple(_SHOCK_KINDS),
     "shock_scaling": SCALINGS,
-}
-
-_SHOCK_DEFAULTS = {
-    "shock": "none",
-    "shock_at": 0.0,
-    "shock_magnitude": 1.0,
-    "shock_sigma": 0.1,
-    "shock_rho": 0.9,
-    "shock_seed": 0,
 }
 
 
@@ -127,34 +115,29 @@ def parse_config(text: str) -> ScenarioConfig:
         key, _, raw_value = line.partition("=")
         key = key.strip()
         value = raw_value.strip()
-        if key in _FLOAT_KEYS:
-            try:
-                entries[key] = float(value)
-            except ValueError:
-                raise BadValue(f"line {lineno}: {key} expects a number, got {value!r}") from None
-        elif key in _INT_KEYS:
-            try:
-                entries[key] = int(value)
-            except ValueError:
-                raise BadValue(
-                    f"line {lineno}: {key} expects an integer, got {value!r}"
-                ) from None
-        elif key in _ENUM_KEYS:
+        if key in _ENUM_KEYS:
             if value not in _ENUM_KEYS[key]:
                 allowed = ", ".join(_ENUM_KEYS[key])
                 raise BadValue(f"line {lineno}: {key} must be one of {allowed}, got {value!r}")
             entries[key] = value
+        elif key in _DEFAULTS:
+            integer = isinstance(_DEFAULTS[key], int)
+            try:
+                entries[key] = int(value) if integer else float(value)
+            except ValueError:
+                expected = "an integer" if integer else "a number"
+                raise BadValue(f"line {lineno}: {key} expects {expected}, got {value!r}") from None
         else:
             raise UnknownKey(f"line {lineno}: unknown key {key!r}")
 
-    shock_fields = {name: entries.pop(name, value) for name, value in _SHOCK_DEFAULTS.items()}
+    shock_args = {
+        key.removeprefix("shock_"): entries.pop(key)
+        for key in list(entries) if key.startswith("shock_")
+    }
+    # The chosen kind takes its keys; those of the other kinds go unused.
+    kind = _SHOCK_KINDS[entries.pop("shock", "none")]
+    shock = kind(**{f.name: shock_args[f.name] for f in fields(kind) if f.name in shock_args})
     if "integrator" in entries:
         entries["integrator"] = Integrator(entries["integrator"])
     # Every key left names a ScenarioConfig field.
-    return ScenarioConfig(shock=_build_shock(shock_fields), **entries)
-
-
-def _build_shock(values: dict) -> ShockSpec:
-    """The shock of kind values["shock"], its field f read from key shock_f."""
-    kind = _SHOCK_KINDS[values["shock"]]
-    return kind(**{f.name: values[f"shock_{f.name}"] for f in fields(kind)})
+    return ScenarioConfig(shock=shock, **entries)

@@ -9,8 +9,9 @@ lam_i = exp(r_i dt),
 
 Both estimators fit this representation.  Innovations are modeled as
 i.i.d. N(0, sigma^2 dt), which keeps the fitted sigma comparable across
-sampling intervals and matches the diffusion scaling used for white-noise
-forcing.
+sampling intervals.  That is the AR(2) recursion's assumption: it holds for
+AR(2) data and Euler white-noise runs, not for RK4 runs, whose forcing held
+over each step samples to ARMA(2,1) with correlated innovations.
 """
 
 from __future__ import annotations

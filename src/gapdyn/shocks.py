@@ -1,9 +1,10 @@
 """Forcing-term constructors: deterministic impulses and seeded noise processes.
 
 Random sequences come from the counter-based Philox engine keyed directly by
-the 64-bit seed.  Gaussian variates are produced by an explicit Box-Muller
-transform of the raw uniform bits rather than a library sampler, so equal
-(spec, grid, seed) inputs yield bit-identical sequences on every platform.
+the 64-bit seed; its raw words are exact on every platform.  Gaussian
+variates come from an explicit Box-Muller transform of the raw uniform bits,
+whose numpy log, cos and sin can differ in the last bit between CPU dispatch
+levels, since numpy picks their kernels per CPU.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from .integrate import TimeGrid
 
 _SEED_LIMIT = 2**64
 _TWO_NEG53 = 2.0**-53
-# realize's white-noise scalings; config reads them from here.
+# WhiteNoise's scalings; config reads them from here.
 SCALINGS = ("diffusion", "literal")
 
 
@@ -41,8 +42,8 @@ class NoShock:
 class Impulse:
     """A one-time shock of size `magnitude` at the grid node nearest `at`."""
 
-    at: float
-    magnitude: float
+    at: float = 0.0
+    magnitude: float = 1.0
 
     def __post_init__(self) -> None:
         if not math.isfinite(self.at):
@@ -53,14 +54,25 @@ class Impulse:
 
 @dataclass(frozen=True)
 class WhiteNoise:
-    """Independent Gaussian forcing with level sigma, drawn from `seed`."""
+    """Independent Gaussian forcing with level sigma, drawn from `seed`.
 
-    sigma: float
-    seed: int
+    With scaling="diffusion" (the default) the draws are scaled by
+    sigma/sqrt(dt): the per-step velocity impulse then has standard deviation
+    sigma*sqrt(dt), so refining dt does not change the energy injected per
+    unit time.  scaling="literal" applies sigma per step with no dt factor.
+    """
+
+    sigma: float = 0.1
+    seed: int = 0
+    scaling: str = "diffusion"
 
     def __post_init__(self) -> None:
         _check_sigma(self.sigma)
         _check_seed(self.seed)
+        if self.scaling not in SCALINGS:
+            raise InvariantViolation(
+                f"scaling must be 'diffusion' or 'literal', got {self.scaling!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -71,9 +83,9 @@ class Ar1:
     the first draw comes from the stationary distribution.
     """
 
-    rho: float
-    sigma: float
-    seed: int
+    rho: float = 0.9
+    sigma: float = 0.1
+    seed: int = 0
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.rho) and abs(self.rho) < 1.0):
@@ -110,17 +122,8 @@ def standard_normals(seed: int, n: int) -> np.ndarray:
     return out[:n]
 
 
-def realize(spec: ShockSpec, grid: TimeGrid, scaling: str = "diffusion") -> np.ndarray:
-    """Forcing sequence for `spec` on `grid`, one value per node.
-
-    With scaling="diffusion" (the default) white-noise draws are scaled by
-    sigma/sqrt(dt): the per-step velocity impulse then has standard deviation
-    sigma*sqrt(dt), so refining dt does not change the energy injected per
-    unit time.  scaling="literal" applies sigma per step with no dt factor.
-    AR(1) forcing has stationary standard deviation sigma under either mode.
-    """
-    if scaling not in SCALINGS:
-        raise InvariantViolation(f"scaling must be 'diffusion' or 'literal', got {scaling!r}")
+def realize(spec: ShockSpec, grid: TimeGrid) -> np.ndarray:
+    """Forcing sequence for `spec` on `grid`, one value per node."""
     n = grid.n_steps
     if isinstance(spec, NoShock):
         return np.zeros(n)
@@ -136,7 +139,7 @@ def realize(spec: ShockSpec, grid: TimeGrid, scaling: str = "diffusion") -> np.n
         out[idx] = spec.magnitude
         return out
     if isinstance(spec, WhiteNoise):
-        scale = spec.sigma / math.sqrt(grid.dt) if scaling == "diffusion" else spec.sigma
+        scale = spec.sigma / math.sqrt(grid.dt) if spec.scaling == "diffusion" else spec.sigma
         return standard_normals(spec.seed, n) * scale
     if isinstance(spec, Ar1):
         draws = standard_normals(spec.seed, n)

@@ -1,5 +1,7 @@
 """Scenario config grammar: defaults, shock wiring, and rejection paths."""
 
+from dataclasses import fields
+
 import pytest
 
 from gapdyn import (
@@ -14,6 +16,7 @@ from gapdyn import (
     WhiteNoise,
     parse_config,
 )
+from gapdyn.config import _SHOCK_KINDS
 
 
 class TestDefaults:
@@ -27,7 +30,7 @@ class TestDefaults:
         assert cfg.dt == 0.1
         assert cfg.shock == NoShock()
         assert cfg.integrator is Integrator.EULER
-        assert cfg.shock_scaling == "diffusion"
+        assert parse_config("shock = white-noise").shock.scaling == "diffusion"
 
     def test_inclusive_grid_has_201_samples(self):
         cfg = parse_config("")
@@ -108,7 +111,7 @@ class TestInvariants:
         with pytest.raises(InvariantViolation):
             ScenarioConfig(dt=0.0)
         with pytest.raises(InvariantViolation):
-            ScenarioConfig(shock_scaling="sometimes")
+            ScenarioConfig(shock=WhiteNoise(scaling="sometimes"))
 
 
 class TestShockWiring:
@@ -130,7 +133,23 @@ class TestShockWiring:
 
     def test_literal_scaling_flag(self):
         cfg = parse_config("shock = white-noise\nshock_scaling = literal")
-        assert cfg.shock_scaling == "literal"
+        assert cfg.shock.scaling == "literal"
+
+    @pytest.mark.parametrize("name", sorted(_SHOCK_KINDS))
+    def test_bare_kind_takes_its_field_defaults(self, name):
+        assert parse_config(f"shock = {name}").shock == _SHOCK_KINDS[name]()
+
+    def test_kinds_sharing_a_field_share_its_default(self):
+        # Key shock_f has one default, so every kind with a field f must agree
+        # on its value and type (the type picks the key's parser).
+        defaults = {}
+        for kind in _SHOCK_KINDS.values():
+            for f in fields(kind):
+                defaults.setdefault(f.name, []).append((type(f.default), f.default))
+        shared = {name: values for name, values in defaults.items() if len(values) > 1}
+        assert sorted(shared) == ["seed", "sigma"]
+        for name, values in shared.items():
+            assert len(set(values)) == 1, name
 
     def test_rk4_integrator_token(self):
         assert parse_config("integrator = rk4").integrator is Integrator.RK4

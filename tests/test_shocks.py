@@ -113,15 +113,14 @@ class TestRealize:
         assert abs(eps.var() - target) < 0.2 * target
 
     def test_white_noise_literal_mode(self):
-        spec = WhiteNoise(sigma=0.25, seed=5)
-        literal = realize(spec, GRID, scaling="literal")
+        literal = realize(WhiteNoise(sigma=0.25, seed=5, scaling="literal"), GRID)
         assert np.array_equal(literal, 0.25 * standard_normals(5, 201))
-        diffusion = realize(spec, GRID, scaling="diffusion")
+        diffusion = realize(WhiteNoise(sigma=0.25, seed=5, scaling="diffusion"), GRID)
         assert np.allclose(diffusion, literal / math.sqrt(0.1), rtol=1e-15)
 
     def test_unknown_scaling_rejected(self):
         with pytest.raises(InvariantViolation):
-            realize(WhiteNoise(sigma=0.1, seed=0), GRID, scaling="per-step")
+            WhiteNoise(sigma=0.1, seed=0, scaling="per-step")
 
     def test_zero_sigma_is_exactly_zero(self):
         assert np.all(realize(WhiteNoise(sigma=0.0, seed=3), GRID) == 0.0)

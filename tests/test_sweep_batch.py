@@ -187,7 +187,7 @@ def _reference_sweep(args):
         raise InvariantViolation("gamma-to must exceed gamma-from when gamma-steps > 1")
     gammas = np.linspace(args.gamma_from, args.gamma_to, args.gamma_steps)
     variants = [dataclasses.replace(cfg, gamma=float(g)) for g in gammas]
-    eps = realize(cfg.shock, cfg.grid(), cfg.shock_scaling)
+    eps = realize(cfg.shock, cfg.grid())
     rows = ["gamma,settling_time,overshoot,zero_crossings,terminal_abs\n"]
     for g, variant in zip(gammas, variants):
         m = recovery_metrics(cli._integrate(variant, eps))
