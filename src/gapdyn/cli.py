@@ -13,8 +13,8 @@ and the exit status separates failure families:
 Each error class in errors.py owns its family as `exit_code`; main maps an
 OSError to 2 and a usage error to 1.
 
-Seed precedence for seeded shocks: the --seed flag beats the GAPDYN_SEED
-environment variable, which beats shock_seed in the config file.
+Seed precedence for seeded shocks: the --seed flag beats shock_seed in the
+config file.  A run reads its arguments and files, no environment variable.
 
 Every layer is imported inside the functions that use it, so a command loads
 only its own layers, and `classify`, `check` and usage errors start without
@@ -26,7 +26,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
-import os
 import sys
 
 from .errors import BadValue, GapdynError, InvariantViolation, UnknownKey
@@ -143,7 +142,7 @@ def _cmd_impulse(args: argparse.Namespace) -> int:
     from .shocks import Impulse
 
     # The impulse replaces the config's shock, so no seed is resolved.
-    cfg = _read_config(args.config)
+    cfg = _load_config(args.config, seed_flag=None)
     shock = Impulse(at=args.at, magnitude=args.magnitude)
     return _run_scenario(dataclasses.replace(cfg, shock=shock), args)
 
@@ -220,35 +219,15 @@ def _cmd_check(args: argparse.Namespace) -> int:
     return 0
 
 
-def _read_config(path: str) -> ScenarioConfig:
+def _load_config(path: str, seed_flag: int | None) -> ScenarioConfig:
+    """The scenario in `path`, with `seed_flag`, if given, as a seeded shock's seed."""
     from .config import parse_config
     from .seriesio import read_text
 
-    return parse_config(read_text(path))
-
-
-def _load_config(path: str, seed_flag: int | None) -> ScenarioConfig:
-    """The scenario in `path` with its shock's seed resolved (module docstring)."""
-    cfg = _read_config(path)
-    shock = _resolve_seed(seed_flag, cfg.shock)
-    if shock is not cfg.shock:
-        cfg = dataclasses.replace(cfg, shock=shock)
-    return cfg
-
-
-def _resolve_seed(flag_seed: int | None, shock):
-    if not hasattr(shock, "seed"):
-        return shock
-    if flag_seed is not None:
-        return dataclasses.replace(shock, seed=flag_seed)
-    env = os.environ.get("GAPDYN_SEED")
-    if env is not None:
-        try:
-            seed = int(env)
-        except ValueError:
-            raise BadValue(f"GAPDYN_SEED must be an integer, got {env!r}") from None
-        return dataclasses.replace(shock, seed=seed)
-    return shock
+    cfg = parse_config(read_text(path))
+    if seed_flag is None or not hasattr(cfg.shock, "seed"):
+        return cfg
+    return dataclasses.replace(cfg, shock=dataclasses.replace(cfg.shock, seed=seed_flag))
 
 
 def _run_scenario(cfg: ScenarioConfig, args: argparse.Namespace) -> int:

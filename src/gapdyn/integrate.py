@@ -147,8 +147,8 @@ def _step_nodes(steps, y, v, eps, ng, a, dt) -> None:
     """Fill nodes 1.. of the (n,) or (n, k) positions y and rates v from
     node 0 with `steps` (_euler_steps or _rk4_steps), _CHUNK steps a call.
 
-    After a call that ends at node i, stepping stops when node i is finite
-    and equal bit for bit to node i-1 (in every column) and eps[i-1:-1], the
+    After a call that ends at node i, stepping stops when node i is equal
+    bit for bit to node i-1 (in every column) and eps[i-1:-1], the
     forcing of every later step, is one value bit for bit: each later step
     then has the inputs of step i and gives node i again, so node i fills
     the rest.  Bitwise, so -0.0 and +0.0 stay apart.  One parameter set
@@ -164,7 +164,6 @@ def _step_nodes(steps, y, v, eps, ng, a, dt) -> None:
             i < last
             and np.all(yb[i] == yb[i - 1])
             and np.all(vb[i] == vb[i - 1])
-            and np.all(np.isfinite(y[i]) & np.isfinite(v[i]))
             and np.all(eb[i - 1 : last] == eb[i - 1])
         ):
             y[i + 1 :] = y[i]
@@ -274,7 +273,8 @@ def integrate_batch(
     path turns non-finite raises Divergence at its first non-finite node.
     """
     if scheme not in _STEPS:
-        raise InvariantViolation(f"scheme must be 'euler' or 'rk4', got {scheme!r}")
+        names = " or ".join(map(repr, _STEPS))
+        raise InvariantViolation(f"scheme must be {names}, got {scheme!r}")
     ng = -np.array([p.gamma for p in params], dtype=float)
     a = np.array([p.alpha for p in params], dtype=float)
     return _run(_STEPS[scheme], ng, a, init, forcing, grid, (len(params),))[0].T

@@ -70,9 +70,8 @@ class WhiteNoise:
         _check_sigma(self.sigma)
         _check_seed(self.seed)
         if self.scaling not in SCALINGS:
-            raise InvariantViolation(
-                f"scaling must be 'diffusion' or 'literal', got {self.scaling!r}"
-            )
+            names = " or ".join(map(repr, SCALINGS))
+            raise InvariantViolation(f"scaling must be {names}, got {self.scaling!r}")
 
 
 @dataclass(frozen=True)

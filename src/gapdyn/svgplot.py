@@ -67,14 +67,14 @@ def write_svg(
     if not np.all(np.isfinite(t)):
         raise InvariantViolation("times contains non-finite values")
 
-    x_min, x_max = _padded_range(float(t.min()), float(t.max()), pad=0.0)
+    x_scale, x_min, x_max = _axis(float(t.min()), float(t.max()), pad=0.0)
+    if x_scale != 1.0:
+        t = t * x_scale
     lo = min(float(v.min()) for _, v in curves)
     hi = max(float(v.max()) for _, v in curves)
-    y_min, y_max = _padded_range(lo, hi, pad=_RANGE_PAD)
-    scale = 1.0
-    if not 0.0 < y_max - y_min < math.inf:
-        scale, y_min, y_max = _scaled_range(lo, hi)
-        curves = [(label, v * scale) for label, v in curves]
+    y_scale, y_min, y_max = _axis(lo, hi, pad=_RANGE_PAD)
+    if y_scale != 1.0:
+        curves = [(label, v * y_scale) for label, v in curves]
 
     plot_left = _MARGIN_LEFT
     plot_right = _WIDTH - _MARGIN_RIGHT
@@ -113,11 +113,11 @@ def write_svg(
         )
         parts.append(
             f'<text x="{xp:.2f}" y="{plot_bottom + 16}" font-family="sans-serif" '
-            f'font-size="11" text-anchor="middle" fill="#444444">{_tick(xv)}</text>'
+            f'font-size="11" text-anchor="middle" fill="#444444">{_tick(xv / x_scale)}</text>'
         )
         parts.append(
             f'<text x="{plot_left - 6}" y="{yp + 4:.2f}" font-family="sans-serif" '
-            f'font-size="11" text-anchor="end" fill="#444444">{_tick(yv / scale)}</text>'
+            f'font-size="11" text-anchor="end" fill="#444444">{_tick(yv / y_scale)}</text>'
         )
 
     parts.append(
@@ -179,6 +179,16 @@ def write_svg(
         fh.write("\n".join(tail) + "\n")
 
 
+def _axis(lo: float, hi: float, pad: float) -> tuple[float, float, float]:
+    """(scale, low, high) of an axis over values in [lo, hi]: _padded_range
+    at scale 1, or _scaled_range where that span is zero or past the
+    largest float."""
+    low, high = _padded_range(lo, hi, pad)
+    if 0.0 < high - low < math.inf:
+        return 1.0, low, high
+    return _scaled_range(lo, hi)
+
+
 def _padded_range(lo: float, hi: float, pad: float) -> tuple[float, float]:
     if hi == lo:
         # a flat line still needs a drawable band
@@ -188,7 +198,7 @@ def _padded_range(lo: float, hi: float, pad: float) -> tuple[float, float]:
 
 
 def _scaled_range(lo: float, hi: float) -> tuple[float, float, float]:
-    """(scale, y_min, y_max) for values whose range _padded_range cannot
+    """(scale, low, high) for values whose range _padded_range cannot
     give: a span past the largest float, or a flat line too large for a
     band of 0.5.  The plot shows the values times the scale, 1/4 so that
     even a span of twice the largest float, padded, stays finite; its

@@ -45,11 +45,6 @@ def config_file(tmp_path):
     return make
 
 
-@pytest.fixture(autouse=True)
-def _no_ambient_seed(monkeypatch):
-    monkeypatch.delenv("GAPDYN_SEED", raising=False)
-
-
 class TestClassify:
     def test_exact_output_line(self, capsys):
         code, out, err = _run(capsys, ["classify", "--gamma", "4.0", "--alpha", "1.0"])
@@ -623,42 +618,22 @@ class TestSeedPrecedence:
         got = self._csv_for(capsys, tmp_path, config_file, "a.csv")
         assert got == self._reference(capsys, tmp_path, 1)
 
-    def test_env_beats_config(self, capsys, tmp_path, config_file, monkeypatch):
-        want = self._reference(capsys, tmp_path, 2)
-        monkeypatch.setenv("GAPDYN_SEED", "2")
-        got = self._csv_for(capsys, tmp_path, config_file, "b.csv")
-        assert got == want
-
-    def test_flag_beats_env(self, capsys, tmp_path, config_file, monkeypatch):
+    def test_flag_beats_config(self, capsys, tmp_path, config_file):
         want = self._reference(capsys, tmp_path, 3)
-        monkeypatch.setenv("GAPDYN_SEED", "2")
         got = self._csv_for(capsys, tmp_path, config_file, "c.csv",
                             argv_extra=("--seed", "3"))
         assert got == want
 
-    def test_garbage_env_seed(self, capsys, tmp_path, config_file, monkeypatch):
-        monkeypatch.setenv("GAPDYN_SEED", "lots")
-        out_csv = tmp_path / "d.csv"
-        code, _, err = _run(
-            capsys,
-            ["simulate", "--config", config_file(self.CONFIG), "--out", str(out_csv)],
-        )
-        assert code == 2
-        assert err.startswith("error=BadValue")
-
-    def test_env_ignored_for_unseeded_scenario(self, capsys, config_file, monkeypatch):
-        monkeypatch.setenv("GAPDYN_SEED", "lots")
-        code, _, _ = _run(capsys, ["simulate", "--config", config_file()])
-        assert code == 0
-
-    def test_env_ignored_for_impulse_over_seeded_shock(self, capsys, config_file, monkeypatch):
-        # The impulse replaces the config's white noise, so no seed is read.
-        argv = ["impulse", "--config", config_file(self.CONFIG), "--magnitude", "1", "--at", "1"]
-        code, want, _ = _run(capsys, argv)
-        assert code == 0
-        monkeypatch.setenv("GAPDYN_SEED", "lots")
-        code, out, err = _run(capsys, argv)
-        assert (code, out, err) == (0, want, "")
+    @pytest.mark.parametrize("value", ["2", "lots"])
+    def test_environment_does_not_change_a_run(
+        self, capsys, tmp_path, config_file, monkeypatch, value
+    ):
+        # A run reads its arguments and files only: the retired GAPDYN_SEED
+        # variable neither reseeds a shock nor fails a run.
+        want = self._reference(capsys, tmp_path, 1)
+        monkeypatch.setenv("GAPDYN_SEED", value)
+        got = self._csv_for(capsys, tmp_path, config_file, "e.csv")
+        assert got == want
 
 
 class TestDeterminism:

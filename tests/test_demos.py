@@ -32,7 +32,6 @@ def test_every_demo_is_listed():
 def test_demo_runs(name, tmp_path):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (_SRC, os.environ.get("PYTHONPATH")) if p))
-    env.pop("GAPDYN_SEED", None)
     proc = subprocess.run(
         [sys.executable, str(_DEMOS / name)],
         capture_output=True, text=True, env=env, cwd=tmp_path,

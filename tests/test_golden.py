@@ -140,8 +140,7 @@ def _run_case(name: str, workdir: Path) -> dict[str, bytes]:
 
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
-def test_output_bytes_match_golden(name, tmp_path, monkeypatch):
-    monkeypatch.delenv("GAPDYN_SEED", raising=False)
+def test_output_bytes_match_golden(name, tmp_path):
     outputs = _run(name, tmp_path)
     for suffix, data in outputs.items():
         expected = (GOLDEN / f"{name}.{suffix}").read_bytes()
@@ -188,7 +187,6 @@ def test_rk4_bytes_do_not_depend_on_kernels(kernel, tmp_path):
     src = Path(__file__).resolve().parents[1] / "src"
     path = [str(src), str(GOLDEN.parent), os.environ.get("PYTHONPATH")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p), **kernel)
-    env.pop("GAPDYN_SEED", None)
     proc = subprocess.run(
         [sys.executable, "-c", _CHILD, str(tmp_path), "sweep-rk4-ar1", "simulate-rk4-white-noise"],
         capture_output=True, text=True, env=env,
@@ -209,7 +207,6 @@ def test_estimate_bytes_do_not_depend_on_kernels(kernel, tmp_path):
     src = Path(__file__).resolve().parents[1] / "src"
     path = [str(src), str(GOLDEN.parent), os.environ.get("PYTHONPATH")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p), **kernel)
-    env.pop("GAPDYN_SEED", None)
     proc = subprocess.run(
         [sys.executable, "-c", _CHILD, str(tmp_path), *sources, *estimates],
         capture_output=True, text=True, env=env,
@@ -218,7 +215,6 @@ def test_estimate_bytes_do_not_depend_on_kernels(kernel, tmp_path):
 
 
 def _regenerate() -> None:
-    os.environ.pop("GAPDYN_SEED", None)
     GOLDEN.mkdir(exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
         for name in sorted(SCENARIOS):

@@ -415,6 +415,25 @@ class TestSettledRuns:
             integrate_batch([CRITICAL, params], self.START, np.zeros(4000), self.GRID, scheme)
         assert info.value.step == first
 
+    @pytest.mark.parametrize("scheme", ["euler", "rk4"])
+    def test_divergence_past_a_chunk_matches_a_short_run(self, stepped, scheme):
+        # The run overflows within its first chunk and its nan nodes then
+        # repeat bit for bit, so stepping stops at the first check and fills
+        # the rest: the Divergence step is that of the run cut to 1000 nodes.
+        params = OscillatorParams(gamma=3.0, alpha=100.0)
+        steps = []
+        for n in (1000, 5001):
+            grid = TimeGrid(t0=0.0, dt=0.5, n_steps=n)
+            stepped.clear()
+            with pytest.raises(Divergence) as single:
+                self.SINGLE[scheme](params, self.START, np.zeros(n), grid)
+            filled = sum(stepped) < n - 1
+            with pytest.raises(Divergence) as batch:
+                integrate_batch([CRITICAL, params], self.START, np.zeros(n), grid, scheme)
+            steps.append((single.value.step, batch.value.step, filled))
+        assert steps[0][0] == steps[0][1] < 999
+        assert steps[1] == (steps[0][0], steps[0][0], True)
+
 
 def _zoh_exact(params, init, eps, grid):
     # exact solution under the zero-order hold: over a step that holds e the

@@ -5,6 +5,7 @@ commands that need none (`classify`, `check`, usage errors).  Boundary checks
 run in fresh interpreters, since this one has long imported everything.
 """
 
+import ast
 import importlib
 import inspect
 import os
@@ -24,7 +25,6 @@ _NUMPY_LOADED = "sorted(m for m in sys.modules if m == 'numpy' or m.startswith('
 def _fresh(code: str) -> subprocess.CompletedProcess:
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (_SRC, os.environ.get("PYTHONPATH")) if p))
-    env.pop("GAPDYN_SEED", None)
     return subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, env=env
     )
@@ -145,8 +145,7 @@ class TestImportBoundary:
         assert proc.returncode == 0, proc.stderr
         assert proc.stderr.splitlines()[-1] == "0 []"
 
-    def test_simulate_in_fresh_process(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.delenv("GAPDYN_SEED", raising=False)
+    def test_simulate_in_fresh_process(self, tmp_path, capsys):
         cfg = tmp_path / "scenario.cfg"
         cfg.write_text("shock = white-noise\nshock_seed = 4\n")
         argv = ["simulate", "--config", str(cfg), "--out", str(tmp_path / "out.csv")]
@@ -155,3 +154,23 @@ class TestImportBoundary:
         assert main(argv) == 0
         assert proc.stdout == capsys.readouterr().out
         assert proc.stdout.startswith("settling_time=")
+
+
+def test_no_module_reads_the_environment():
+    # A run reads its arguments and files only, so the same command gives
+    # the same bytes in any shell.
+    names = {"environ", "environb", "getenv"}
+    found = []
+    for path in sorted(Path(gapdyn.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute):
+                name = node.attr
+            elif isinstance(node, ast.Name):
+                name = node.id
+            elif isinstance(node, ast.alias):
+                name = node.name
+            else:
+                continue
+            if name in names:
+                found.append(f"{path.name}:{node.lineno} {name}")
+    assert found == []

@@ -175,30 +175,46 @@ class TestSvg:
         write_svg(path, [0.0, 1.0, 2.0], [("steady", [1.0, 1.0, 1.0])])
         assert path.read_text().count("<polyline") == 1
 
-    @pytest.mark.parametrize("values", [
-        [-1.0893719596742687e308, 1.774337954730523e308, 0.0],
-        [-sys.float_info.max, sys.float_info.max, 0.0],
-        [1.7e308, 1.7976931348623157e308, 1.79e308],
-        [1e20, 1e20, 1e20],
-        [-sys.float_info.max] * 3,
-    ], ids=["span-past-max", "full-range", "top-pad-past-max", "flat-1e20", "flat-min"])
-    def test_extreme_ranges_stay_finite(self, tmp_path, values):
+    @pytest.mark.parametrize("axis, values", [
+        ("value", [-1.0893719596742687e308, 1.774337954730523e308, 0.0]),
+        ("value", [-sys.float_info.max, sys.float_info.max, 0.0]),
+        ("value", [1.7e308, 1.7976931348623157e308, 1.79e308]),
+        ("value", [1e20, 1e20, 1e20]),
+        ("value", [-sys.float_info.max] * 3),
+        ("time", [1e300] * 3),
+        ("time", [-1e308, 0.0, 1e308]),
+        ("time", [-sys.float_info.max, 0.0, sys.float_info.max]),
+        ("time", [1e20, 1e20, 1e20]),
+    ], ids=["span-past-max", "full-range", "top-pad-past-max", "flat-1e20", "flat-min",
+            "time-flat-1e300", "time-span-past-max", "time-full-range", "time-flat-1e20"])
+    def test_extreme_ranges_stay_finite(self, tmp_path, axis, values):
         # A span or padded end past the largest float, or a flat line whose
-        # +-0.5 band rounds away, used to give nan coordinates and labels.
+        # +-0.5 band rounds away, used to give nan coordinates and labels
+        # (or, on the time axis, a ZeroDivisionError).
         path = tmp_path / "extreme.svg"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            write_svg(path, [0.0, 1.0, 2.0], [("y", values)])
+            if axis == "value":
+                write_svg(path, [0.0, 1.0, 2.0], [("y", values)])
+            else:
+                write_svg(path, values, [("y", [0.0, 1.0, 2.0])])
         text = path.read_text()
         assert "nan" not in text and "inf" not in text
         points = re.search(r'<polyline points="([^"]*)"', text).group(1).split()
-        ys = [float(p.split(",")[1]) for p in points]
-        assert all(20.0 <= y <= 455.0 for y in ys)
-        if values[0] == values[1]:
-            assert ys[0] == ys[1] == ys[2]
+        if axis == "value":
+            cs = [float(p.split(",")[1]) for p in points]
+            assert all(20.0 <= c <= 455.0 for c in cs)
         else:
-            assert ys[0] > ys[2] > ys[1]  # a larger value is drawn higher up
-        labels = re.findall(r'text-anchor="end" fill="#444444">([^<]*)<', text)
+            cs = [float(p.split(",")[0]) for p in points]
+            assert all(60.0 <= c <= 780.0 for c in cs)
+        if values[0] == values[1]:
+            assert cs[0] == cs[1] == cs[2]
+        elif axis == "value":
+            assert cs[0] > cs[2] > cs[1]  # a larger value is drawn higher up
+        else:
+            assert cs[0] < cs[1] < cs[2]  # a later time is drawn further right
+        anchor = "end" if axis == "value" else "middle"
+        labels = re.findall(f'text-anchor="{anchor}" fill="#444444">([^<]*)<', text)
         assert [float(v) for v in labels] == sorted(float(v) for v in labels)
 
     def test_non_finite_values_rejected(self, tmp_path):

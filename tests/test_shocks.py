@@ -1,6 +1,7 @@
 """Forcing construction: impulses, seeded white noise, and AR(1) shocks."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -119,7 +120,8 @@ class TestRealize:
         assert np.allclose(diffusion, literal / math.sqrt(0.1), rtol=1e-15)
 
     def test_unknown_scaling_rejected(self):
-        with pytest.raises(InvariantViolation):
+        want = "scaling must be 'diffusion' or 'literal', got 'per-step'"
+        with pytest.raises(InvariantViolation, match=f"^{re.escape(want)}$"):
             WhiteNoise(sigma=0.1, seed=0, scaling="per-step")
 
     def test_zero_sigma_is_exactly_zero(self):

@@ -9,6 +9,7 @@ to property-based testing", JOSS 4(43), 2019).
 import contextlib
 import dataclasses
 import io
+import re
 import sys
 import warnings
 
@@ -170,7 +171,8 @@ class TestIntegrateBatch:
         assert batched.value.step == 1
 
     def test_unknown_scheme(self):
-        with pytest.raises(InvariantViolation):
+        want = "scheme must be 'euler' or 'rk4', got 'leapfrog'"
+        with pytest.raises(InvariantViolation, match=f"^{re.escape(want)}$"):
             integrate_batch(self.PARAMS, OscState(1.0, 0.0), np.zeros(301), self.GRID, "leapfrog")
 
     def test_forcing_shape_checked(self):
