@@ -24,7 +24,7 @@ import math
 import sys
 from dataclasses import dataclass, field, fields
 
-from .errors import BadValue, InvariantViolation, UnknownKey
+from .errors import BadValue, InvariantViolation, UnknownKey, _check
 from .integrate import TimeGrid
 from .oscillator import OscillatorParams, OscState
 from .shocks import SCALINGS, Ar1, Impulse, NoShock, ShockSpec, WhiteNoise
@@ -50,11 +50,13 @@ class ScenarioConfig:
 
     def __post_init__(self) -> None:
         self.params()
-        self.initial_state()
-        if not (math.isfinite(self.t_end) and self.t_end > 0.0):
-            raise InvariantViolation(f"t_end must be finite and > 0, got {self.t_end!r}")
-        if not (math.isfinite(self.dt) and self.dt > 0.0):
-            raise InvariantViolation(f"dt must be finite and > 0, got {self.dt!r}")
+        _check("y0", self.y0)
+        _check("ydot0", self.ydot0)
+        _check("t_end", self.t_end, low=0, low_strict=True)
+        _check("dt", self.dt, low=0, low_strict=True)
+        if not isinstance(self.integrator, Integrator):
+            names = " or ".join(f"Integrator({scheme.value!r})" for scheme in Integrator)
+            raise InvariantViolation(f"integrator must be {names}, got {self.integrator!r}")
         if self.dt > self.t_end:
             raise InvariantViolation(
                 f"dt must not exceed t_end, got dt={self.dt!r} t_end={self.t_end!r}"

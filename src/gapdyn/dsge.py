@@ -11,20 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import InvariantViolation
-
-
-def _check(name: str, value: float, low: float | None = None,
-           low_strict: bool = False, high: float | None = None,
-           high_strict: bool = False) -> None:
-    if not math.isfinite(value):
-        raise InvariantViolation(f"{name} must be finite, got {value!r}")
-    if low is not None and (value < low or (low_strict and value == low)):
-        op = ">" if low_strict else ">="
-        raise InvariantViolation(f"{name} must be {op} {low}, got {value!r}")
-    if high is not None and (value > high or (high_strict and value == high)):
-        op = "<" if high_strict else "<="
-        raise InvariantViolation(f"{name} must be {op} {high}, got {value!r}")
+from .errors import _check
 
 
 @dataclass(frozen=True)

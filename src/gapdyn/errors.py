@@ -4,7 +4,13 @@ Class names double as the machine-readable tags printed by the command-line
 interface, so they stay short and description-free.  Each class's
 `exit_code` is its failure family, the CLI's exit status: 2 for data errors
 (the default), 3 for numerical ones.
+
+The module also owns `_check`, the one finiteness and bounds rule for every
+scalar: a bad value reads `<name> must be finite, got nan` or `<name> must
+be > 0, got -1.0`, with the bound printed as its caller passes it.
 """
+
+import math
 
 
 class GapdynError(Exception):
@@ -65,3 +71,17 @@ class BadNumber(GapdynError, ValueError):
 
 class BadEncoding(GapdynError, ValueError):
     """An input file is not valid UTF-8 text."""
+
+
+def _check(name: str, value: float, low: float | None = None,
+           low_strict: bool = False, high: float | None = None,
+           high_strict: bool = False) -> None:
+    """Raise InvariantViolation unless `value` is finite and within bounds."""
+    if not math.isfinite(value):
+        raise InvariantViolation(f"{name} must be finite, got {value!r}")
+    if low is not None and (value < low or (low_strict and value == low)):
+        op = ">" if low_strict else ">="
+        raise InvariantViolation(f"{name} must be {op} {low}, got {value!r}")
+    if high is not None and (value > high or (high_strict and value == high)):
+        op = "<" if high_strict else "<="
+        raise InvariantViolation(f"{name} must be {op} {high}, got {value!r}")

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import Degenerate, InvariantViolation, NonStationary
+from .errors import Degenerate, InvariantViolation, NonStationary, _check
 from .oscillator import OscillatorParams, _flow_parts
 
 # Relative width of the discriminant band treated as a repeated root when
@@ -51,8 +51,7 @@ class ObservedSeries:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.dt) and self.dt > 0.0):
-            raise InvariantViolation(f"dt must be finite and > 0, got {self.dt!r}")
+        _check("dt", self.dt, low=0, low_strict=True)
         # A copy: freezing the caller's own array would make it read-only.
         arr = np.array(self.values, dtype=float)
         if arr.ndim != 1 or arr.size < 2:
@@ -81,8 +80,7 @@ def discretize_exact(params: OscillatorParams, dt: float) -> tuple[float, float]
     flow e^(A dt), is 2 e^(-gamma dt/2) cos(wd dt) for complex roots and
     e^(r1 dt) + e^(r2 dt) for real ones.
     """
-    if not (math.isfinite(dt) and dt > 0.0):
-        raise InvariantViolation(f"dt must be finite and > 0, got {dt!r}")
+    _check("dt", dt, low=0, low_strict=True)
     return _phi_pair(params.gamma, params.alpha, dt)
 
 

@@ -26,13 +26,12 @@ metrics have one definition.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .errors import Divergence, InvariantViolation
+from .errors import Divergence, InvariantViolation, _check
 from .oscillator import OscillatorParams, OscState, _homogeneous
 
 
@@ -45,10 +44,8 @@ class TimeGrid:
     n_steps: int
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.t0):
-            raise InvariantViolation(f"t0 must be finite, got {self.t0!r}")
-        if not (math.isfinite(self.dt) and self.dt > 0.0):
-            raise InvariantViolation(f"dt must be finite and > 0, got {self.dt!r}")
+        _check("t0", self.t0)
+        _check("dt", self.dt, low=0, low_strict=True)
         if not (isinstance(self.n_steps, int) and self.n_steps >= 1):
             raise InvariantViolation(f"n_steps must be an integer >= 1, got {self.n_steps!r}")
 
@@ -71,13 +68,7 @@ class Trajectory:
 
     def __post_init__(self) -> None:
         for name in ("y", "ydot", "forcing"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            if arr.shape != (self.grid.n_steps,):
-                raise InvariantViolation(
-                    f"{name} must have length n_steps={self.grid.n_steps}, got shape {arr.shape}"
-                )
-            if not np.all(np.isfinite(arr)):
-                raise InvariantViolation(f"{name} contains non-finite entries")
+            arr = _node_values(name, getattr(self, name), self.grid)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
@@ -95,16 +86,16 @@ class RecoveryMetrics:
     terminal_abs: float
 
 
-def _forcing_nodes(forcing: Sequence[float] | np.ndarray, grid: TimeGrid) -> np.ndarray:
-    """The forcing as a float array with one finite value per grid node."""
-    eps = np.asarray(forcing, dtype=float)
-    if eps.shape != (grid.n_steps,):
+def _node_values(name: str, values: Sequence[float] | np.ndarray, grid: TimeGrid) -> np.ndarray:
+    """`values` as a float array with one finite value per grid node."""
+    arr = np.asarray(values, dtype=float)
+    if arr.shape != (grid.n_steps,):
         raise InvariantViolation(
-            f"forcing must have length n_steps={grid.n_steps}, got shape {eps.shape}"
+            f"{name} must have length n_steps={grid.n_steps}, got shape {arr.shape}"
         )
-    if not np.all(np.isfinite(eps)):
-        raise InvariantViolation("forcing contains non-finite entries")
-    return eps
+    if not np.all(np.isfinite(arr)):
+        raise InvariantViolation(f"{name} contains non-finite entries")
+    return arr
 
 
 def _euler_steps(y, v, eps, ng, a, dt) -> None:
@@ -234,7 +225,7 @@ def _run(steps, ng, a, init, forcing, grid, cols):
     from `init` with ng = -gamma and a = alpha (Python floats for cols (),
     (k,) rows for cols (k,)), and the checked forcing.  A non-finite node
     raises Divergence, as _check_finite does."""
-    eps = _forcing_nodes(forcing, grid)
+    eps = _node_values("forcing", forcing, grid)
     y = np.empty((grid.n_steps, *cols))
     v = np.empty_like(y)
     y[0], v[0] = init.y, init.ydot
@@ -325,8 +316,7 @@ def recovery_metrics_block(
                     when pairing signs)
     terminal_abs    |y| at the final sample
     """
-    if not (math.isfinite(band) and band > 0.0):
-        raise InvariantViolation(f"band must be finite and > 0, got {band!r}")
+    _check("band", band, low=0, low_strict=True)
     k, n = y.shape
     # |y| > band, without a float temporary the size of y.
     outside = (y > band) | (y < -band)

@@ -18,16 +18,11 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .errors import InvariantViolation
+from .errors import _check
 
 # Width of the relative band around gamma^2 == 4*alpha inside which `classify`
 # labels a parameterization critically damped.  It only names the regime.
 DEFAULT_REL_TOL = 1e-9
-
-
-def _check_finite(name: str, value: float) -> None:
-    if not math.isfinite(value):
-        raise InvariantViolation(f"{name} must be finite, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -38,12 +33,8 @@ class OscillatorParams:
     alpha: float
 
     def __post_init__(self) -> None:
-        _check_finite("gamma", self.gamma)
-        _check_finite("alpha", self.alpha)
-        if self.gamma < 0.0:
-            raise InvariantViolation(f"gamma must be >= 0, got {self.gamma!r}")
-        if self.alpha <= 0.0:
-            raise InvariantViolation(f"alpha must be > 0, got {self.alpha!r}")
+        _check("gamma", self.gamma, low=0)
+        _check("alpha", self.alpha, low=0, low_strict=True)
 
     @property
     def discriminant(self) -> float:
@@ -73,15 +64,9 @@ class PhysicalOscillator:
     k: float
 
     def __post_init__(self) -> None:
-        _check_finite("m", self.m)
-        _check_finite("c", self.c)
-        _check_finite("k", self.k)
-        if self.m <= 0.0:
-            raise InvariantViolation(f"m must be > 0, got {self.m!r}")
-        if self.c < 0.0:
-            raise InvariantViolation(f"c must be >= 0, got {self.c!r}")
-        if self.k <= 0.0:
-            raise InvariantViolation(f"k must be > 0, got {self.k!r}")
+        _check("m", self.m, low=0, low_strict=True)
+        _check("c", self.c, low=0)
+        _check("k", self.k, low=0, low_strict=True)
 
 
 @dataclass(frozen=True)
@@ -92,8 +77,8 @@ class OscState:
     ydot: float
 
     def __post_init__(self) -> None:
-        _check_finite("y", self.y)
-        _check_finite("ydot", self.ydot)
+        _check("y", self.y)
+        _check("ydot", self.ydot)
 
 
 class Regime(enum.Enum):
@@ -119,8 +104,7 @@ def classify(params: OscillatorParams, rel_tol: float = DEFAULT_REL_TOL) -> Regi
     the lag coefficients branch on the exact sign of the discriminant instead.
     The comparison is made on _scaled_squares, which cannot overflow to inf.
     """
-    if not (math.isfinite(rel_tol) and rel_tol >= 0.0):
-        raise InvariantViolation(f"rel_tol must be finite and >= 0, got {rel_tol!r}")
+    _check("rel_tol", rel_tol, low=0)
     _, gg, fa = _scaled_squares(params)
     d = gg - fa
     if abs(d) <= rel_tol * max(gg, fa):
@@ -145,8 +129,7 @@ def solve_analytic(params: OscillatorParams, init: OscState, t: float) -> OscSta
     companion matrix A and N = A + gamma/2 I, with c and s as in `_flow_parts`.
     t must be finite and >= 0; t = 0 returns `init` unchanged.
     """
-    if not math.isfinite(t) or t < 0.0:
-        raise InvariantViolation(f"t must be finite and >= 0, got {t!r}")
+    _check("t", t, low=0)
     if t == 0.0:
         return OscState(init.y, init.ydot)
     import numpy as np

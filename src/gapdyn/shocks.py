@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ImpulseOutsideGrid, InvariantViolation
+from .errors import ImpulseOutsideGrid, InvariantViolation, _check
 from .integrate import TimeGrid
 
 _SEED_LIMIT = 2**64
@@ -26,11 +26,6 @@ SCALINGS = ("diffusion", "literal")
 def _check_seed(seed: int) -> None:
     if not (isinstance(seed, int) and 0 <= seed < _SEED_LIMIT):
         raise InvariantViolation(f"seed must be an integer in [0, 2^64), got {seed!r}")
-
-
-def _check_sigma(sigma: float) -> None:
-    if not (math.isfinite(sigma) and sigma >= 0.0):
-        raise InvariantViolation(f"sigma must be finite and >= 0, got {sigma!r}")
 
 
 @dataclass(frozen=True)
@@ -46,10 +41,8 @@ class Impulse:
     magnitude: float = 1.0
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.at):
-            raise InvariantViolation(f"at must be finite, got {self.at!r}")
-        if not math.isfinite(self.magnitude):
-            raise InvariantViolation(f"magnitude must be finite, got {self.magnitude!r}")
+        _check("at", self.at)
+        _check("magnitude", self.magnitude)
 
 
 @dataclass(frozen=True)
@@ -67,7 +60,7 @@ class WhiteNoise:
     scaling: str = "diffusion"
 
     def __post_init__(self) -> None:
-        _check_sigma(self.sigma)
+        _check("sigma", self.sigma, low=0)
         _check_seed(self.seed)
         if self.scaling not in SCALINGS:
             names = " or ".join(map(repr, SCALINGS))
@@ -87,9 +80,8 @@ class Ar1:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.rho) and abs(self.rho) < 1.0):
-            raise InvariantViolation(f"rho must satisfy |rho| < 1, got {self.rho!r}")
-        _check_sigma(self.sigma)
+        _check("rho", self.rho, low=-1, low_strict=True, high=1, high_strict=True)
+        _check("sigma", self.sigma, low=0)
         _check_seed(self.seed)
 
 

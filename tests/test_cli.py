@@ -173,6 +173,15 @@ class TestSimulate:
         assert len(err.splitlines()) == 1
         assert err.startswith("error=BadEncoding")
 
+    @pytest.mark.parametrize("text, detail", [
+        ("y0 = nan\n", "y0 must be finite, got nan"),
+        ("ydot0 = inf\n", "ydot0 must be finite, got inf"),
+    ])
+    def test_bad_value_names_its_config_key(self, capsys, config_file, text, detail):
+        code, out, err = _run(capsys, ["simulate", "--config", config_file(text)])
+        assert (code, out) == (2, "")
+        assert err == f"error=InvariantViolation detail={detail}\n"
+
     def test_divergent_scenario_exit_3(self, capsys, config_file):
         cfg = config_file("gamma = 50.0\ny0 = 1e300\ndt = 0.1\nt_end = 20\n")
         code, _, err = _run(capsys, ["simulate", "--config", cfg])

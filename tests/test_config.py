@@ -113,6 +113,18 @@ class TestInvariants:
         with pytest.raises(InvariantViolation):
             ScenarioConfig(shock=WhiteNoise(scaling="sometimes"))
 
+    @pytest.mark.parametrize("integrator", ["euler", "leapfrog", None])
+    def test_integrator_must_be_an_integrator(self, integrator):
+        # cli._integrate steps Euler only for Integrator.EULER, so a plain
+        # string would run RK4.
+        want = (
+            "integrator must be Integrator('euler') or Integrator('rk4'), "
+            f"got {integrator!r}"
+        )
+        with pytest.raises(InvariantViolation) as excinfo:
+            ScenarioConfig(integrator=integrator)
+        assert str(excinfo.value) == want
+
 
 class TestShockWiring:
     def test_impulse(self):

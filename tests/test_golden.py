@@ -68,6 +68,13 @@ def _scenarios() -> dict[str, tuple[str, list[str], bool]]:
 
 SCENARIOS = _scenarios()
 
+# A sign-flipping series sampled at dt = 0.5: its AR(2) fit has phi2 < 0, so
+# ar2 finds no real damping and the MLE ends on the edge of the admissible
+# lag coefficients, where alpha lies on the aliasing curve gamma^2/4 + (pi/dt)^2.
+_ALTERNATING = "t,y\n" + "".join(
+    "%r,%r\n" % (0.5 * i, (-1) ** i * (1 + 0.1 * (7 * i % 5))) for i in range(40)
+)
+
 _CRITICAL = ["--gamma", "2.5", "--alpha", "1.5625"]  # gamma = 2k, alpha = k^2, k = 1.25
 _POINT = "c=1.2,r=0.03,b=0.5,b_next=0.4,w=1.1,n=0.9,y=1.3,r_k=0.05"
 
@@ -92,6 +99,14 @@ CASES: dict[str, tuple[list[str], dict[str, str], int]] = {
     ),
     "error-numerical": (
         ["estimate", "--in", "flat.csv"], {"flat.csv": "t,y\n0,1\n1,1\n2,1\n3,1\n"}, 3
+    ),
+    "estimate-mle-boundary": (
+        ["estimate", "--in", "alternating.csv", "--method", "mle"],
+        {"alternating.csv": _ALTERNATING}, 0,
+    ),
+    "error-nonstationary": (
+        ["estimate", "--in", "alternating.csv", "--method", "ar2"],
+        {"alternating.csv": _ALTERNATING}, 3,
     ),
 }
 
@@ -201,9 +216,10 @@ def test_rk4_bytes_do_not_depend_on_kernels(kernel, tmp_path):
 def test_estimate_bytes_do_not_depend_on_kernels(kernel, tmp_path):
     # The lag fit and every SSR sum elementwise products with np.sum, never
     # `@` or np.linalg, so no BLAS kernel choice can move an estimate's digits.
-    # The child first writes (and checks) the scenario CSVs the cases read.
+    # The child first writes (and checks) the scenario CSVs the cases read;
+    # the boundary case reads its own inline file.
     estimates = sorted(name for name in CASES if name.startswith("estimate-"))
-    sources = sorted({f"simulate-{name.split('-', 2)[2]}" for name in estimates})
+    sources = sorted({f"simulate-{name.split('-', 2)[2]}" for name in estimates} & set(SCENARIOS))
     src = Path(__file__).resolve().parents[1] / "src"
     path = [str(src), str(GOLDEN.parent), os.environ.get("PYTHONPATH")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p), **kernel)

@@ -9,6 +9,7 @@ import ast
 import importlib
 import inspect
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -173,4 +174,20 @@ def test_no_module_reads_the_environment():
                 continue
             if name in names:
                 found.append(f"{path.name}:{node.lineno} {name}")
+    assert found == []
+
+
+def test_only_errors_words_a_finiteness_check():
+    # errors._check is the one rule for a value's domain, so no other module
+    # writes `<name> must be finite` itself, in a plain or an f-string, with
+    # the name spelled out or formatted in.
+    wording = re.compile(r"^(\w[\w-]*)? must be finite")
+    found = []
+    for path in sorted(Path(gapdyn.__file__).parent.glob("*.py")):
+        if path.name == "errors.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                if wording.match(node.value):
+                    found.append(f"{path.name}:{node.lineno}")
     assert found == []
