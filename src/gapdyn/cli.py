@@ -101,8 +101,6 @@ def _build_parser() -> argparse.ArgumentParser:
     chk = sub.add_parser("check", help="evaluate optimality residuals at a point")
     chk.add_argument("--beta", type=float, required=True)
     chk.add_argument("--sigma-c", type=float, required=True, dest="sigma_c")
-    chk.add_argument("--theta", type=float, default=1.0 / 3.0)
-    chk.add_argument("--a-tfp", type=float, default=1.0, dest="a_tfp")
     chk.add_argument("--point", metavar="K=V[,K=V...]", help="override allocation fields")
     chk.set_defaults(handler=_cmd_check)
 
@@ -197,21 +195,20 @@ def _cmd_check(args: argparse.Namespace) -> int:
         steady_state_rate,
     )
 
-    params = DsgeBlockParams(
-        beta=args.beta, sigma_c=args.sigma_c, theta=args.theta, a_tfp=args.a_tfp
-    )
+    # None of the printed values reads theta, a_tfp or leisure l: they are fixed.
+    params = DsgeBlockParams(beta=args.beta, sigma_c=args.sigma_c, theta=1.0 / 3.0, a_tfp=1.0)
     rate = steady_state_rate(params)
     # Defaults sit on a flat consumption path with a balanced budget and
     # zero profit, so every residual is exactly zero until overridden.
     fields: dict[str, float] = {
-        "c": 1.0, "l": 1.0, "b": 0.0, "b_next": 0.0, "r": rate,
+        "c": 1.0, "b": 0.0, "b_next": 0.0, "r": rate,
         "w": 1.0, "n": 1.0, "k": 1.0, "y": 1.0, "p": 1.0, "r_k": 0.0,
     }
     for key, value in _parse_point(args.point or ""):
         if key not in fields:
             raise UnknownKey(f"unknown point key {key!r}")
         fields[key] = value
-    point = DsgePoint(**fields)
+    point = DsgePoint(l=1.0, **fields)
     print(f"euler_residual={_num(euler_residual(point.c, point.c, point.r, params))}")
     print(f"budget_residual={_num(budget_residual(point))}")
     print(f"profit={_num(profit(point))}")

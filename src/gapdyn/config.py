@@ -13,7 +13,7 @@ Shock kinds and their parameter keys:
 
     shock = none
     shock = impulse      shock_at, shock_magnitude
-    shock = white-noise  shock_sigma, shock_seed, shock_scaling
+    shock = white-noise  shock_sigma, shock_seed
     shock = ar1          shock_rho, shock_sigma, shock_seed
 """
 
@@ -27,7 +27,7 @@ from dataclasses import dataclass, field, fields
 from .errors import BadValue, InvariantViolation, UnknownKey, _check
 from .integrate import TimeGrid
 from .oscillator import OscillatorParams, OscState
-from .shocks import SCALINGS, Ar1, Impulse, NoShock, ShockSpec, WhiteNoise
+from .shocks import Ar1, Impulse, NoShock, ShockSpec, WhiteNoise
 
 
 class Integrator(enum.Enum):
@@ -57,6 +57,10 @@ class ScenarioConfig:
         if not isinstance(self.integrator, Integrator):
             names = " or ".join(f"Integrator({scheme.value!r})" for scheme in Integrator)
             raise InvariantViolation(f"integrator must be {names}, got {self.integrator!r}")
+        if not isinstance(self.shock, ShockSpec):
+            *rest, last = (kind.__name__ for kind in ShockSpec.__args__)
+            names = f"{', '.join(rest)} or {last}"
+            raise InvariantViolation(f"shock must be {names}, got {self.shock!r}")
         if self.dt > self.t_end:
             raise InvariantViolation(
                 f"dt must not exceed t_end, got dt={self.dt!r} t_end={self.t_end!r}"
@@ -96,7 +100,6 @@ _DEFAULTS.update(
 _ENUM_KEYS = {
     "integrator": tuple(scheme.value for scheme in Integrator),
     "shock": tuple(_SHOCK_KINDS),
-    "shock_scaling": SCALINGS,
 }
 
 

@@ -60,6 +60,15 @@ class DsgePoint:
         _check("r_k", self.r_k, low=0.0)
 
 
+def _pow(x: float, y: float) -> float:
+    """x ** y for x > 0.  Where it overflows, and Python's float power would
+    raise, +inf as IEEE-754 rounds it."""
+    try:
+        return x ** y
+    except OverflowError:
+        return math.inf
+
+
 def utility(c: float, l: float, params: DsgeBlockParams) -> float:
     """Period utility c^(1-sigma_c)/(1-sigma_c) + ln(1+l).
 
@@ -71,7 +80,7 @@ def utility(c: float, l: float, params: DsgeBlockParams) -> float:
     if s == 1.0:
         consumption_term = math.log(c)
     else:
-        consumption_term = (c ** (1.0 - s)) / (1.0 - s)
+        consumption_term = _pow(c, 1.0 - s) / (1.0 - s)
     return consumption_term + math.log(1.0 + l)
 
 
@@ -85,7 +94,7 @@ def euler_residual(c_now: float, c_next: float, r_next: float,
     _check("c_next", c_next, low=0.0, low_strict=True)
     _check("r_next", r_next, low=-1.0, low_strict=True)
     s = params.sigma_c
-    return c_now ** (-s) - params.beta * (1.0 + r_next) * c_next ** (-s)
+    return _pow(c_now, -s) - params.beta * (1.0 + r_next) * _pow(c_next, -s)
 
 
 def budget_residual(point: DsgePoint) -> float:

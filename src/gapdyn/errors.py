@@ -77,7 +77,11 @@ def _check(name: str, value: float, low: float | None = None,
            low_strict: bool = False, high: float | None = None,
            high_strict: bool = False) -> None:
     """Raise InvariantViolation unless `value` is finite and within bounds."""
-    if not math.isfinite(value):
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:  # an int past the float range
+        finite = False
+    if not finite:
         raise InvariantViolation(f"{name} must be finite, got {value!r}")
     if low is not None and (value < low or (low_strict and value == low)):
         op = ">" if low_strict else ">="

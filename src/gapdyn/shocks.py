@@ -19,8 +19,6 @@ from .integrate import TimeGrid
 
 _SEED_LIMIT = 2**64
 _TWO_NEG53 = 2.0**-53
-# WhiteNoise's scalings; config reads them from here.
-SCALINGS = ("diffusion", "literal")
 
 
 def _check_seed(seed: int) -> None:
@@ -49,22 +47,18 @@ class Impulse:
 class WhiteNoise:
     """Independent Gaussian forcing with level sigma, drawn from `seed`.
 
-    With scaling="diffusion" (the default) the draws are scaled by
-    sigma/sqrt(dt): the per-step velocity impulse then has standard deviation
-    sigma*sqrt(dt), so refining dt does not change the energy injected per
-    unit time.  scaling="literal" applies sigma per step with no dt factor.
+    The draws are scaled by sigma/sqrt(dt): the per-step velocity impulse then
+    has standard deviation sigma*sqrt(dt), so refining dt does not change the
+    energy injected per unit time.  A level s applied per step with no dt
+    factor is sigma = s*sqrt(dt).
     """
 
     sigma: float = 0.1
     seed: int = 0
-    scaling: str = "diffusion"
 
     def __post_init__(self) -> None:
         _check("sigma", self.sigma, low=0)
         _check_seed(self.seed)
-        if self.scaling not in SCALINGS:
-            names = " or ".join(map(repr, SCALINGS))
-            raise InvariantViolation(f"scaling must be {names}, got {self.scaling!r}")
 
 
 @dataclass(frozen=True)
@@ -130,8 +124,7 @@ def realize(spec: ShockSpec, grid: TimeGrid) -> np.ndarray:
         out[idx] = spec.magnitude
         return out
     if isinstance(spec, WhiteNoise):
-        scale = spec.sigma / math.sqrt(grid.dt) if spec.scaling == "diffusion" else spec.sigma
-        return standard_normals(spec.seed, n) * scale
+        return standard_normals(spec.seed, n) * (spec.sigma / math.sqrt(grid.dt))
     if isinstance(spec, Ar1):
         draws = standard_normals(spec.seed, n)
         innov = spec.sigma * math.sqrt(1.0 - spec.rho * spec.rho) * draws

@@ -594,6 +594,16 @@ class TestCheck:
         assert code == 2
         assert err.startswith("error=BadValue")
 
+    @pytest.mark.parametrize("sigma_c, point", [("2.0", "c=1e-200"), ("1e308", "c=0.5")])
+    def test_overflowing_residual_prints_nan(self, capsys, sigma_c, point):
+        # c^(-sigma_c) overflows to inf on both sides of the Euler condition,
+        # and inf - inf is nan: a value to print, not a traceback.
+        code, out, err = _run(
+            capsys, ["check", "--beta", "0.99", "--sigma-c", sigma_c, "--point", point]
+        )
+        assert (code, err) == (0, "")
+        assert out.splitlines()[0] == "euler_residual=nan"
+
     def test_bad_beta_exit_2(self, capsys):
         code, _, err = _run(capsys, ["check", "--beta", "1.5", "--sigma-c", "2.0"])
         assert code == 2

@@ -22,7 +22,6 @@ _SETTINGS = settings(max_examples=300, deadline=None, derandomize=True, database
 _ENUM_VALUES = {
     "integrator": ["euler", "rk4"],
     "shock": ["none", "impulse", "white-noise", "ar1"],
-    "shock_scaling": ["diffusion", "literal"],
 }
 _NUMBER_KEYS = [
     "gamma", "alpha", "y0", "ydot0", "shock_at", "shock_magnitude", "shock_sigma", "shock_rho",
@@ -61,7 +60,7 @@ def test_parse_config_raises_only_gapdyn_errors(text):
 _GOOD_LINES = [
     "integrator = rk4", "integrator = euler", "shock = impulse", "shock = white-noise",
     "shock = ar1", "shock = none", "shock_at = 5", "shock_at = 500", "shock_magnitude = 1e308",
-    "shock_sigma = 2", "shock_rho = 0.99", "shock_seed = 7", "shock_scaling = literal",
+    "shock_sigma = 2", "shock_rho = 0.99", "shock_seed = 7",
     "gamma = 0", "gamma = 1e200", "alpha = 1e300", "y0 = 1e308", "ydot0 = -3", "t_end = 200",
     "t_end = 0.1", "dt = 1", "dt = 2", "# comment", "",
 ]
@@ -95,8 +94,7 @@ _COMMANDS = {
     "sweep": [("--config", "config", True), ("--gamma-from", "num", True),
               ("--gamma-to", "num", True), ("--gamma-steps", "steps", True),
               ("--seed", "int", False)],
-    "check": [("--beta", "num", True), ("--sigma-c", "num", True), ("--theta", "num", False),
-              ("--a-tfp", "num", False), ("--point", "point", False)],
+    "check": [("--beta", "num", True), ("--sigma-c", "num", True), ("--point", "point", False)],
 }
 
 
@@ -119,7 +117,8 @@ def argvs(draw, tmp_dir):
         "steps": st.integers(-1, 50).map(str) | st.just("x"),
         "num": st.floats().map(repr) | st.sampled_from(["1e308", "-0.0", "0.5", "2", "7", "x"]),
         "method": st.sampled_from(["ar2", "mle", "ols"]),
-        "point": st.sampled_from(["c=2,r=0.01", "c=x", "q=1", "c", "", "w=nan,y=1e308"]),
+        "point": st.sampled_from(["c=2,r=0.01", "c=x", "q=1", "c", "", "w=nan,y=1e308",
+                                  "c=1e-200"]),
     }
     command = draw(st.sampled_from(sorted(_COMMANDS)))
     argv = [command]

@@ -30,7 +30,6 @@ class TestDefaults:
         assert cfg.dt == 0.1
         assert cfg.shock == NoShock()
         assert cfg.integrator is Integrator.EULER
-        assert parse_config("shock = white-noise").shock.scaling == "diffusion"
 
     def test_inclusive_grid_has_201_samples(self):
         cfg = parse_config("")
@@ -111,7 +110,15 @@ class TestInvariants:
         with pytest.raises(InvariantViolation):
             ScenarioConfig(dt=0.0)
         with pytest.raises(InvariantViolation):
-            ScenarioConfig(shock=WhiteNoise(scaling="sometimes"))
+            ScenarioConfig(shock="white-noise")
+
+    @pytest.mark.parametrize("shock", ["impulse", None, Impulse], ids=["str", "None", "class"])
+    def test_shock_must_be_a_shock_spec(self, shock):
+        # shocks.realize would reject it only when the scenario is run.
+        want = f"shock must be NoShock, Impulse, WhiteNoise or Ar1, got {shock!r}"
+        with pytest.raises(InvariantViolation) as excinfo:
+            ScenarioConfig(shock=shock)
+        assert str(excinfo.value) == want
 
     @pytest.mark.parametrize("integrator", ["euler", "leapfrog", None])
     def test_integrator_must_be_an_integrator(self, integrator):
@@ -143,9 +150,11 @@ class TestShockWiring:
         cfg = parse_config("shock = ar1\nshock_rho = 0.8\nshock_sigma = 0.3\nshock_seed = 4")
         assert cfg.shock == Ar1(rho=0.8, sigma=0.3, seed=4)
 
-    def test_literal_scaling_flag(self):
-        cfg = parse_config("shock = white-noise\nshock_scaling = literal")
-        assert cfg.shock.scaling == "literal"
+    def test_shock_scaling_is_an_unknown_key(self):
+        # White noise is always scaled by sigma/sqrt(dt); a per-step level s
+        # is shock_sigma = s*sqrt(dt).
+        with pytest.raises(UnknownKey, match=r"^line 2: unknown key 'shock_scaling'$"):
+            parse_config("shock = white-noise\nshock_scaling = literal")
 
     @pytest.mark.parametrize("name", sorted(_SHOCK_KINDS))
     def test_bare_kind_takes_its_field_defaults(self, name):

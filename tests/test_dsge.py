@@ -70,6 +70,11 @@ class TestUtility:
         with pytest.raises(InvariantViolation):
             utility(0.0, 0.0, LOG_UTILITY)
 
+    def test_overflowing_power_is_infinite(self):
+        # 1e-200^(1-3) / (1-3): the power overflows to +inf, as in IEEE-754.
+        sigma3 = DsgeBlockParams(beta=0.99, sigma_c=3.0, theta=0.3, a_tfp=1.0)
+        assert utility(1e-200, 0.5, sigma3) == -math.inf
+
     def test_strictly_increasing_in_consumption(self):
         rng = np.random.default_rng(41)
         for _ in range(100):
@@ -116,6 +121,11 @@ class TestEulerResidual:
             a = euler_residual(1.0, c_next, 0.02, CRRA2)
             b = euler_residual(1.0, c_next + 1e-6, 0.02, CRRA2)
             assert b > a
+
+    def test_overflowing_marginal_utility_is_infinite(self):
+        assert euler_residual(1e-200, 1.0, 0.0, CRRA2) == math.inf
+        assert euler_residual(1.0, 1e-200, 0.0, CRRA2) == -math.inf
+        assert math.isnan(euler_residual(1e-200, 1e-200, 0.0, CRRA2))
 
     def test_domain_violations(self):
         with pytest.raises(InvariantViolation):

@@ -43,7 +43,8 @@ _FLOAT_FIELDS = [
 ]
 
 
-@pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
+# An int past the float range is not finite either.
+@pytest.mark.parametrize("value", [math.nan, math.inf, 10**400], ids=["nan", "inf", "int"])
 @pytest.mark.parametrize(
     "obj, name", _FLOAT_FIELDS, ids=[f"{type(o).__name__}.{n}" for o, n in _FLOAT_FIELDS]
 )

@@ -1,7 +1,6 @@
 """Forcing construction: impulses, seeded white noise, and AR(1) shocks."""
 
 import math
-import re
 
 import numpy as np
 import pytest
@@ -113,16 +112,9 @@ class TestRealize:
         target = 0.1 * 0.1 / 0.1
         assert abs(eps.var() - target) < 0.2 * target
 
-    def test_white_noise_literal_mode(self):
-        literal = realize(WhiteNoise(sigma=0.25, seed=5, scaling="literal"), GRID)
-        assert np.array_equal(literal, 0.25 * standard_normals(5, 201))
-        diffusion = realize(WhiteNoise(sigma=0.25, seed=5, scaling="diffusion"), GRID)
-        assert np.allclose(diffusion, literal / math.sqrt(0.1), rtol=1e-15)
-
-    def test_unknown_scaling_rejected(self):
-        want = "scaling must be 'diffusion' or 'literal', got 'per-step'"
-        with pytest.raises(InvariantViolation, match=f"^{re.escape(want)}$"):
-            WhiteNoise(sigma=0.1, seed=0, scaling="per-step")
+    def test_white_noise_diffusion_scale(self):
+        eps = realize(WhiteNoise(sigma=0.25, seed=5), GRID)
+        assert np.array_equal(eps, standard_normals(5, 201) * (0.25 / math.sqrt(0.1)))
 
     def test_zero_sigma_is_exactly_zero(self):
         assert np.all(realize(WhiteNoise(sigma=0.0, seed=3), GRID) == 0.0)

@@ -233,8 +233,8 @@ _SHOCKS = st.one_of(
     st.just("shock = none\n"),
     st.builds("shock = impulse\nshock_at = {!r}\nshock_magnitude = {!r}\n".format,
               st.floats(-1.0, 2100.0), st.floats(-5.0, 5.0)),
-    st.builds("shock = white-noise\nshock_sigma = {!r}\nshock_seed = {}\nshock_scaling = {}\n".format,
-              st.floats(0.0, 3.0), st.integers(0, 2**64 - 1), st.sampled_from(["diffusion", "literal"])),
+    st.builds("shock = white-noise\nshock_sigma = {!r}\nshock_seed = {}\n".format,
+              st.floats(0.0, 3.0), st.integers(0, 2**64 - 1)),
     st.builds("shock = ar1\nshock_rho = {!r}\nshock_sigma = {!r}\nshock_seed = {}\n".format,
               st.floats(-0.99, 0.99), st.floats(0.0, 3.0), st.integers(0, 2**64 - 1)),
 )
