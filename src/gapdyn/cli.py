@@ -26,6 +26,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
+import math
 import sys
 
 from .errors import BadValue, GapdynError, InvariantViolation, UnknownKey
@@ -204,11 +205,13 @@ def _cmd_check(args: argparse.Namespace) -> int:
         "c": 1.0, "b": 0.0, "b_next": 0.0, "r": rate,
         "w": 1.0, "n": 1.0, "k": 1.0, "y": 1.0, "p": 1.0, "r_k": 0.0,
     }
-    for key, value in _parse_point(args.point or ""):
+    given = dict(_parse_point(args.point or ""))
+    for key in given:
         if key not in fields:
             raise UnknownKey(f"unknown point key {key!r}")
-        fields[key] = value
-    point = DsgePoint(l=1.0, **fields)
+    if "r" not in given and not math.isfinite(rate):
+        raise InvariantViolation(f"beta={args.beta!r} overflows r = 1/beta - 1; --point r= sets r")
+    point = DsgePoint(l=1.0, **(fields | given))
     print(f"euler_residual={_num(euler_residual(point.c, point.c, point.r, params))}")
     print(f"budget_residual={_num(budget_residual(point))}")
     print(f"profit={_num(profit(point))}")

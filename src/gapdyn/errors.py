@@ -8,6 +8,8 @@ interface, so they stay short and description-free.  Each class's
 The module also owns `_check`, the one finiteness and bounds rule for every
 scalar: a bad value reads `<name> must be finite, got nan` or `<name> must
 be > 0, got -1.0`, with the bound printed as its caller passes it.
+`_check_array` is the same rule for every array input, and it names the
+first bad entry: `<name> must be finite, got inf at index 0`.
 """
 
 import math
@@ -89,3 +91,19 @@ def _check(name: str, value: float, low: float | None = None,
     if high is not None and (value > high or (high_strict and value == high)):
         op = "<" if high_strict else "<="
         raise InvariantViolation(f"{name} must be {op} {high}, got {value!r}")
+
+
+def _check_array(name: str, values, size: int | None = None, min_size: int = 0):
+    """`values` as a 1-d float array of `size` entries (at least `min_size`
+    when None), all finite; otherwise InvariantViolation."""
+    import numpy as np  # here, so that importing gapdyn loads no numpy
+
+    arr = np.asarray(values, dtype=float)
+    if arr.ndim != 1 or arr.size < min_size or (size is not None and arr.size != size):
+        want = size if size is not None else f"at least {min_size}"
+        raise InvariantViolation(f"{name} must be 1-d with {want} entries, got shape {arr.shape}")
+    finite = np.isfinite(arr)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise InvariantViolation(f"{name} must be finite, got {float(arr[i])!r} at index {i}")
+    return arr

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import Degenerate, InvariantViolation, NonStationary, _check
+from .errors import Degenerate, InvariantViolation, NonStationary, _check, _check_array
 from .oscillator import OscillatorParams, _flow_parts
 
 # Relative width of the discriminant band treated as a repeated root when
@@ -53,11 +53,7 @@ class ObservedSeries:
     def __post_init__(self) -> None:
         _check("dt", self.dt, low=0, low_strict=True)
         # A copy: freezing the caller's own array would make it read-only.
-        arr = np.array(self.values, dtype=float)
-        if arr.ndim != 1 or arr.size < 2:
-            raise InvariantViolation("values must be a 1-d sequence with at least two samples")
-        if not np.all(np.isfinite(arr)):
-            raise InvariantViolation("values contain non-finite entries")
+        arr = _check_array("values", self.values, min_size=2).copy()
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
 

@@ -22,6 +22,8 @@ and R = I + z S is RK4's stability function.  Their entries come from those
 scalar operations too, not `@` or np.linalg, which may reach FMA kernels.
 recovery_metrics is recovery_metrics_block on a one-row block, so the
 metrics have one definition.
+Every array input goes through errors._check_array, and a Trajectory holds
+read-only copies, so the caller's arrays stay writable.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import Divergence, InvariantViolation, _check
+from .errors import Divergence, InvariantViolation, _check, _check_array
 from .oscillator import OscillatorParams, OscState, _homogeneous
 
 
@@ -68,7 +70,8 @@ class Trajectory:
 
     def __post_init__(self) -> None:
         for name in ("y", "ydot", "forcing"):
-            arr = _node_values(name, getattr(self, name), self.grid)
+            # A copy: freezing the caller's own array would make it read-only.
+            arr = _check_array(name, getattr(self, name), self.grid.n_steps).copy()
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
@@ -84,18 +87,6 @@ class RecoveryMetrics:
     overshoot: float
     zero_crossings: int
     terminal_abs: float
-
-
-def _node_values(name: str, values: Sequence[float] | np.ndarray, grid: TimeGrid) -> np.ndarray:
-    """`values` as a float array with one finite value per grid node."""
-    arr = np.asarray(values, dtype=float)
-    if arr.shape != (grid.n_steps,):
-        raise InvariantViolation(
-            f"{name} must have length n_steps={grid.n_steps}, got shape {arr.shape}"
-        )
-    if not np.all(np.isfinite(arr)):
-        raise InvariantViolation(f"{name} contains non-finite entries")
-    return arr
 
 
 def _euler_steps(y, v, eps, ng, a, dt) -> None:
@@ -191,9 +182,8 @@ def integrate_euler(
 
     The position update deliberately uses the rate from before the velocity
     update; swapping that order changes every sample and is a different
-    scheme.  `forcing` supplies one finite value per grid node; any other
-    shape or a non-finite entry raises InvariantViolation.  A non-finite
-    state aborts with Divergence naming its first node.
+    scheme.  `forcing` supplies one finite value per grid node.  A
+    non-finite state aborts with Divergence naming its first node.
     """
     return _integrate_one(_euler_steps, params, init, forcing, grid)
 
@@ -225,7 +215,7 @@ def _run(steps, ng, a, init, forcing, grid, cols):
     from `init` with ng = -gamma and a = alpha (Python floats for cols (),
     (k,) rows for cols (k,)), and the checked forcing.  A non-finite node
     raises Divergence, as _check_finite does."""
-    eps = _node_values("forcing", forcing, grid)
+    eps = _check_array("forcing", forcing, grid.n_steps)
     y = np.empty((grid.n_steps, *cols))
     v = np.empty_like(y)
     y[0], v[0] = init.y, init.ydot
@@ -241,8 +231,6 @@ def analytic_trajectory(params: OscillatorParams, init: OscState, grid: TimeGrid
     """Sample the closed-form unforced solution on a grid (forcing is zero)."""
     y, ydot = _homogeneous(params, init, grid.times() - grid.t0)
     # Pin the first node to the initial state exactly.
-    y = np.array(y)
-    ydot = np.array(ydot)
     y[0], ydot[0] = init.y, init.ydot
     return Trajectory(grid, y, ydot, np.zeros(grid.n_steps))
 

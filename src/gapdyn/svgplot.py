@@ -13,9 +13,7 @@ import sys
 from pathlib import Path
 from typing import Sequence
 
-import numpy as np
-
-from .errors import InvariantViolation
+from .errors import InvariantViolation, _check_array
 
 _WIDTH = 800
 _HEIGHT = 500
@@ -49,23 +47,10 @@ def write_svg(
     """
     from ._textfmt import f2_pairs
 
-    t = np.asarray(times, dtype=float)
-    if t.ndim != 1 or t.size < 2:
-        raise InvariantViolation("times must be a 1-d sequence with at least 2 points")
-    curves: list[tuple[str, np.ndarray]] = []
-    for label, values in series:
-        v = np.asarray(values, dtype=float)
-        if v.shape != t.shape:
-            raise InvariantViolation(
-                f"series {label!r} has {v.size} points, expected {t.size}"
-            )
-        if not np.all(np.isfinite(v)):
-            raise InvariantViolation(f"series {label!r} contains non-finite values")
-        curves.append((label, v))
+    t = _check_array("times", times, min_size=2)
+    curves = [(label, _check_array(f"series {label!r}", v, t.size)) for label, v in series]
     if not curves:
         raise InvariantViolation("need at least one series to plot")
-    if not np.all(np.isfinite(t)):
-        raise InvariantViolation("times contains non-finite values")
 
     x_scale, x_min, x_max = _axis(float(t.min()), float(t.max()), pad=0.0)
     if x_scale != 1.0:

@@ -609,6 +609,22 @@ class TestCheck:
         assert code == 2
         assert err.startswith("error=InvariantViolation")
 
+    def test_overflowing_default_rate_names_beta(self, capsys):
+        # 1/beta - 1 overflows below beta ~ 5.6e-309; the user set no r.
+        code, out, err = _run(capsys, ["check", "--beta", "1e-320", "--sigma-c", "2"])
+        assert (code, out) == (2, "")
+        assert err == (
+            "error=InvariantViolation detail=beta=1e-320 overflows r = 1/beta - 1; "
+            "--point r= sets r\n"
+        )
+
+    def test_given_rate_runs_at_overflowing_beta(self, capsys):
+        code, out, err = _run(
+            capsys, ["check", "--beta", "1e-320", "--sigma-c", "2", "--point", "r=0.1"]
+        )
+        assert (code, err) == (0, "")
+        assert _kv(out)["steady_state_rate"] == "inf"
+
 
 class TestSeedPrecedence:
     CONFIG = "shock = white-noise\nshock_sigma = 0.3\nshock_seed = 1\n"

@@ -170,6 +170,19 @@ class TestEstimateAr2:
         assert r.converged
         assert r.alpha_hat == pytest.approx(truth, rel=1e-6)
 
+    def test_negative_real_pair_maps_through_principal_logs(self):
+        # Noise-free y[i] = -1.4 y[i-1] - 0.45 y[i-2]: lag roots -0.9 and -0.5,
+        # each principal log carrying an i*pi, so alpha_hat is negative.
+        y = [1.0, 0.3]
+        for _ in range(198):
+            y.append(-1.4 * y[-1] - 0.45 * y[-2])
+        r = estimate_ar2(ObservedSeries(dt=0.1, values=y))
+        alpha = (math.log(0.9) * math.log(0.5) - math.pi * math.pi) / 0.01
+        assert r.gamma_hat == pytest.approx(-math.log(0.45) / 0.1, rel=1e-12, abs=0)
+        assert r.alpha_hat == pytest.approx(alpha, rel=1e-12, abs=0)
+        assert alpha == pytest.approx(-979.657, abs=1e-3)
+        assert not r.converged
+
     @pytest.mark.parametrize("estimator", [estimate_ar2, estimate_mle])
     def test_complex_roots_inside_the_nyquist_band(self, estimator):
         # Within about 1e-5 rad of the Nyquist angle the fitted lag roots fall
