@@ -18,7 +18,7 @@ from gapdyn import (
     steady_state_rate,
 )
 
-params = DsgeBlockParams(beta=0.99, sigma_c=2.0, theta=1.0 / 3.0, a_tfp=1.0)
+params = DsgeBlockParams(beta=0.99, sigma_c=2.0)
 r_star = steady_state_rate(params)
 print(f"discounting at beta={params.beta} pins the interest rate at {r_star:.6f}")
 
@@ -27,9 +27,9 @@ print(f"residual on the steady path:  {euler_residual(1.0, 1.0, r_star, params):
 print(f"residual if rates are higher: {euler_residual(1.0, 1.0, 0.05, params):+.2e}")
 print(f"residual if rates are lower:  {euler_residual(1.0, 1.0, 0.00, params):+.2e}")
 
-# Competitive accounts: income covers spending, technology earns no rent.
-point = DsgePoint(c=1.0, l=1.0, b=0.0, b_next=0.0, r=r_star,
-                  w=1.0, n=1.0, k=1.0, y=1.0, p=1.0, r_k=0.0)
+# Competitive accounts at the unit allocation: income covers spending,
+# technology earns no rent.
+point = DsgePoint(r=r_star)
 print(f"budget residual {budget_residual(point):+.2e}, profit {profit(point):+.2e}")
 
 # Constant returns: doubling both inputs doubles output.

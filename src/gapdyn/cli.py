@@ -196,22 +196,16 @@ def _cmd_check(args: argparse.Namespace) -> int:
         steady_state_rate,
     )
 
-    # None of the printed values reads theta, a_tfp or leisure l: they are fixed.
-    params = DsgeBlockParams(beta=args.beta, sigma_c=args.sigma_c, theta=1.0 / 3.0, a_tfp=1.0)
+    params = DsgeBlockParams(beta=args.beta, sigma_c=args.sigma_c)
     rate = steady_state_rate(params)
-    # Defaults sit on a flat consumption path with a balanced budget and
-    # zero profit, so every residual is exactly zero until overridden.
-    fields: dict[str, float] = {
-        "c": 1.0, "b": 0.0, "b_next": 0.0, "r": rate,
-        "w": 1.0, "n": 1.0, "k": 1.0, "y": 1.0, "p": 1.0, "r_k": 0.0,
-    }
-    given = dict(_parse_point(args.point or ""))
+    given = _parse_point(args.point or "")
+    keys = {f.name for f in dataclasses.fields(DsgePoint)}
     for key in given:
-        if key not in fields:
+        if key not in keys:
             raise UnknownKey(f"unknown point key {key!r}")
     if "r" not in given and not math.isfinite(rate):
         raise InvariantViolation(f"beta={args.beta!r} overflows r = 1/beta - 1; --point r= sets r")
-    point = DsgePoint(l=1.0, **(fields | given))
+    point = DsgePoint(**({"r": rate} | given))
     print(f"euler_residual={_num(euler_residual(point.c, point.c, point.r, params))}")
     print(f"budget_residual={_num(budget_residual(point))}")
     print(f"profit={_num(profit(point))}")
@@ -278,8 +272,9 @@ def _integrate(cfg: ScenarioConfig, eps: np.ndarray) -> Trajectory:
     return step(cfg.params(), cfg.initial_state(), eps, cfg.grid())
 
 
-def _parse_point(text: str) -> list[tuple[str, float]]:
-    pairs: list[tuple[str, float]] = []
+def _parse_point(text: str) -> dict[str, float]:
+    """The `key=value` entries of a --point list; a key may appear once."""
+    pairs: dict[str, float] = {}
     for chunk in text.split(","):
         chunk = chunk.strip()
         if not chunk:
@@ -288,11 +283,12 @@ def _parse_point(text: str) -> list[tuple[str, float]]:
             raise BadValue(f"point entries must look like key=value, got {chunk!r}")
         key, _, raw = chunk.partition("=")
         key, raw = key.strip(), raw.strip()
+        if key in pairs:
+            raise BadValue(f"duplicate point key {key!r}")
         try:
-            value = float(raw)
+            pairs[key] = float(raw)
         except ValueError:
             raise BadValue(f"point key {key!r} expects a number, got {raw!r}") from None
-        pairs.append((key, value))
     return pairs
 
 

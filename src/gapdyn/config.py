@@ -106,9 +106,10 @@ _ENUM_KEYS = {
 def parse_config(text: str) -> ScenarioConfig:
     """Parse a `key = value` document; `#` starts a comment.
 
-    Unknown keys raise UnknownKey and unparseable values raise BadValue, both
-    with the offending line number.  Cross-field violations (for example a
-    negative dt) raise InvariantViolation naming the field.
+    Unknown keys raise UnknownKey, and unparseable values and repeated keys
+    raise BadValue, all with the offending line number.  Cross-field
+    violations (for example a negative dt) raise InvariantViolation naming
+    the field.
     """
     entries: dict[str, float | int | str] = {}
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
@@ -120,6 +121,8 @@ def parse_config(text: str) -> ScenarioConfig:
         key, _, raw_value = line.partition("=")
         key = key.strip()
         value = raw_value.strip()
+        if key in entries:
+            raise BadValue(f"line {lineno}: duplicate key {key!r}")
         if key in _ENUM_KEYS:
             if value not in _ENUM_KEYS[key]:
                 allowed = ", ".join(_ENUM_KEYS[key])

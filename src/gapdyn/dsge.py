@@ -20,8 +20,8 @@ class DsgeBlockParams:
 
     beta: float
     sigma_c: float
-    theta: float
-    a_tfp: float
+    theta: float = 1.0 / 3.0
+    a_tfp: float = 1.0
 
     def __post_init__(self) -> None:
         _check("beta", self.beta, low=0.0, low_strict=True, high=1.0)
@@ -32,26 +32,26 @@ class DsgeBlockParams:
 
 @dataclass(frozen=True)
 class DsgePoint:
-    """A candidate allocation at which the optimality residuals are evaluated."""
+    """A candidate allocation at which the optimality residuals are evaluated.
+    DsgePoint(r=x) is the unit allocation: at any finite r its budget
+    balances and its profit is exactly zero."""
 
-    c: float        # consumption, > 0
-    l: float        # leisure, >= 0
-    b: float        # bonds held entering the period
-    b_next: float   # bonds carried into the next period
-    r: float        # interest rate, > -1
-    w: float        # wage, >= 0
-    n: float        # labor input, >= 0
-    k: float        # capital input, >= 0
-    y: float        # output, >= 0
-    p: float        # output price, > 0
-    r_k: float      # capital rental rate, >= 0
+    r: float             # interest rate, > -1
+    c: float = 1.0       # consumption, > 0
+    b: float = 0.0       # bonds held entering the period
+    b_next: float = 0.0  # bonds carried into the next period
+    w: float = 1.0       # wage, >= 0
+    n: float = 1.0       # labor input, >= 0
+    k: float = 1.0       # capital input, >= 0
+    y: float = 1.0       # output, >= 0
+    p: float = 1.0       # output price, > 0
+    r_k: float = 0.0     # capital rental rate, >= 0
 
     def __post_init__(self) -> None:
+        _check("r", self.r, low=-1.0, low_strict=True)
         _check("c", self.c, low=0.0, low_strict=True)
-        _check("l", self.l, low=0.0)
         _check("b", self.b)
         _check("b_next", self.b_next)
-        _check("r", self.r, low=-1.0, low_strict=True)
         _check("w", self.w, low=0.0)
         _check("n", self.n, low=0.0)
         _check("k", self.k, low=0.0)

@@ -298,8 +298,9 @@ def recovery_metrics_block(
     sampled at `times`, as four (k,) arrays in RecoveryMetrics' field order:
 
     settling_time   last time with |y| > band, 0.0 if never outside
-    overshoot       |min y| when y starts positive and later changes sign,
-                    else 0.0
+    overshoot       max(-s*y), where s is the sign of the first nonzero
+                    sample, when y changes sign, else 0.0; so -y has the
+                    metrics of y
     zero_crossings  count of strict sign changes (zero samples are skipped
                     when pairing signs)
     terminal_abs    |y| at the final sample
@@ -319,7 +320,9 @@ def recovery_metrics_block(
     flips = np.flatnonzero(positive[1:] != positive[:-1]) + 1
     row = np.searchsorted(ends, flips, side="right")
     crossings = np.bincount(row[flips != ends[row] - counts[row]], minlength=k)
-    overshoot = np.where((y[:, 0] > 0.0) & (crossings >= 1), np.abs(y.min(axis=1)), 0.0)
+    first = y[np.arange(k), np.argmax(nonzero, axis=1)]
+    overshoot = np.where(first > 0.0, -y.min(axis=1), y.max(axis=1))
+    overshoot = np.where(crossings >= 1, overshoot, 0.0)
     return settling, overshoot, crossings, np.abs(y[:, -1])
 
 

@@ -204,6 +204,16 @@ class TestSimulate:
         assert (code, out) == (3, "")
         assert err == "error=Divergence detail=non-finite state at step 1\n"
 
+    @pytest.mark.parametrize("y0", ["1", "-1"])
+    def test_overshoot_does_not_depend_on_the_sign(self, capsys, config_file, y0):
+        cfg = config_file(f"gamma = 0.6\nalpha = 2\nintegrator = rk4\ny0 = {y0}\n")
+        code, out, err = _run(capsys, ["simulate", "--config", cfg])
+        assert (code, err) == (0, "")
+        assert out == (
+            "settling_time=9.6\novershoot=0.505270726293\n"
+            "zero_crossings=9\nterminal_abs=0.00167874245217\n"
+        )
+
     def test_rk4_integrator_accepted(self, capsys, config_file):
         code, out, _ = _run(
             capsys, ["simulate", "--config", config_file("integrator = rk4")]
@@ -388,6 +398,20 @@ class TestImpulse:
         assert code == 0
         first = out_csv.read_text().splitlines()[1]
         assert first.split(",")[3] == "2"
+
+    @pytest.mark.parametrize("magnitude", ["4", "-4"])
+    def test_kick_from_rest_overshoots(self, capsys, config_file, magnitude):
+        # From equilibrium the first swing sets the side, so a kick of either
+        # sign reports the same overshoot.
+        cfg = config_file("gamma = 0.6\nalpha = 2\nintegrator = rk4\ny0 = 0\n")
+        code, out, err = _run(
+            capsys, ["impulse", "--config", cfg, "--magnitude", magnitude, "--at", "2.5"]
+        )
+        assert (code, err) == (0, "")
+        assert out == (
+            "settling_time=8.3\novershoot=0.106432147766\n"
+            "zero_crossings=7\nterminal_abs=0.00131020075127\n"
+        )
 
     def test_kick_outside_grid(self, capsys, config_file):
         code, _, err = _run(
@@ -593,6 +617,17 @@ class TestCheck:
         )
         assert code == 2
         assert err.startswith("error=BadValue")
+
+    @pytest.mark.parametrize("point, detail", [
+        ("c", "point entries must look like key=value, got 'c'"),
+        ("c=1,c=2", "duplicate point key 'c'"),
+        ("r=0.05,b=1, r = 0.05", "duplicate point key 'r'"),
+    ])
+    def test_malformed_point_is_bad_value(self, capsys, point, detail):
+        code, out, err = _run(
+            capsys, ["check", "--beta", "0.99", "--sigma-c", "2.0", "--point", point]
+        )
+        assert (code, out, err) == (2, "", f"error=BadValue detail={detail}\n")
 
     @pytest.mark.parametrize("sigma_c, point", [("2.0", "c=1e-200"), ("1e308", "c=0.5")])
     def test_overflowing_residual_prints_nan(self, capsys, sigma_c, point):

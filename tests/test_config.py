@@ -82,6 +82,18 @@ class TestGrammar:
         with pytest.raises(BadValue):
             parse_config("shock = white-noise\nshock_seed = 1.5")
 
+    # A repeated key is an error, not an override: its first value would
+    # be an input that changes nothing.
+    @pytest.mark.parametrize("text, key", [
+        ("gamma = 1\ngamma = 3\n", "gamma"),
+        ("shock = ar1\nshock = ar1\n", "shock"),
+        ("shock_seed = 1\nshock_seed = x\n", "shock_seed"),
+    ])
+    def test_repeated_key_is_rejected(self, text, key):
+        with pytest.raises(BadValue) as excinfo:
+            parse_config(text)
+        assert str(excinfo.value) == f"line 2: duplicate key {key!r}"
+
 
 class TestInvariants:
     def test_negative_dt_names_the_field(self):

@@ -22,10 +22,7 @@ CRRA2 = DsgeBlockParams(beta=0.99, sigma_c=2.0, theta=0.3, a_tfp=1.0)
 
 
 def _point(**overrides) -> DsgePoint:
-    fields = dict(c=1.0, l=1.0, b=0.0, b_next=0.0, r=0.05, w=1.0, n=1.0,
-                  k=1.0, y=1.0, p=1.0, r_k=0.0)
-    fields.update(overrides)
-    return DsgePoint(**fields)
+    return DsgePoint(**({"r": 0.05} | overrides))
 
 
 class TestParamInvariants:
@@ -51,8 +48,6 @@ class TestParamInvariants:
             _point(r=-1.0)
         with pytest.raises(InvariantViolation):
             _point(p=0.0)
-        with pytest.raises(InvariantViolation):
-            _point(l=-0.1)
 
 
 class TestUtility:

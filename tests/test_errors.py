@@ -41,7 +41,7 @@ _VALID = [
     TimeGrid(t0=0.0, dt=0.1, n_steps=3),
     ScenarioConfig(),
     DsgeBlockParams(beta=0.99, sigma_c=2.0, theta=0.3, a_tfp=1.0),
-    DsgePoint(c=1.2, l=0.5, b=0.5, b_next=0.4, r=0.03, w=1.1, n=0.9, k=2.0,
+    DsgePoint(c=1.2, b=0.5, b_next=0.4, r=0.03, w=1.1, n=0.9, k=2.0,
               y=1.3, p=1.0, r_k=0.05),
     ObservedSeries(dt=0.1, values=[1.0, 0.5]),
 ]

@@ -191,3 +191,38 @@ def test_only_errors_words_a_finiteness_check():
                 if wording.match(node.value):
                     found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+def _name(node):
+    """The name that a Name or an attribute node ends in, else None."""
+    return node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+
+
+def test_every_record_field_is_read():
+    # A record field that nothing reads is an input that changes nothing, so
+    # every @dataclass field is loaded as `x.<field>` somewhere outside an
+    # errors._check call, which only tests its domain.  Reads are matched by
+    # name, not by the type of x.
+    fields, read = [], set()
+    for path in sorted(Path(gapdyn.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        checked = {
+            id(arg) for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and _name(node.func) == "_check"
+            for arg in node.args
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef) and any(
+                _name(d.func if isinstance(d, ast.Call) else d) == "dataclass"
+                for d in node.decorator_list
+            ):
+                fields += [
+                    (f"{path.name}:{node.name}.{stmt.target.id}", stmt.target.id)
+                    for stmt in node.body
+                    if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+                ]
+            elif (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+                  and id(node) not in checked):
+                read.add(node.attr)
+    assert len(fields) >= 50
+    assert [where for where, name in fields if name not in read] == []

@@ -77,10 +77,21 @@ class TestStandardNormals:
         draws = standard_normals(9, 1_000_000)
         assert draws.var() == pytest.approx(1.0, rel=0.01)
 
+    @pytest.mark.parametrize("n", [-1, 2.5])
+    def test_count_must_be_a_natural_number(self, n):
+        with pytest.raises(InvariantViolation) as excinfo:
+            standard_normals(0, n)
+        assert str(excinfo.value) == f"n must be an integer >= 0, got {n!r}"
+
 
 class TestRealize:
     def test_no_shock_is_all_zeros(self):
         assert np.all(realize(NoShock(), GRID) == 0.0)
+
+    def test_kind_name_is_not_a_spec(self):
+        with pytest.raises(InvariantViolation) as excinfo:
+            realize("impulse", TimeGrid(0.0, 0.1, 3))
+        assert str(excinfo.value) == "unknown shock spec 'impulse'"
 
     def test_impulse_at_origin(self):
         eps = realize(Impulse(at=0.0, magnitude=1.0), GRID)

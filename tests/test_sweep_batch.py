@@ -47,7 +47,7 @@ def _reference_metrics(y, times, band=0.05):
     signs = np.sign(y)
     signs = signs[signs != 0.0]
     crossings = int(np.count_nonzero(signs[1:] != signs[:-1]))
-    overshoot = abs(float(np.min(y))) if (y[0] > 0.0 and crossings >= 1) else 0.0
+    overshoot = float(np.max(-signs[0] * y)) if crossings >= 1 else 0.0
     return settling, overshoot, crossings, abs(float(y[-1]))
 
 
@@ -74,11 +74,14 @@ class TestBlockMetricsEdges:
         _assert_block_matches_rows(y[None, :], self.TIMES)
         assert recovery_metrics_block(y[None, :], self.TIMES)[2][0] == 3
 
-    @pytest.mark.parametrize("y0", [0.0, -0.0, -1.0])
-    def test_start_not_positive(self, y0):
+    # The first nonzero sample sets the side: from a zero start the path
+    # rises to 1, so it overshoots to -2; from -1 it overshoots to 1.
+    @pytest.mark.parametrize("y0, overshoot", [(0.0, 2.0), (-0.0, 2.0), (-1.0, 1.0)],
+                             ids=["0.0", "-0.0", "-1.0"])
+    def test_start_not_positive(self, y0, overshoot):
         y = np.array([y0, 1.0, -1.0, 0.5, 0.0, -2.0, 0.3, 0.0, 0.0, 0.1, -0.2])
         _assert_block_matches_rows(y[None, :], self.TIMES)
-        assert recovery_metrics_block(y[None, :], self.TIMES)[1][0] == 0.0
+        assert recovery_metrics_block(y[None, :], self.TIMES)[1][0] == overshoot
 
     def test_never_leaves_band(self):
         y = np.array([0.01, -0.02, 0.03, 0.0, 0.04, -0.05, 0.05, 0.0, -0.01, 0.0, 0.02])
@@ -116,6 +119,23 @@ class TestBlockMetricsEdges:
     )
     def test_any_block_matches_rows(self, block, band):
         _assert_block_matches_rows(block, 0.25 * np.arange(block.shape[1]) + 3.0, band)
+
+    @settings(_SETTINGS, max_examples=200)
+    @given(
+        arrays(float, st.tuples(st.integers(1, 6), st.integers(1, 30)), elements=st.sampled_from(
+            [0.0, -0.0, 0.04, -0.05, 1.0, -2.5, 1e-300]) | st.floats(-3.0, 3.0)),
+        st.integers(0, 30), st.integers(0, 6), st.sampled_from([0.0, -0.0]),
+        st.sampled_from([0.05, 0.5, 1e-3]),
+    )
+    def test_negated_block_has_the_same_metrics(self, block, lead, zero_rows, zero, band):
+        # -y solves the model under -eps, so every metric of -y is that of y,
+        # after leading zeros of either sign and on all-zero rows too.
+        block[:, :lead] = zero
+        block[:zero_rows] = zero
+        times = 0.25 * np.arange(block.shape[1])
+        want = recovery_metrics_block(block, times, band)
+        got = recovery_metrics_block(-block, times, band)
+        assert [_bits(column) for column in got] == [_bits(column) for column in want]
 
 
 class TestIntegrateBatch:
