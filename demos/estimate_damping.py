@@ -40,6 +40,6 @@ print(f"loaded {series.values.size} observations at dt={series.dt}")
 # sees the forcing only after one integration step, hence the smaller number.
 for fit in (estimate_ar2(series), estimate_mle(series)):
     gamma_err = abs(fit.gamma_hat - TRUE_GAMMA) / TRUE_GAMMA
-    print(f"{fit.method.value}: gamma_hat={fit.gamma_hat:.4f} "
+    print(f"{fit.method}: gamma_hat={fit.gamma_hat:.4f} "
           f"({100 * gamma_err:.1f}% off), alpha_hat={fit.alpha_hat:.4f}, "
           f"sigma_hat={fit.sigma_hat:.4f}, loglik={fit.loglik:.2f}")

@@ -25,7 +25,7 @@ curves = []
 for gamma in (0.5, 2.0, 4.0):
     params = OscillatorParams(gamma=gamma, alpha=1.0)
     traj = analytic_trajectory(params, start, grid)
-    label = classify(params).value.replace("-", " ").capitalize()
+    label = classify(params).replace("-", " ").capitalize()
     curves.append((label, traj.y))
 
     m = recovery_metrics(traj, band=0.05)

@@ -23,7 +23,7 @@ __version__ = "0.1.0"
 # The public names, by the submodule that defines them: every error class
 # in `errors`, and the names listed for the others.
 _EXPORTS = {
-    "config": ("Integrator", "ScenarioConfig", "parse_config"),
+    "config": ("ScenarioConfig", "parse_config"),
     "dsge": (
         "DsgeBlockParams", "DsgePoint", "budget_residual", "euler_residual",
         "production", "profit", "steady_state_rate", "utility",
@@ -33,7 +33,7 @@ _EXPORTS = {
         if isinstance(value, type) and issubclass(value, errors.GapdynError)
     ),
     "estimation": (
-        "EstimationResult", "Method", "ObservedSeries", "conditional_loglik",
+        "EstimationResult", "ObservedSeries", "conditional_loglik",
         "discretize_exact", "estimate_ar2", "estimate_mle",
     ),
     "integrate": (
@@ -42,7 +42,7 @@ _EXPORTS = {
     ),
     "oscillator": (
         "DEFAULT_REL_TOL", "OscillatorParams", "OscState", "PhysicalOscillator",
-        "Regime", "classify", "energy", "from_physical", "solve_analytic",
+        "classify", "energy", "from_physical", "solve_analytic",
     ),
     "seriesio": ("read_series_csv", "write_trajectory_csv"),
     "shocks": (

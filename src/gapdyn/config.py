@@ -9,7 +9,7 @@ dt = 0.1 with no forcing:
     t_end = 20.0         dt = 0.1
     integrator = euler   shock = none
 
-Shock kinds and their parameter keys:
+Shock kinds and their parameter keys; a key of another kind is BadValue:
 
     shock = none
     shock = impulse      shock_at, shock_magnitude
@@ -19,25 +19,22 @@ Shock kinds and their parameter keys:
 
 from __future__ import annotations
 
-import enum
 import math
 import sys
 from dataclasses import dataclass, field, fields
 
 from .errors import BadValue, InvariantViolation, UnknownKey, _check
-from .integrate import TimeGrid
+from .integrate import _STEPS, TimeGrid, _scheme
 from .oscillator import OscillatorParams, OscState
 from .shocks import Ar1, Impulse, NoShock, ShockSpec, WhiteNoise
 
 
-class Integrator(enum.Enum):
-    EULER = "euler"
-    RK4 = "rk4"
-
-
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """One simulation scenario: dynamics, initial state, grid, and forcing."""
+    """One simulation scenario: dynamics, initial state, grid, and forcing.
+
+    `integrator` names the stepping scheme, "euler" or "rk4".
+    """
 
     gamma: float = 2.0
     alpha: float = 1.0
@@ -46,7 +43,7 @@ class ScenarioConfig:
     t_end: float = 20.0
     dt: float = 0.1
     shock: ShockSpec = field(default_factory=NoShock)
-    integrator: Integrator = Integrator.EULER
+    integrator: str = "euler"
 
     def __post_init__(self) -> None:
         self.params()
@@ -54,9 +51,7 @@ class ScenarioConfig:
         _check("ydot0", self.ydot0)
         _check("t_end", self.t_end, low=0, low_strict=True)
         _check("dt", self.dt, low=0, low_strict=True)
-        if not isinstance(self.integrator, Integrator):
-            names = " or ".join(f"Integrator({scheme.value!r})" for scheme in Integrator)
-            raise InvariantViolation(f"integrator must be {names}, got {self.integrator!r}")
+        _scheme("integrator", self.integrator)
         if not isinstance(self.shock, ShockSpec):
             *rest, last = (kind.__name__ for kind in ShockSpec.__args__)
             names = f"{', '.join(rest)} or {last}"
@@ -98,7 +93,7 @@ _DEFAULTS.update(
     (f"shock_{f.name}", f.default) for kind in _SHOCK_KINDS.values() for f in fields(kind)
 )
 _ENUM_KEYS = {
-    "integrator": tuple(scheme.value for scheme in Integrator),
+    "integrator": tuple(_STEPS),
     "shock": tuple(_SHOCK_KINDS),
 }
 
@@ -106,12 +101,14 @@ _ENUM_KEYS = {
 def parse_config(text: str) -> ScenarioConfig:
     """Parse a `key = value` document; `#` starts a comment.
 
-    Unknown keys raise UnknownKey, and unparseable values and repeated keys
-    raise BadValue, all with the offending line number.  Cross-field
-    violations (for example a negative dt) raise InvariantViolation naming
-    the field.
+    Unknown keys raise UnknownKey, and unparseable values, repeated keys
+    and a shock_f key whose field f the chosen shock kind lacks raise
+    BadValue, all with the offending line number (the lowest stray shock_f
+    key's).  Cross-field violations (for example a negative dt) raise
+    InvariantViolation naming the field.
     """
     entries: dict[str, float | int | str] = {}
+    lines: dict[str, int] = {}
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.split("#", 1)[0].strip()
         if not line:
@@ -121,8 +118,9 @@ def parse_config(text: str) -> ScenarioConfig:
         key, _, raw_value = line.partition("=")
         key = key.strip()
         value = raw_value.strip()
-        if key in entries:
+        if key in lines:
             raise BadValue(f"line {lineno}: duplicate key {key!r}")
+        lines[key] = lineno
         if key in _ENUM_KEYS:
             if value not in _ENUM_KEYS[key]:
                 allowed = ", ".join(_ENUM_KEYS[key])
@@ -138,14 +136,13 @@ def parse_config(text: str) -> ScenarioConfig:
         else:
             raise UnknownKey(f"line {lineno}: unknown key {key!r}")
 
-    shock_args = {
-        key.removeprefix("shock_"): entries.pop(key)
-        for key in list(entries) if key.startswith("shock_")
-    }
-    # The chosen kind takes its keys; those of the other kinds go unused.
-    kind = _SHOCK_KINDS[entries.pop("shock", "none")]
-    shock = kind(**{f.name: shock_args[f.name] for f in fields(kind) if f.name in shock_args})
-    if "integrator" in entries:
-        entries["integrator"] = Integrator(entries["integrator"])
+    name = entries.pop("shock", "none")
+    kind = _SHOCK_KINDS[name]
+    taken = {f"shock_{f.name}" for f in fields(kind)}
+    # Entries keep line order, so the first stray key is on the lowest line.
+    for key in entries:
+        if key.startswith("shock_") and key not in taken:
+            raise BadValue(f"line {lines[key]}: {key} does not apply to shock = {name}")
+    shock = kind(**{key.removeprefix("shock_"): entries.pop(key) for key in taken & entries.keys()})
     # Every key left names a ScenarioConfig field.
     return ScenarioConfig(shock=shock, **entries)

@@ -16,7 +16,6 @@ over each step samples to ARMA(2,1) with correlated innovations.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
@@ -36,13 +35,6 @@ _EPS = 2.0**-52
 _EDGE_NUDGE = 1e-12
 
 
-class Method(enum.Enum):
-    """Which fitting route produced an estimate."""
-
-    AR2_OLS = "ar2"
-    MLE = "mle"
-
-
 @dataclass(frozen=True)
 class ObservedSeries:
     """Uniformly sampled gap observations: sampling interval and values."""
@@ -60,11 +52,13 @@ class ObservedSeries:
 
 @dataclass(frozen=True)
 class EstimationResult:
+    """A fit of (gamma, alpha); `method` names its estimator, "ar2" or "mle"."""
+
     gamma_hat: float
     alpha_hat: float
     sigma_hat: float
     loglik: float
-    method: Method
+    method: str
     converged: bool
     n_obs: int
 
@@ -116,7 +110,7 @@ def estimate_ar2(series: ObservedSeries) -> EstimationResult:
     dt = series.dt
     alpha_hat = _root_product(phi1, phi2, dt)
     converged = math.isfinite(alpha_hat) and alpha_hat > 0.0
-    return fit.result(Method.AR2_OLS, -math.log(mag2) / dt, alpha_hat, fit.ssr, dt, converged)
+    return fit.result("ar2", -math.log(mag2) / dt, alpha_hat, fit.ssr, dt, converged)
 
 
 def estimate_mle(series: ObservedSeries) -> EstimationResult:
@@ -175,7 +169,7 @@ def estimate_mle(series: ObservedSeries) -> EstimationResult:
             gamma, alpha = _ulp_polish(float_ssr, gamma, alpha)
     else:
         gamma, alpha = min(_boundary_candidates(fit, dt), key=lambda cand: excess(*cand))
-    return fit.result(Method.MLE, gamma, alpha, float_ssr(gamma, alpha), dt, interior)
+    return fit.result("mle", gamma, alpha, float_ssr(gamma, alpha), dt, interior)
 
 
 def _boundary_candidates(fit: _LagFit, dt: float) -> list[tuple[float, float]]:
@@ -265,7 +259,7 @@ class _ScaledLags:
         log_var = math.log(2.0 * math.pi * max(ssr, 1e-300) / self.m)
         return -0.5 * self.m * (log_var + 2.0 * self.shift * math.log(2.0) + 1.0)
 
-    def result(self, method: Method, gamma: float, alpha: float, ssr: float, dt: float,
+    def result(self, method: str, gamma: float, alpha: float, ssr: float, dt: float,
                converged: bool) -> EstimationResult:
         sigma = math.sqrt(ssr / self.m / dt)
         # math.ldexp raises OverflowError past the float range: sigma_hat is inf there.

@@ -120,6 +120,16 @@ def _rk4_steps(y, v, eps, ng, a, dt) -> None:
 
 _STEPS = {"euler": _euler_steps, "rk4": _rk4_steps}
 
+
+def _scheme(name: str, scheme):
+    """The step loop of `scheme`, a key of _STEPS; any other value raises
+    InvariantViolation as the value of `name`."""
+    if not (isinstance(scheme, str) and scheme in _STEPS):
+        names = " or ".join(map(repr, _STEPS))
+        raise InvariantViolation(f"{name} must be {names}, got {scheme!r}")
+    return _STEPS[scheme]
+
+
 # Steps between two checks for a settled state: bounds the steps taken after
 # a run settles, not a tuning knob.
 _CHUNK = 1024
@@ -222,7 +232,8 @@ def _run(steps, ng, a, init, forcing, grid, cols):
     # Overflow to inf is reported as Divergence, so silence the warning that
     # (k,) rows or numpy scalars in `params` would give.
     with np.errstate(over="ignore", invalid="ignore"):
-        _step_nodes(steps, y, v, eps, ng, a, grid.dt)
+        if y.size:  # else cols is (0,): no parameter set to step
+            _step_nodes(steps, y, v, eps, ng, a, grid.dt)
     _check_finite(y.reshape(grid.n_steps, -1), v.reshape(grid.n_steps, -1))
     return y, v, eps
 
@@ -251,12 +262,10 @@ def integrate_batch(
     checked as in those steppers.  The lowest-index parameter set whose
     path turns non-finite raises Divergence at its first non-finite node.
     """
-    if scheme not in _STEPS:
-        names = " or ".join(map(repr, _STEPS))
-        raise InvariantViolation(f"scheme must be {names}, got {scheme!r}")
+    steps = _scheme("scheme", scheme)
     ng = -np.array([p.gamma for p in params], dtype=float)
     a = np.array([p.alpha for p in params], dtype=float)
-    return _run(_STEPS[scheme], ng, a, init, forcing, grid, (len(params),))[0].T
+    return _run(steps, ng, a, init, forcing, grid, (len(params),))[0].T
 
 
 # Bytes of positions that sweep_metrics steps at once: the parameter sets go
@@ -278,15 +287,17 @@ def sweep_metrics(
     The paths come from integrate_batch, so entry j is bit-identical to
     stepping params[j] with the scalar stepper and calling
     recovery_metrics; the lowest-index diverging parameter set raises its
-    Divergence.
+    Divergence.  No parameter sets give four (0,) arrays, after the same
+    checks of `scheme` and `forcing`.
     """
     cols = max(1, _SWEEP_BLOCK_BYTES // (8 * grid.n_steps))
     times = grid.times()
+    # At least one block, so an empty `params` is checked too.
     blocks = [
         recovery_metrics_block(
             integrate_batch(params[i : i + cols], init, forcing, grid, scheme), times
         )
-        for i in range(0, len(params), cols)
+        for i in range(0, max(len(params), 1), cols)
     ]
     return tuple(np.concatenate(column) for column in zip(*blocks))
 

@@ -14,7 +14,6 @@ gamma = c/m and alpha = k/m.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
@@ -81,21 +80,14 @@ class OscState:
         _check("ydot", self.ydot)
 
 
-class Regime(enum.Enum):
-    """Damping regime of the homogeneous solution."""
-
-    UNDER_DAMPED = "under-damped"
-    CRITICALLY_DAMPED = "critically-damped"
-    OVER_DAMPED = "over-damped"
-
-
 def from_physical(osc: PhysicalOscillator) -> OscillatorParams:
     """Reduce a mass/friction/stiffness triple to (gamma, alpha) = (c/m, k/m)."""
     return OscillatorParams(gamma=osc.c / osc.m, alpha=osc.k / osc.m)
 
 
-def classify(params: OscillatorParams, rel_tol: float = DEFAULT_REL_TOL) -> Regime:
-    """Classify the damping regime from the sign of gamma^2 - 4*alpha.
+def classify(params: OscillatorParams, rel_tol: float = DEFAULT_REL_TOL) -> str:
+    """The damping regime of the homogeneous solution, "under-damped",
+    "critically-damped" or "over-damped", from the sign of gamma^2 - 4*alpha.
 
     Floating point makes the exact boundary undecidable, so the regime is
     critical whenever |gamma^2 - 4*alpha| <= rel_tol * max(gamma^2, 4*alpha).
@@ -108,8 +100,8 @@ def classify(params: OscillatorParams, rel_tol: float = DEFAULT_REL_TOL) -> Regi
     _, gg, fa = _scaled_squares(params)
     d = gg - fa
     if abs(d) <= rel_tol * max(gg, fa):
-        return Regime.CRITICALLY_DAMPED
-    return Regime.UNDER_DAMPED if d < 0.0 else Regime.OVER_DAMPED
+        return "critically-damped"
+    return "under-damped" if d < 0.0 else "over-damped"
 
 
 def _scaled_squares(params: OscillatorParams) -> tuple[int, float, float]:

@@ -18,6 +18,7 @@ from gapdyn import (
     write_trajectory_csv,
 )
 from gapdyn.cli import main
+from gapdyn.integrate import _STEPS
 
 
 def _run(capsys, argv):
@@ -213,6 +214,30 @@ class TestSimulate:
             "settling_time=9.6\novershoot=0.505270726293\n"
             "zero_crossings=9\nterminal_abs=0.00167874245217\n"
         )
+
+    def test_key_of_another_shock_kind_exit_2(self, capsys, config_file):
+        cfg = config_file("shock = white-noise\nshock_rho = 0.95\n")
+        code, out, err = _run(capsys, ["simulate", "--config", cfg])
+        assert (code, out) == (2, "")
+        assert err == "error=BadValue detail=line 2: shock_rho does not apply to shock = white-noise\n"
+
+    @pytest.mark.parametrize("scheme", sorted(_STEPS))
+    def test_steps_through_the_module_stepper(self, capsys, config_file, monkeypatch, scheme):
+        # The stepper is read from gapdyn.integrate when the run steps, so a
+        # wrapper put there (a tracer's, say) sees the run.
+        import gapdyn.integrate as integrate
+
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return stepper(*args)
+
+        stepper = getattr(integrate, f"integrate_{scheme}")
+        monkeypatch.setattr(integrate, f"integrate_{scheme}", counted)
+        code, _, _ = _run(capsys, ["simulate", "--config", config_file(f"integrator = {scheme}\n")])
+        assert code == 0
+        assert len(calls) == 1
 
     def test_rk4_integrator_accepted(self, capsys, config_file):
         code, out, _ = _run(

@@ -1,4 +1,5 @@
-"""The package namespace: lazy exports and the numpy-free import boundary.
+"""The package namespace: lazy exports, the numpy-free import boundary, and
+the dependencies each folder may import.
 
 `import gapdyn` and `import gapdyn.cli` load no numpy, and neither do the
 commands that need none (`classify`, `check`, usage errors).  Boundary checks
@@ -20,6 +21,7 @@ import gapdyn
 from gapdyn.cli import main
 
 _SRC = str(Path(gapdyn.__file__).resolve().parents[1])
+_ROOT = Path(__file__).resolve().parents[1]
 _NUMPY_LOADED = "sorted(m for m in sys.modules if m == 'numpy' or m.startswith('numpy.'))"
 
 
@@ -42,6 +44,23 @@ class TestLazyExports:
                 if inspect.isclass(value) or inspect.isfunction(value):
                     assert value.__module__ == owner.__name__, name
         assert set(gapdyn.__all__) == {"errors", *gapdyn._OWNER}
+
+    def test_readme_tour_lists_every_export(self):
+        tour = (_ROOT / "README.md").read_text(encoding="utf-8")
+        tour = tour.split("\n## Library tour\n", 1)[1].split("\n## ", 1)[0]
+        rows = {}
+        for line in tour.splitlines():
+            cells = line.strip("|").split("|")
+            module = re.fullmatch(r"\s*`gapdyn\.(\w+)`\s*", cells[0])
+            if line.startswith("|") and module:
+                rows[module[1]] = sorted(re.findall(r"`(\w+)`", cells[1]))
+        assert sorted(rows) == sorted(gapdyn._EXPORTS)
+        for module, names in rows.items():
+            if module == "errors":
+                # The row gives examples; each must be an error class.
+                assert names and set(names) <= set(gapdyn._EXPORTS["errors"])
+            else:
+                assert names == sorted(gapdyn._EXPORTS[module]), module
 
     def test_star_import_and_dir_in_fresh_process(self):
         proc = _fresh(
@@ -226,3 +245,28 @@ def test_every_record_field_is_read():
                 read.add(node.attr)
     assert len(fields) >= 50
     assert [where for where, name in fields if name not in read] == []
+
+
+@pytest.mark.parametrize("folder, allowed", [
+    ("src/gapdyn", {"numpy"}),
+    ("demos", {"numpy", "gapdyn"}),
+    ("tests", {"numpy", "gapdyn", "pytest", "hypothesis"}),
+])
+def test_imports_stay_within_the_dependencies(folder, allowed):
+    # gapdyn needs numpy only; demos add gapdyn, and tests add their runners.
+    # Tests may not lean on a package that merely happens to be installed.
+    # A folder's own modules (tests importing test_golden) are allowed.
+    root = _ROOT / folder
+    allowed = allowed | set(sys.stdlib_module_names) | {p.stem for p in root.glob("*.py")}
+    found = []
+    for path in sorted(root.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {name}" for name in names
+                      if name.partition(".")[0] not in allowed]
+    assert found == []

@@ -33,7 +33,7 @@ from gapdyn import (
     recovery_metrics,
     standard_normals,
 )
-from gapdyn.integrate import integrate_batch, recovery_metrics_block
+from gapdyn.integrate import integrate_batch, recovery_metrics_block, sweep_metrics
 from gapdyn.shocks import realize
 
 _SETTINGS = settings(deadline=None, derandomize=True, database=None)
@@ -194,6 +194,26 @@ class TestIntegrateBatch:
         want = "scheme must be 'euler' or 'rk4', got 'leapfrog'"
         with pytest.raises(InvariantViolation, match=f"^{re.escape(want)}$"):
             integrate_batch(self.PARAMS, OscState(1.0, 0.0), np.zeros(301), self.GRID, "leapfrog")
+
+    @pytest.mark.parametrize("count", [0, 6])
+    @pytest.mark.parametrize(
+        "scheme", ["leapfrog", "RK4", None, ["rk4"]], ids=["leapfrog", "RK4", "None", "list"]
+    )
+    @pytest.mark.parametrize("run", [integrate_batch, sweep_metrics])
+    def test_bad_scheme_is_worded_once(self, run, scheme, count):
+        want = f"scheme must be 'euler' or 'rk4', got {scheme!r}"
+        with pytest.raises(InvariantViolation) as excinfo:
+            run(self.PARAMS[:count], OscState(1.0, 0.0), np.zeros(301), self.GRID, scheme)
+        assert str(excinfo.value) == want
+
+    @pytest.mark.parametrize("scheme", ["euler", "rk4"])
+    def test_sweep_of_no_parameter_sets(self, scheme):
+        init = OscState(1.0, 0.0)
+        got = sweep_metrics([], init, np.zeros(301), self.GRID, scheme)
+        some = sweep_metrics(self.PARAMS, init, np.zeros(301), self.GRID, scheme)
+        assert [(c.shape, c.dtype) for c in got] == [((0,), c.dtype) for c in some]
+        with pytest.raises(InvariantViolation):
+            sweep_metrics([], init, np.zeros(300), self.GRID, scheme)
 
     def test_forcing_shape_checked(self):
         with pytest.raises(InvariantViolation):
