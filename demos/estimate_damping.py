@@ -25,7 +25,7 @@ from gapdyn import (
 TRUE_GAMMA, TRUE_ALPHA = 2.0, 1.0
 
 # A long sample keeps the estimators honest: 200 years, 2001 observations.
-grid = TimeGrid(t0=0.0, dt=0.1, n_steps=2001)
+grid = TimeGrid(dt=0.1, n_steps=2001)
 params = OscillatorParams(TRUE_GAMMA, TRUE_ALPHA)
 eps = realize(WhiteNoise(sigma=0.05, seed=3), grid)
 traj = integrate_euler(params, OscState(0.0, 0.0), eps, grid)

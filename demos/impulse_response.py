@@ -18,7 +18,7 @@ from gapdyn import (
 )
 
 # Start exactly at potential and hit the economy once at t = 2.
-grid = TimeGrid(t0=0.0, dt=0.1, n_steps=201)
+grid = TimeGrid(dt=0.1, n_steps=201)
 rest = OscState(y=0.0, ydot=0.0)
 kick = Impulse(at=2.0, magnitude=5.0)
 eps = realize(kick, grid)
@@ -31,9 +31,9 @@ for name, gamma in [("Under-damped", 0.5), ("Critically-damped", 2.0),
                     ("Over-damped", 4.0)]:
     traj = integrate_euler(OscillatorParams(gamma, 1.0), rest, eps, grid)
     curves.append((name, traj.y))
-    m = recovery_metrics(traj, band=0.05)
+    m = recovery_metrics(traj)
     print(f"{name}: peak {np.max(np.abs(traj.y)):.3f}, "
-          f"back inside the band at {m.settling_time:g}")
+          f"back inside |y| <= 0.05 at {m.settling_time:g}")
 
 write_svg("impulse_response.svg", grid.times(), curves,
           title="Response to a one-time shock", y_label="output gap")

@@ -8,7 +8,7 @@ import numpy as np
 
 from gapdyn import Ar1, TimeGrid, WhiteNoise, realize, standard_normals, write_svg
 
-grid = TimeGrid(t0=0.0, dt=0.1, n_steps=201)
+grid = TimeGrid(dt=0.1, n_steps=201)
 
 # Same seed, same underlying draws: persistence is the only difference.
 white = realize(WhiteNoise(sigma=0.3, seed=5), grid)

@@ -18,7 +18,7 @@ from gapdyn import (
 )
 
 # a 20-year window sampled ten times per year
-grid = TimeGrid(t0=0.0, dt=0.1, n_steps=201)
+grid = TimeGrid(dt=0.1, n_steps=201)
 start = OscState(y=1.0, ydot=0.0)
 
 curves = []
@@ -28,7 +28,7 @@ for gamma in (0.5, 2.0, 4.0):
     label = classify(params).replace("-", " ").capitalize()
     curves.append((label, traj.y))
 
-    m = recovery_metrics(traj, band=0.05)
+    m = recovery_metrics(traj)
     print(f"gamma={gamma}: settles in {m.settling_time:g} with "
           f"{m.zero_crossings} crossings, overshoot {m.overshoot:g}")
 
@@ -37,7 +37,6 @@ write_svg(
     grid.times(),
     curves,
     title="Output gap dynamics under different damping conditions",
-    x_label="time",
     y_label="output gap",
 )
 print("wrote three_regimes.svg")

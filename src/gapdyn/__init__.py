@@ -41,8 +41,8 @@ _EXPORTS = {
         "integrate_euler", "integrate_rk4", "recovery_metrics",
     ),
     "oscillator": (
-        "DEFAULT_REL_TOL", "OscillatorParams", "OscState", "PhysicalOscillator",
-        "classify", "energy", "from_physical", "solve_analytic",
+        "OscillatorParams", "OscState", "PhysicalOscillator", "classify",
+        "energy", "from_physical", "solve_analytic",
     ),
     "seriesio": ("read_series_csv", "write_trajectory_csv"),
     "shocks": (

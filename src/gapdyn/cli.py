@@ -14,7 +14,8 @@ Each error class in errors.py owns its family as `exit_code`; main maps an
 OSError to 2 and a usage error to 1.
 
 Seed precedence for seeded shocks: the --seed flag beats shock_seed in the
-config file.  A run reads its arguments and files, no environment variable.
+config file; with a shock kind that draws nothing, --seed is BadValue.  A
+run reads its arguments and files, no environment variable.
 
 Every layer is imported inside the functions that use it, so a command loads
 only its own layers, and `classify`, `check` and usage errors start without
@@ -213,13 +214,17 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def _load_config(path: str, seed_flag: int | None) -> ScenarioConfig:
-    """The scenario in `path`, with `seed_flag`, if given, as a seeded shock's seed."""
-    from .config import parse_config
+    """The scenario in `path`, with `seed_flag`, if given, as its shock's
+    seed; a shock kind without a seed makes the flag BadValue."""
+    from .config import _SHOCK_KINDS, parse_config
     from .seriesio import read_text
 
     cfg = parse_config(read_text(path))
-    if seed_flag is None or not hasattr(cfg.shock, "seed"):
+    if seed_flag is None:
         return cfg
+    if not hasattr(cfg.shock, "seed"):
+        name = next(name for name, kind in _SHOCK_KINDS.items() if type(cfg.shock) is kind)
+        raise BadValue(f"--seed does not apply to shock = {name}")
     return dataclasses.replace(cfg, shock=dataclasses.replace(cfg.shock, seed=seed_flag))
 
 
@@ -242,13 +247,7 @@ def _run_scenario(cfg: ScenarioConfig, args: argparse.Namespace) -> int:
         from .svgplot import write_svg
 
         label = classify(cfg.params())
-        write_svg(
-            args.svg,
-            traj.grid.times(),
-            [(label, traj.y)],
-            x_label="time",
-            y_label="output gap",
-        )
+        write_svg(args.svg, traj.grid.times(), [(label, traj.y)], y_label="output gap")
     metrics = recovery_metrics(traj)
     print(f"settling_time={_num(metrics.settling_time)}")
     print(f"overshoot={_num(metrics.overshoot)}")

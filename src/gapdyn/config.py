@@ -74,7 +74,7 @@ class ScenarioConfig:
         return math.floor(self.t_end / self.dt) + 1
 
     def grid(self) -> TimeGrid:
-        return TimeGrid(t0=0.0, dt=self.dt, n_steps=self.n_steps)
+        return TimeGrid(dt=self.dt, n_steps=self.n_steps)
 
     def params(self) -> OscillatorParams:
         return OscillatorParams(gamma=self.gamma, alpha=self.alpha)

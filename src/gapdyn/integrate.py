@@ -39,24 +39,22 @@ from .oscillator import OscillatorParams, OscState, _homogeneous
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Uniform sampling grid: n_steps samples spaced dt apart, starting at t0."""
+    """Uniform sampling grid: n_steps samples spaced dt apart, starting at 0."""
 
-    t0: float
     dt: float
     n_steps: int
 
     def __post_init__(self) -> None:
-        _check("t0", self.t0)
         _check("dt", self.dt, low=0, low_strict=True)
         if not (isinstance(self.n_steps, int) and self.n_steps >= 1):
             raise InvariantViolation(f"n_steps must be an integer >= 1, got {self.n_steps!r}")
 
     @property
     def t_end(self) -> float:
-        return self.t0 + (self.n_steps - 1) * self.dt
+        return (self.n_steps - 1) * self.dt
 
     def times(self) -> np.ndarray:
-        return self.t0 + self.dt * np.arange(self.n_steps)
+        return self.dt * np.arange(self.n_steps)
 
 
 @dataclass(frozen=True)
@@ -75,13 +73,14 @@ class Trajectory:
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
-    def state(self, i: int) -> OscState:
-        return OscState(float(self.y[i]), float(self.ydot[i]))
+
+# Half-width of the corridor around trend that recovery_metrics measures.
+_BAND = 0.05
 
 
 @dataclass(frozen=True)
 class RecoveryMetrics:
-    """How a trajectory returns into a |y| <= band corridor around trend."""
+    """How a trajectory returns into the |y| <= _BAND corridor around trend."""
 
     settling_time: float
     overshoot: float
@@ -240,7 +239,7 @@ def _run(steps, ng, a, init, forcing, grid, cols):
 
 def analytic_trajectory(params: OscillatorParams, init: OscState, grid: TimeGrid) -> Trajectory:
     """Sample the closed-form unforced solution on a grid (forcing is zero)."""
-    y, ydot = _homogeneous(params, init, grid.times() - grid.t0)
+    y, ydot = _homogeneous(params, init, grid.times(), np)
     # Pin the first node to the initial state exactly.
     y[0], ydot[0] = init.y, init.ydot
     return Trajectory(grid, y, ydot, np.zeros(grid.n_steps))
@@ -303,12 +302,12 @@ def sweep_metrics(
 
 
 def recovery_metrics_block(
-    y: np.ndarray, times: np.ndarray, band: float = 0.05
+    y: np.ndarray, times: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """recovery_metrics of every row of a (k, n) block of finite paths
     sampled at `times`, as four (k,) arrays in RecoveryMetrics' field order:
 
-    settling_time   last time with |y| > band, 0.0 if never outside
+    settling_time   last time with |y| > _BAND (0.05), 0.0 if never outside
     overshoot       max(-s*y), where s is the sign of the first nonzero
                     sample, when y changes sign, else 0.0; so -y has the
                     metrics of y
@@ -316,10 +315,9 @@ def recovery_metrics_block(
                     when pairing signs)
     terminal_abs    |y| at the final sample
     """
-    _check("band", band, low=0, low_strict=True)
     k, n = y.shape
-    # |y| > band, without a float temporary the size of y.
-    outside = (y > band) | (y < -band)
+    # |y| > _BAND, without a float temporary the size of y.
+    outside = (y > _BAND) | (y < -_BAND)
     last_outside = n - 1 - np.argmax(outside[:, ::-1], axis=1)
     settling = np.where(outside.any(axis=1), times[last_outside], 0.0)
     # The sign of every nonzero sample, row after row.  A sign that differs
@@ -337,11 +335,11 @@ def recovery_metrics_block(
     return settling, overshoot, crossings, np.abs(y[:, -1])
 
 
-def recovery_metrics(traj: Trajectory, band: float = 0.05) -> RecoveryMetrics:
-    """Summarize the return of a trajectory into the corridor |y| <= band:
-    recovery_metrics_block on the one-row block traj.y."""
+def recovery_metrics(traj: Trajectory) -> RecoveryMetrics:
+    """Summarize the return of a trajectory into the corridor |y| <= _BAND
+    (0.05): recovery_metrics_block on the one-row block traj.y."""
     settling, overshoot, crossings, terminal = recovery_metrics_block(
-        traj.y[None, :], traj.grid.times(), band
+        traj.y[None, :], traj.grid.times()
     )
     return RecoveryMetrics(
         settling_time=float(settling[0]),

@@ -21,7 +21,7 @@ from .errors import _check
 
 # Width of the relative band around gamma^2 == 4*alpha inside which `classify`
 # labels a parameterization critically damped.  It only names the regime.
-DEFAULT_REL_TOL = 1e-9
+_CRITICAL_REL_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -85,21 +85,21 @@ def from_physical(osc: PhysicalOscillator) -> OscillatorParams:
     return OscillatorParams(gamma=osc.c / osc.m, alpha=osc.k / osc.m)
 
 
-def classify(params: OscillatorParams, rel_tol: float = DEFAULT_REL_TOL) -> str:
+def classify(params: OscillatorParams) -> str:
     """The damping regime of the homogeneous solution, "under-damped",
     "critically-damped" or "over-damped", from the sign of gamma^2 - 4*alpha.
 
     Floating point makes the exact boundary undecidable, so the regime is
-    critical whenever |gamma^2 - 4*alpha| <= rel_tol * max(gamma^2, 4*alpha).
+    critical whenever |gamma^2 - 4*alpha| <= 1e-9 * max(gamma^2, 4*alpha)
+    (_CRITICAL_REL_TOL).
     gamma = 0 (no damping at all) classifies as under-damped.  The label is
     for readers (the CLI `classify` line, the SVG legend): the closed form and
     the lag coefficients branch on the exact sign of the discriminant instead.
     The comparison is made on _scaled_squares, which cannot overflow to inf.
     """
-    _check("rel_tol", rel_tol, low=0)
     _, gg, fa = _scaled_squares(params)
     d = gg - fa
-    if abs(d) <= rel_tol * max(gg, fa):
+    if abs(d) <= _CRITICAL_REL_TOL * max(gg, fa):
         return "critically-damped"
     return "under-damped" if d < 0.0 else "over-damped"
 
@@ -124,10 +124,7 @@ def solve_analytic(params: OscillatorParams, init: OscState, t: float) -> OscSta
     _check("t", t, low=0)
     if t == 0.0:
         return OscState(init.y, init.ydot)
-    import numpy as np
-
-    y, ydot = _homogeneous(params, init, np.array([t], dtype=float))
-    return OscState(float(y[0]), float(ydot[0]))
+    return OscState(*_homogeneous(params, init, t, math))
 
 
 def energy(params: OscillatorParams, state: OscState) -> float:
@@ -139,14 +136,11 @@ def energy(params: OscillatorParams, state: OscState) -> float:
     return 0.5 * state.ydot * state.ydot + 0.5 * params.alpha * state.y * state.y
 
 
-def _homogeneous(
-    params: OscillatorParams, init: OscState, t: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized closed-form (y, ydot) of the unforced equation at times t."""
-    import numpy as np
-
+def _homogeneous(params: OscillatorParams, init: OscState, t, xp):
+    """Closed-form (y, ydot) of the unforced equation at times t, with `xp`
+    as in `_flow_parts`."""
     g, a = params.gamma, params.alpha
-    ec, es, ed = _flow_parts(g, a, t, np)
+    ec, es, ed = _flow_parts(g, a, t, xp)
     y = ec * init.y + es * (0.5 * g * init.y + init.ydot)
     ydot = ed * init.ydot - es * (a * init.y)
     return y, ydot
@@ -162,7 +156,8 @@ def _flow_parts(gamma: float, alpha: float, t, xp):
     w^2 = -delta, (cosh(r t), sinh(r t)/r) with r^2 = delta, or (1, t).
     Over-damped, the slow root is alpha/fast, e^(mu t) s goes through expm1
     and the (2, 2) entry is e^(fast t) + slow e^(mu t) s, so nothing cancels
-    when gamma^2 >> alpha.  `xp` is numpy for an array t, math for a scalar.
+    when gamma^2 >> alpha.  `xp` is numpy for an array t, math for a scalar;
+    with math, a phase w t past the float range raises InvariantViolation.
     """
     mu = -0.5 * gamma
     delta = 0.25 * gamma * gamma - alpha
@@ -176,7 +171,10 @@ def _flow_parts(gamma: float, alpha: float, t, xp):
     decay = xp.exp(mu * t)
     if delta < 0.0:
         w = math.sqrt(-delta)
-        ec, es = decay * xp.cos(w * t), decay * xp.sin(w * t) / w
+        phase = w * t
+        if xp is math:  # math.cos raises ValueError at inf; numpy gives nan
+            _check("phase w*t", phase)
+        ec, es = decay * xp.cos(phase), decay * xp.sin(phase) / w
     else:
         ec, es = decay, t * decay
     return ec, es, ec + mu * es

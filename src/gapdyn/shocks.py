@@ -113,12 +113,12 @@ def realize(spec: ShockSpec, grid: TimeGrid) -> np.ndarray:
     if isinstance(spec, NoShock):
         return np.zeros(n)
     if isinstance(spec, Impulse):
-        if spec.at < grid.t0 or spec.at > grid.t_end:
+        if spec.at < 0.0 or spec.at > grid.t_end:
             raise ImpulseOutsideGrid(
-                f"impulse at t={spec.at!r} outside grid span [{grid.t0!r}, {grid.t_end!r}]"
+                f"impulse at t={spec.at!r} outside grid span [0.0, {grid.t_end!r}]"
             )
         # Nearest node; an exact midpoint resolves to the earlier node.
-        idx = math.ceil((spec.at - grid.t0) / grid.dt - 0.5)
+        idx = math.ceil(spec.at / grid.dt - 0.5)
         idx = min(max(idx, 0), n - 1)
         out = np.zeros(n)
         out[idx] = spec.magnitude

@@ -36,10 +36,10 @@ def write_svg(
     series: Sequence[tuple[str, Sequence[float]]],
     *,
     title: str = "",
-    x_label: str = "time",
     y_label: str = "value",
 ) -> None:
-    """Render one or more labelled lines over a shared time axis.
+    """Render one or more labelled lines over a shared time axis, its x
+    axis labelled "time".
 
     Polyline coordinates are computed and formatted _POINTS_PER_FORMAT
     points at a time by _textfmt.f2_pairs; the bytes are those of
@@ -148,7 +148,7 @@ def write_svg(
     tail.append(
         f'<text x="{(plot_left + plot_right) / 2:.2f}" y="{_HEIGHT - 8}" '
         'font-family="sans-serif" font-size="12" text-anchor="middle" '
-        f'fill="#222222">{_escape(x_label)}</text>'
+        'fill="#222222">time</text>'
     )
     tail.append(
         f'<text x="14" y="{(plot_top + plot_bottom) / 2:.2f}" font-family="sans-serif" '

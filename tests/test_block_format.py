@@ -58,7 +58,7 @@ def _polyline_reference(t: np.ndarray, curves: list[np.ndarray]) -> list[str]:
 
 
 def _random_trajectory(n: int) -> Trajectory:
-    return Trajectory(TimeGrid(t0=-3.7, dt=1e-3, n_steps=n),
+    return Trajectory(TimeGrid(dt=1e-3, n_steps=n),
                       _values(n, 1, True), _values(n, 2, True), _values(n, 3, True))
 
 
@@ -74,7 +74,7 @@ def _settled(n: int, start: int, tail=(2e-323, -0.0, 0.25), before=None,
         if prior is not None:
             col[:start] = prior
         col[start:] = value
-    return Trajectory(TimeGrid(t0=-3.7, dt=1e-3, n_steps=n), *columns)
+    return Trajectory(TimeGrid(dt=1e-3, n_steps=n), *columns)
 
 
 def _tail_left_to_percent() -> Trajectory:

@@ -719,6 +719,21 @@ class TestSeedPrecedence:
                             argv_extra=("--seed", "3"))
         assert got == want
 
+    # A shock that draws nothing has no seed to set, so the flag is refused
+    # as shock_seed is in such a config.
+    @pytest.mark.parametrize("command", [
+        ["simulate"], ["sweep", "--gamma-from", "1", "--gamma-to", "2", "--gamma-steps", "3"],
+    ], ids=["simulate", "sweep"])
+    @pytest.mark.parametrize("config, kind", [
+        ("gamma = 0.5\nalpha = 1\n", "none"), ("shock = impulse\n", "impulse"),
+    ], ids=["none", "impulse"])
+    def test_flag_without_a_seeded_shock_exit_2(self, capsys, config_file, command, config,
+                                                kind):
+        argv = [command[0], "--config", config_file(config), *command[1:], "--seed", "5"]
+        code, out, err = _run(capsys, argv)
+        assert (code, out) == (2, "")
+        assert err == f"error=BadValue detail=--seed does not apply to shock = {kind}\n"
+
     @pytest.mark.parametrize("value", ["2", "lots"])
     def test_environment_does_not_change_a_run(
         self, capsys, tmp_path, config_file, monkeypatch, value

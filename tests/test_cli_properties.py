@@ -135,7 +135,7 @@ def argvs(draw, tmp_dir):
 
 
 def _write_inputs(tmp_dir):
-    grid = TimeGrid(0.0, 0.1, 201)
+    grid = TimeGrid(0.1, 201)
     traj = integrate_euler(OscillatorParams(0.5, 2.0), OscState(1.0, 0.0), np.zeros(201), grid)
     write_trajectory_csv(tmp_dir / "series.csv", traj)
     (tmp_dir / "bad.csv").write_text('t,y,note\n0,1,"' + "x" * 200_000 + '"\n1,2,\n')

@@ -34,7 +34,7 @@ class TestDefaults:
         cfg = parse_config("")
         assert cfg.n_steps == 201
         grid = cfg.grid()
-        assert grid.t0 == 0.0
+        assert grid.times()[0] == 0.0
         assert grid.n_steps == 201
 
     def test_partial_step_is_dropped(self):

@@ -38,7 +38,7 @@ _VALID = [
     Impulse(),
     WhiteNoise(),
     Ar1(),
-    TimeGrid(t0=0.0, dt=0.1, n_steps=3),
+    TimeGrid(dt=0.1, n_steps=3),
     ScenarioConfig(),
     DsgeBlockParams(beta=0.99, sigma_c=2.0, theta=0.3, a_tfp=1.0),
     DsgePoint(c=1.2, b=0.5, b_next=0.4, r=0.03, w=1.1, n=0.9, k=2.0,
@@ -62,7 +62,7 @@ def test_non_finite_field_is_worded_once(obj, name, value):
     assert str(excinfo.value) == f"{name} must be finite, got {value!r}"
 
 
-_GRID = TimeGrid(t0=0.0, dt=0.1, n_steps=3)
+_GRID = TimeGrid(dt=0.1, n_steps=3)
 _NODES = [0.0, 0.5, 1.0]
 _PARAMS = OscillatorParams(gamma=0.5, alpha=2.0)
 _INIT = OscState(y=1.0, ydot=0.0)

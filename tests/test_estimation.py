@@ -35,7 +35,7 @@ OVER = OscillatorParams(gamma=3.0, alpha=1.0)
 
 def _analytic_series(params: OscillatorParams, n: int = 201, dt: float = 0.1,
                      init: OscState = OscState(1.0, 0.0)) -> ObservedSeries:
-    traj = analytic_trajectory(params, init, TimeGrid(0.0, dt, n))
+    traj = analytic_trajectory(params, init, TimeGrid(dt, n))
     return ObservedSeries(dt=dt, values=traj.y)
 
 
@@ -111,6 +111,12 @@ class TestDiscretizeExact:
     def test_dt_must_be_positive(self):
         with pytest.raises(InvariantViolation):
             discretize_exact(CRITICAL, 0.0)
+
+    def test_overflowed_phase_is_an_invariant_violation(self):
+        # w dt = 1e150 * 1e300 passes the float range; math.cos would raise
+        # a bare ValueError
+        with pytest.raises(InvariantViolation, match=r"^phase w\*t must be finite, got inf$"):
+            discretize_exact(OscillatorParams(0.0, 1e300), 1e300)
 
     # Below the aliasing limit (wd dt < 0.9 pi) and with gamma dt <= 30, the
     # sampled lag pair maps back to alpha in every regime, the exact critical
@@ -382,6 +388,11 @@ class TestConditionalLoglik:
             conditional_loglik(series, UNDER)
         with pytest.raises(Degenerate):
             estimate_mle(series)
+
+    def test_overflowed_phase_is_an_invariant_violation(self):
+        series = ObservedSeries(dt=1e300, values=[1.0, 0.5, 0.2, 0.1])
+        with pytest.raises(InvariantViolation, match=r"^phase w\*t must be finite, got inf$"):
+            conditional_loglik(series, OscillatorParams(0.0, 1e300))
 
     def test_rank_deficient_series_have_a_finite_value(self):
         # the estimators raise Degenerate here; the likelihood itself exists

@@ -74,7 +74,7 @@ class TestLazyExports:
         assert proc.stdout == "True []\n"
 
     def test_submodule_after_bare_import(self):
-        proc = _fresh("import gapdyn; print(gapdyn.integrate.TimeGrid(0.0, 0.5, 3).times().tolist())")
+        proc = _fresh("import gapdyn; print(gapdyn.integrate.TimeGrid(0.5, 3).times().tolist())")
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "[0.0, 0.5, 1.0]\n"
 
@@ -139,6 +139,16 @@ class TestImportBoundary:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stderr.splitlines()[-1] == f"{code} []"
+
+    def test_closed_form_loads_no_numpy(self):
+        proc = _fresh(
+            "import sys\n"
+            "from gapdyn import OscillatorParams, OscState, solve_analytic\n"
+            "s = solve_analytic(OscillatorParams(0.5, 1.0), OscState(1.0, 0.0), 2.0)\n"
+            f"print(s.y != 1.0, {_NUMPY_LOADED})\n"
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "True []\n"
 
     @pytest.mark.parametrize("command, unused", [
         (["simulate", "--config", "{cfg}", "--out", "{dir}/out.csv"],
@@ -245,6 +255,54 @@ def test_every_record_field_is_read():
                 read.add(node.attr)
     assert len(fields) >= 50
     assert [where for where, name in fields if name not in read] == []
+
+
+def _defaults(path):
+    """(where, function name, parameter, its position in a call or None
+    for keyword-only, the default's AST dump) for every parameter with a
+    default of every function defined in `path`."""
+    out = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        a = node.args
+        positional = a.posonlyargs + a.args
+        # A method's self or cls is not written in its calls.
+        skip = 1 if positional and positional[0].arg in ("self", "cls") else 0
+        first = len(positional) - len(a.defaults)
+        pairs = [(arg, i - skip, d) for i, (arg, d) in
+                 enumerate(zip(positional[first:], a.defaults), start=first)]
+        pairs += [(arg, None, d) for arg, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+        out += [(f"{path.name}:{node.name}.{arg.arg}", node.name, arg.arg, pos, ast.dump(d))
+                for arg, pos, d in pairs]
+    return out
+
+
+def test_every_default_is_set_by_some_caller():
+    # A parameter that every caller leaves at its default is a constant with
+    # extra configurations to test, so some call in the package, the demos
+    # or the benchmark passes each one a value other than that same literal
+    # default, by position or by keyword (a variable passed on counts).
+    # Calls are matched by the name they end in, not by the function object.
+    params = [d for path in sorted((_ROOT / "src/gapdyn").glob("*.py")) for d in _defaults(path)]
+    set_by_a_call = set()
+    for folder in ("src/gapdyn", "demos", "bench"):
+        for path in sorted((_ROOT / folder).glob("*.py")):
+            for call in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if not isinstance(call, ast.Call):
+                    continue
+                given = {kw.arg: kw.value for kw in call.keywords if kw.arg is not None}
+                for _, func, name, pos, default in params:
+                    if func != _name(call.func):
+                        continue
+                    value = given.get(name)
+                    if value is None and pos is not None and pos < len(call.args):
+                        value = call.args[pos]
+                    if value is not None and ast.dump(value) != default:
+                        set_by_a_call.add((func, name))
+    # one positional and one keyword-only parameter, so the walk sees both
+    assert {"cli.py:main.argv", "svgplot.py:write_svg.title"} <= {p[0] for p in params}
+    assert [where for where, func, name, *_ in params if (func, name) not in set_by_a_call] == []
 
 
 @pytest.mark.parametrize("folder, allowed", [

@@ -17,7 +17,7 @@ from gapdyn import (
     standard_normals,
 )
 
-GRID = TimeGrid(t0=0.0, dt=0.1, n_steps=201)
+GRID = TimeGrid(dt=0.1, n_steps=201)
 
 # First draws of the frozen generator.  These values pin the exact algorithm
 # (counter-based keyed stream + polar transform); any change to it is a
@@ -90,7 +90,7 @@ class TestRealize:
 
     def test_kind_name_is_not_a_spec(self):
         with pytest.raises(InvariantViolation) as excinfo:
-            realize("impulse", TimeGrid(0.0, 0.1, 3))
+            realize("impulse", TimeGrid(0.1, 3))
         assert str(excinfo.value) == "unknown shock spec 'impulse'"
 
     def test_impulse_at_origin(self):
@@ -103,7 +103,7 @@ class TestRealize:
         assert eps[3] == 3.0
 
     def test_impulse_tie_resolves_to_earlier_node(self):
-        grid = TimeGrid(t0=0.0, dt=1.0, n_steps=5)
+        grid = TimeGrid(dt=1.0, n_steps=5)
         eps = realize(Impulse(at=2.5, magnitude=1.0), grid)
         assert eps[2] == 1.0
 
@@ -139,12 +139,12 @@ class TestRealize:
 
 class TestAr1:
     def test_stationary_variance_over_long_run(self):
-        grid = TimeGrid(t0=0.0, dt=1.0, n_steps=1_000_000)
+        grid = TimeGrid(dt=1.0, n_steps=1_000_000)
         eps = realize(Ar1(rho=0.9, sigma=0.3, seed=7), grid)
         assert abs(eps.var() - 0.09) < 0.02 * 0.09
 
     def test_lag_one_autocorrelation(self):
-        grid = TimeGrid(t0=0.0, dt=1.0, n_steps=1_000_000)
+        grid = TimeGrid(dt=1.0, n_steps=1_000_000)
         eps = realize(Ar1(rho=0.9, sigma=0.3, seed=7), grid)
         corr = np.corrcoef(eps[:-1], eps[1:])[0, 1]
         assert abs(corr - 0.9) < 0.005
@@ -175,6 +175,6 @@ class TestAr1:
         expected[0] = sigma * eta[0]
         for i in range(1, n):
             expected[i] = innov_scale * eta[i] + rho * expected[i - 1]
-        eps = realize(Ar1(rho=rho, sigma=sigma, seed=seed), TimeGrid(0.0, 0.1, n))
+        eps = realize(Ar1(rho=rho, sigma=sigma, seed=seed), TimeGrid(0.1, n))
         assert eps.dtype == np.float64
         assert eps.tobytes() == expected.tobytes()

@@ -172,7 +172,7 @@ def test_g17_long_decay_trajectory_blocks(path):
     # Trajectory CSV rows: t, y, ydot and an unforced eps column of zeros.
     # A decaying exponential passes through subnormal values to exact zeros;
     # the RK4 path of an over-damped oscillator stalls at subnormal values.
-    grid = TimeGrid(t0=0.0, dt=0.1, n_steps=20_001)
+    grid = TimeGrid(dt=0.1, n_steps=20_001)
     t = grid.times()
     if path == "rk4":
         traj = integrate_rk4(OscillatorParams(gamma=3.0, alpha=1.0), OscState(1.0, 0.5),
