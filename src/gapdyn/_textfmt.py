@@ -1,13 +1,15 @@
 """Exact numpy formatting of float64 blocks: the bytes of `%.17g` and `%.2f`.
 
 %.17g: with a = |x| and k = floor(log10(a)), the digits are
-round-half-even(a * 10**(16 - k)).  Per k, 10**(16 - k) = (hi + lo) * s * s'
-with hi in (1/2, 2) and s, s' powers of two, built exactly from Python ints
-the first time a block uses that k and kept for later blocks.  a * s * s' is
-exact and lies near 10**16, so a Dekker TwoProduct (Veltkamp split, no fused
-multiply-add) of it with hi, plus its product with lo, gives
-a * 10**(16 - k) to about 2**-100 with no rescaling.  A value goes to `%` on
-its own when its fraction lies within _GUARD of one half (exact ties
+round-half-even(a * 10**(16 - k)), carried as one int64 in [10**16, 10**17).
+Per k, 10**(16 - k) = (hi + lo) * s * s' with hi in (1/2, 2) and s, s'
+powers of two, built exactly from Python ints; the table of all 633 k is
+built whole on first use.  a * s * s' is exact and lies near 10**16, so a
+Dekker TwoProduct (Veltkamp split, no fused multiply-add) of it with hi,
+plus its product with lo, gives a * 10**(16 - k) = top + low to about
+2**-100 with no rescaling.  top >= 10**16 - 16 > 2**53 is an integer, so
+the digits are int64(top) + int64(floor(low)) exactly.  A value goes to `%`
+on its own when its fraction lies within _GUARD of one half (exact ties
 included), when log10 put k one off next to a power of ten, or when it is
 not finite.
 
@@ -60,7 +62,7 @@ def _quads() -> np.ndarray:
 def _group_digits() -> np.ndarray:
     """Row j, value g: how many of the first 4 * (j + 1) digits are
     significant when g is digits 4j + 1 to 4j + 4 and every later digit is
-    zero; 0 for g = 0.  (The first group is never 0: head >= 10**6.)"""
+    zero; 0 for g = 0.  (The first group is never 0: the digits are >= 10**16.)"""
     zeros = np.zeros(10000, np.uint8)
     for i in (10, 100, 1000):
         zeros[::i] += 1
@@ -122,9 +124,8 @@ def _g17_codes() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 @functools.cache
 def _scales() -> np.ndarray:
-    """Per k + _K0: s, s', hi, hi's Veltkamp halves and lo of _pow10(16 - k);
-    NaN until a block first uses that k."""
-    return np.full((6, _NK - 2), np.nan)
+    """Per k + _K0: s, s', hi, hi's Veltkamp halves and lo of _pow10(16 - k)."""
+    return np.array([_pow10(16 + _K0 - i) for i in range(_NK - 2)]).T
 
 
 def _pow10(p: int) -> tuple[float, float, float, float, float, float]:
@@ -151,9 +152,11 @@ def g17_rows(block: np.ndarray) -> bytes:
     """`"%.17g,...,%.17g\\n" % row` for every row of an (n, m) float64 block."""
     n, m = block.shape
     x = block.ravel()
-    head, tail, row = _digits17(x)
+    digits, row = _digits17(x)
     row.reshape(n, m)[:, -1] += _NK  # the last value of a row ends in "\n"
-    groups, last = _groups(head, tail)
+    tens, last = np.divmod(digits, 10)
+    high, low = np.divmod(tens, 10**8)
+    groups = (*np.divmod(high, 10**4), *np.divmod(low, 10**4))
     base, dot, ends = _g17_codes()
 
     slots = np.empty((x.size, _G17_WIDTH), np.uint8)
@@ -166,7 +169,7 @@ def g17_rows(block: np.ndarray) -> bytes:
         _column(slots, _INT + 4 * i, "<u4")[:] = np.take(_quads(), group)
     _column(slots, _FRAC, "<u8")[:] = _column(slots, _INT, "<u8")
     _column(slots, _FRAC + 8, "<u8")[:] = _column(slots, _INT + 8, "<u8")
-    slots[:, _INT + 16] = slots[:, _LAST] = last + 48.0
+    slots[:, _INT + 16] = slots[:, _LAST] = last + 48
     slots.reshape(-1)[np.arange(0, slots.size, _G17_WIDTH) + np.take(dot, row)] = ord(".")
 
     key = np.take(base, row) + 2 * _significant(groups, last) + np.signbit(x)
@@ -190,70 +193,43 @@ def _column(slots: np.ndarray, col: int, dtype: str) -> np.ndarray:
     return np.ndarray(len(slots), dtype, slots, col, slots.strides[:1])
 
 
-def _digits17(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(head, tail, table row) per value of x: the 17 digits are
-    head * 10**9 + tail, head in [10**7, 10**8) for the values printed here.
-    Zero gets row _ZERO and the digits of 1.0, a value left to `%` row _LEFT
-    (and the digits of 1.0 if it is not finite)."""
+def _digits17(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(digits, table row) per value of x: the 17 digits as an int64 in
+    [10**16, 10**17).  Zero gets row _ZERO and the digits of 1.0, a value
+    left to `%` row _LEFT (and the digits of 1.0 if it is not finite)."""
     a = np.abs(x)
     finite = np.isfinite(a)
     regular = finite & (a > 0.0)
     a = np.where(regular, a, 1.0)
     row = (np.floor(np.log10(a)) + _K0).astype(np.intp)
     top, low = _times_pow10(a, row)
-    whole = np.floor(top)
-    rest = (top - whole) + low
-    carry = np.floor(rest)
-    frac = rest - carry
-    # N = floor(a * 10**p) = head * 10**9 + tail, both exact float integers.
-    head = np.floor(whole / 1e9)
-    tail = (whole - head * 1e9) + carry
-    carry = np.floor(tail / 1e9)
-    head += carry
-    tail -= carry * 1e9
+    # N = floor(a * 10**p) exactly: top is an integer wherever N >= 2**53.
+    carry = np.floor(low)
+    frac = low - carry
+    digits = top.astype(np.int64) + carry.astype(np.int64)
     # An off-by-one k shows as N outside [10**16, 10**17).  Zero and the
     # non-finite values stand in as 1.0, whose N is exactly 10**16.
-    left = ~finite | (np.abs(frac - 0.5) < _GUARD) | (head < 1e7) | (head >= 1e8)
+    left = ~finite | (np.abs(frac - 0.5) < _GUARD) | (digits < 10**16) | (digits >= 10**17)
     # Exact halves are left to `%`, so rounding half up is round-half-even.
-    tail += frac > 0.5
-    carry = tail == 1e9
-    head += carry
-    tail -= carry * 1e9
-    # 10**17 is 10**16 at exponent k + 1; this also keeps a head that is
+    digits += frac > 0.5
+    # 10**17 is 10**16 at exponent k + 1; this also keeps digits that are
     # left to `%` inside the digit tables.
-    carry = head >= 1e8
-    head = np.where(carry, 1e7, head)
+    carry = digits >= 10**17
+    digits[carry] = 10**16
     row += carry
     row = np.where(left, _LEFT, np.where(regular, row, _ZERO))
-    return head, tail, row
+    return digits, row
 
 
 def _times_pow10(a: np.ndarray, row: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """a * 10**(16 - k) as top + low: TwoProduct of a * s * s' and hi, plus
     a * s * s' * lo, with the _scales row of each value's k."""
-    table = _scales()
-    first, end = int(row.min()), int(row.max()) + 1
-    if np.isnan(table[0, first:end]).any():
-        used = np.flatnonzero(np.bincount(row - first)) + first
-        for i in used[np.isnan(table[0, used])].tolist():
-            table[:, i] = _pow10(16 + _K0 - i)
-    s, s2, hi, hh, hl, lo = np.take(table, row, axis=1)
+    s, s2, hi, hh, hl, lo = np.take(_scales(), row, axis=1)
     a = a * s * s2
     ah, al = _split(a)
     top = a * hi
     low = ((ah * hh - top) + ah * hl + al * hh) + al * hl + a * lo
     return top, low
-
-
-def _groups(head: np.ndarray, tail: np.ndarray) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
-    """Digits 1-4, 5-8, 9-12 and 13-16 of head * 10**9 + tail as intp
-    values, and digit 17 as a float."""
-    tens = np.floor(tail / 10.0)
-    pairs = np.stack((head, tens))
-    highs = np.floor(pairs / 1e4)
-    lows = (pairs - 1e4 * highs).astype(np.intp)
-    highs = highs.astype(np.intp)
-    return (highs[0], lows[0], highs[1], lows[1]), tail - 10.0 * tens
 
 
 def _significant(groups: tuple[np.ndarray, ...], last: np.ndarray) -> np.ndarray:
@@ -263,7 +239,7 @@ def _significant(groups: tuple[np.ndarray, ...], last: np.ndarray) -> np.ndarray
         np.maximum(np.take(table[0], groups[0]), np.take(table[1], groups[1])),
         np.maximum(np.take(table[2], groups[2]), np.take(table[3], groups[3])),
     )
-    return np.where(last > 0.0, 17, sig)
+    return np.where(last > 0, 17, sig)
 
 
 def _g17(v: float) -> bytes:
@@ -286,17 +262,17 @@ def f2_pairs(xs: np.ndarray, ys: np.ndarray) -> str:
     n = whole + ((half > -err) | ((half == -err) & odd))
     if n.size and n.max() >= 1e5:
         return _f2_pairs_slow(v)
-    units = np.floor(n / 100.0)
+    units, cents = np.divmod(n.astype(np.int64), 100)
     # Per value "0ddd" then ".dd," (" " after a y); drop the padding zeros.
     words = np.empty((v.size, 2), "<u4")
-    words[:, 0] = np.take(_quads(), units.astype(np.intp))
-    words[:, 1] = np.take(_cents(), (n - 100.0 * units).astype(np.intp))
+    words[:, 0] = np.take(_quads(), units)
+    words[:, 1] = np.take(_cents(), cents)
     slots = words.view(np.uint8)
     slots[1::2, -1] = 32
     keep = np.ones(slots.shape, bool)
     keep[:, 0] = False
-    keep[:, 1] = units >= 100.0
-    keep[:, 2] = units >= 10.0
+    keep[:, 1] = units >= 100
+    keep[:, 2] = units >= 10
     keep[-1:, -1] = False
     return slots[keep].tobytes().decode("ascii")
 

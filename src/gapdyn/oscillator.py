@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import _check
+from .errors import _check, _check_array
 
 # Width of the relative band around gamma^2 == 4*alpha inside which `classify`
 # labels a parameterization critically damped.  It only names the regime.
@@ -157,7 +157,7 @@ def _flow_parts(gamma: float, alpha: float, t, xp):
     Over-damped, the slow root is alpha/fast, e^(mu t) s goes through expm1
     and the (2, 2) entry is e^(fast t) + slow e^(mu t) s, so nothing cancels
     when gamma^2 >> alpha.  `xp` is numpy for an array t, math for a scalar;
-    with math, a phase w t past the float range raises InvariantViolation.
+    a phase w t past the float range raises InvariantViolation.
     """
     mu = -0.5 * gamma
     delta = 0.25 * gamma * gamma - alpha
@@ -171,9 +171,13 @@ def _flow_parts(gamma: float, alpha: float, t, xp):
     decay = xp.exp(mu * t)
     if delta < 0.0:
         w = math.sqrt(-delta)
-        phase = w * t
         if xp is math:  # math.cos raises ValueError at inf; numpy gives nan
+            phase = w * t
             _check("phase w*t", phase)
+        else:
+            with xp.errstate(over="ignore"):
+                phase = w * t
+            _check_array("phase w*t", xp.ravel(phase))
         ec, es = decay * xp.cos(phase), decay * xp.sin(phase) / w
     else:
         ec, es = decay, t * decay

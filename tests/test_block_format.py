@@ -80,7 +80,7 @@ def _settled(n: int, start: int, tail=(2e-323, -0.0, 0.25), before=None,
 def _tail_left_to_percent() -> Trajectory:
     # _textfmt leaves 1e23 to `%` (log10 puts it one power of ten off), so
     # the settled row takes that path
-    assert _digits17(np.array([1e23]))[2][0] == _LEFT
+    assert _digits17(np.array([1e23]))[1][0] == _LEFT
     return _settled(1500, 700, (1e23, -1e23, 1e23))
 
 

@@ -16,6 +16,8 @@ from gapdyn import (
     OscState,
     OscillatorParams,
     PhysicalOscillator,
+    TimeGrid,
+    analytic_trajectory,
     classify,
     energy,
     from_physical,
@@ -192,6 +194,13 @@ class TestSolveAnalytic:
         # w t = 1e150 * 1e300 passes the float range
         with pytest.raises(InvariantViolation, match=r"^phase w\*t must be finite, got inf$"):
             solve_analytic(OscillatorParams(0.0, 1e300), UNIT_START, 1e300)
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowed_phase_on_a_grid_is_an_invariant_violation(self):
+        # the same phase on a grid: checked before numpy's cos and sin make
+        # nan of it, and with no numpy warning from w * t overflowing
+        with pytest.raises(InvariantViolation, match=r"^phase w\*t must be finite, got inf at index 1$"):
+            analytic_trajectory(OscillatorParams(0.0, 1e300), UNIT_START, TimeGrid(1e300, 3))
 
     def test_satisfies_ode_by_central_difference(self):
         # ydd + gamma*yd + alpha*y = 0, checked at second-order accuracy

@@ -7,13 +7,20 @@ two-decimal tie below 1000.  Property tests use hypothesis (MacIver et al.,
 "Hypothesis: A new approach to property-based testing", JOSS 4(43), 2019).
 """
 
+import os
+import platform
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gapdyn import OscillatorParams, OscState, TimeGrid, _textfmt, integrate_rk4
-from gapdyn._textfmt import f2_pairs, g17_rows
+from gapdyn._textfmt import _LEFT, _ZERO, _digits17, f2_pairs, g17_rows
+from test_golden import _KERNELS
 
 _SETTINGS = settings(max_examples=1000, deadline=None, derandomize=True, database=None)
 
@@ -84,9 +91,66 @@ def test_f2_matches_percent(x, y):
     assert f2_pairs(np.array([x]), np.array([y])) == "%.2f,%.2f" % (x, y)
 
 
+def _random_bits(size: int = 1_000_000) -> np.ndarray:
+    return np.random.default_rng(1).integers(0, 2**64, size=size, dtype=np.uint64).view(np.float64)
+
+
+def _powers_of_ten() -> np.ndarray:
+    powers = np.array([float(f"1e{j}") for j in range(-323, 309)])
+    return _with_neighbours(np.concatenate([powers, -powers]), 2)
+
+
 def test_g17_random_bit_patterns():
-    bits = np.random.default_rng(1).integers(0, 2**64, size=1_000_000, dtype=np.uint64)
-    _assert_g17(bits.view(np.float64))
+    _assert_g17(_random_bits())
+
+
+def _significant_digits(text: bytes) -> bytes:
+    """The digits of a %g field without its sign, ".", leading or trailing
+    zeros and exponent."""
+    return text.partition(b"e")[0].lstrip(b"-").replace(b".", b"").strip(b"0")
+
+
+@pytest.mark.parametrize("inputs", [
+    lambda: np.concatenate([_random_bits(), [0.0, -0.0, np.inf, -np.inf, np.nan]]),
+    _powers_of_ten,
+    lambda: _with_neighbours(_exact_ties(), 1),
+], ids=["random-bits", "powers-of-ten", "ties"])
+def test_digits17_are_one_int64_of_17_digits(inputs):
+    values = inputs()
+    digits, row = _digits17(values)
+    assert digits.dtype == np.int64
+    shown = row != _LEFT
+    assert np.all((digits[shown] >= 10**16) & (digits[shown] < 10**17))
+    assert np.all(digits[row == _ZERO] == 10**16)  # the digits of 1.0
+    printed = shown & (row != _ZERO)
+    got = [str(d).rstrip("0").encode() for d in digits[printed].tolist()]
+    want = [_significant_digits(b"%.17g" % v) for v in values[printed].tolist()]
+    assert got == want
+
+
+_KERNEL_CHILD = """
+from test_textfmt import _assert_g17, _exact_ties, _powers_of_ten, _random_bits, _with_neighbours
+_assert_g17(_powers_of_ten())
+_assert_g17(_with_neighbours(_exact_ties(), 1))
+_assert_g17(_random_bits(200_000))
+"""
+
+
+@pytest.mark.skipif(
+    platform.machine().lower() not in ("x86_64", "amd64"), reason="x86-64 kernel names"
+)
+@pytest.mark.parametrize(
+    "kernel", [env for env in _KERNELS if "NPY_ENABLE_CPU_FEATURES" in env],
+    ids=lambda env: "=".join(*env.items()),
+)
+def test_g17_bytes_do_not_depend_on_kernels(kernel):
+    # The exponent comes from np.log10, whose kernel numpy picks per CPU; it
+    # may be one off next to a power of ten under any of them.
+    tests = Path(__file__).resolve().parent
+    path = [str(tests.parent / "src"), str(tests), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p), **kernel)
+    proc = subprocess.run([sys.executable, "-c", _KERNEL_CHILD], capture_output=True, text=True, env=env)
+    assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", "")
 
 
 def test_g17_signed_zero_subnormals_and_non_finite():
@@ -95,8 +159,7 @@ def test_g17_signed_zero_subnormals_and_non_finite():
 
 
 def test_g17_next_to_powers_of_ten():
-    powers = np.array([float(f"1e{j}") for j in range(-323, 309)])
-    _assert_g17(_with_neighbours(np.concatenate([powers, -powers]), 2))
+    _assert_g17(_powers_of_ten())
 
 
 def test_g17_integers_near_1e16_and_1e17():
