@@ -4,15 +4,22 @@ Trajectories are written with full float round-trip precision (%.17g) so a
 written file reloads to bit-identical values.  Readers only require the first
 two columns (`t,y`); anything after them is ignored, which lets estimation
 consume both bare observation files and the four-column trajectory format.
+
+_overwrite writes every output file, svgplot's too: a regular file (or a
+symlink's target) in place and cut to length, a device or FIFO as a stream.
+An exception leaves the bytes written; a kill can leave old bytes after them.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import math
+import os
+import stat
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterator
+from typing import IO, TYPE_CHECKING, Iterator
 
 import numpy as np
 
@@ -51,7 +58,7 @@ def write_trajectory_csv(path: str | Path, traj: Trajectory) -> None:
     n = traj.grid.n_steps
     head = _settled_from(columns[1:]) + 1  # rows formatted whole
     step = _ROWS_PER_WRITE
-    with open(path, "wb") as fh:
+    with _overwrite(path, "wb") as fh:
         fh.write(_TRAJECTORY_HEADER)
         for i in range(0, head, step):
             fh.write(g17_rows(np.column_stack([col[i : min(i + step, head)] for col in columns])))
@@ -60,6 +67,16 @@ def write_trajectory_csv(path: str | Path, traj: Trajectory) -> None:
             # One field a row: four times the rows make the same temporaries.
             for i in range(head, n, 4 * step):
                 fh.write(g17_rows(times[i : i + 4 * step, None]).replace(b"\n", rest))
+
+
+@contextlib.contextmanager
+def _overwrite(path: str | Path, mode: str, **kwargs) -> Iterator[IO]:
+    with open(path, mode, opener=lambda p, f: os.open(p, f & ~os.O_TRUNC, 0o666), **kwargs) as fh:
+        try:
+            yield fh
+        finally:  # cut a regular file to the bytes written; a device cannot be cut
+            if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+                fh.truncate()
 
 
 def _settled_from(columns: tuple[np.ndarray, ...]) -> int:

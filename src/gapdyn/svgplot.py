@@ -3,12 +3,14 @@
 The same inputs always produce the same bytes: coordinates are formatted with
 a fixed precision, colors come from a fixed palette, and nothing depends on
 locale, time, or dict ordering.  That makes rendered plots safe to diff and
-to check into golden-file tests.
+to check into golden-file tests.  Text that XML 1.0 or UTF-8 cannot carry
+is refused before seriesio._overwrite opens the file.
 """
 
 from __future__ import annotations
 
 import math
+import re
 import sys
 from pathlib import Path
 from typing import Sequence
@@ -46,11 +48,15 @@ def write_svg(
     formatting each point with "%.2f,%.2f".
     """
     from ._textfmt import f2_pairs
+    from .seriesio import _overwrite
 
     t = _check_array("times", times, min_size=2)
     curves = [(label, _check_array(f"series {label!r}", v, t.size)) for label, v in series]
     if not curves:
         raise InvariantViolation("need at least one series to plot")
+    for name, text in [("title", title), ("y_label", y_label), *(("label", s) for s, _ in curves)]:
+        if bad := re.search("[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]", text):
+            raise InvariantViolation(f"{name} {text!r} holds {bad[0]!r}, which an SVG cannot carry")
 
     x_scale, x_min, x_max = _axis(float(t.min()), float(t.max()), pad=0.0)
     if x_scale != 1.0:
@@ -157,7 +163,7 @@ def write_svg(
     )
     tail.append("</svg>")
 
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with _overwrite(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("\n".join(parts) + "\n")
         for pieces in polylines:
             fh.writelines(pieces)

@@ -162,6 +162,18 @@ def test_output_bytes_match_golden(name, tmp_path):
         assert data == expected, f"{name}.{suffix} differs from the golden file"
 
 
+@pytest.mark.parametrize("name", sorted(name for name, s in SCENARIOS.items() if s[2]))
+def test_output_bytes_match_golden_over_a_decoy(name, tmp_path):
+    # Output files are written over the old bytes in place and then cut, so
+    # a longer file already at each path must leave none of its bytes.
+    for suffix in ("csv", "svg"):
+        size = (GOLDEN / f"{name}.{suffix}").stat().st_size
+        (tmp_path / f"{name}.{suffix}").write_bytes(b"decoy\n" * (size // 6 + 100))
+    for suffix, data in _run(name, tmp_path).items():
+        expected = (GOLDEN / f"{name}.{suffix}").read_bytes()
+        assert data == expected, f"{name}.{suffix} over a decoy differs from the golden file"
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_case_output_matches_golden(name, tmp_path):
     for suffix, data in _run_case(name, tmp_path).items():

@@ -305,6 +305,34 @@ def test_every_default_is_set_by_some_caller():
     assert [where for where, func, name, *_ in params if (func, name) not in set_by_a_call] == []
 
 
+def test_only_overwrite_opens_a_file_to_write():
+    # Every output file goes through seriesio._overwrite, which opens it
+    # without O_TRUNC.  Anywhere else, an os.open, a Path.write_text or
+    # write_bytes, or an open() whose mode may write (or is not a literal)
+    # would bring the truncating open back.
+    found = []
+    for path in sorted(Path(gapdyn.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        helpers = [func for func in ast.walk(tree) if isinstance(func, ast.FunctionDef)
+                   and (path.name, func.name) == ("seriesio.py", "_overwrite")]
+        exempt = {id(node) for func in helpers for node in ast.walk(func)}
+        for call in ast.walk(tree):
+            if not isinstance(call, ast.Call) or id(call) in exempt:
+                continue
+            name, method = _name(call.func), isinstance(call.func, ast.Attribute)
+            if name == "open" and not (method and _name(call.func.value) == "os"):
+                # open(file, mode) and path.open(mode)
+                given = [kw.value for kw in call.keywords if kw.arg == "mode"]
+                mode = (given + call.args[1 - method:2 - method] + [ast.Constant("r")])[0]
+                text = mode.value if isinstance(mode, ast.Constant) else "w"  # may write
+                writes = bool(set(str(text)) & set("wax+"))
+            else:
+                writes = name in ("open", "write_text", "write_bytes")
+            if writes:
+                found.append(f"{path.name}:{call.lineno} {name}")
+    assert found == []
+
+
 @pytest.mark.parametrize("folder, allowed", [
     ("src/gapdyn", {"numpy"}),
     ("demos", {"numpy", "gapdyn"}),
