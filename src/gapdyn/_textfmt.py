@@ -1,5 +1,8 @@
 """Exact numpy formatting of float64 blocks: the bytes of `%.17g` and `%.2f`.
 
+Both take up to _BLOCK values a call, and both follow one rule: a block
+holding a value they leave undecided is printed by `%` whole.
+
 %.17g: with a = |x| and k = floor(log10(a)), the digits are
 round-half-even(a * 10**(16 - k)), carried as one int64 in [10**16, 10**17).
 Per k, 10**(16 - k) = (hi + lo) * s * s' with hi in (1/2, 2) and s, s'
@@ -8,8 +11,8 @@ built whole on first use.  a * s * s' is exact and lies near 10**16, so a
 Dekker TwoProduct (Veltkamp split, no fused multiply-add) of it with hi,
 plus its product with lo, gives a * 10**(16 - k) = top + low to about
 2**-100 with no rescaling.  top >= 10**16 - 16 > 2**53 is an integer, so
-the digits are int64(top) + int64(floor(low)) exactly.  A value goes to `%`
-on its own when its fraction lies within _GUARD of one half (exact ties
+the digits are int64(top) + int64(floor(low)) exactly.  A value is left
+undecided when its fraction lies within _GUARD of one half (exact ties
 included), when log10 put k one off next to a power of ten, or when it is
 not finite.
 
@@ -23,8 +26,8 @@ before it) to the separator.  One boolean index compresses the block, and
 it copies few runs per field.
 
 %.2f: round-half-even(x * 100) is decided exactly from TwoProduct(x, 100).
-A block with a sign bit, a non-finite value or a value that rounds to
-1000.00 or more goes to `%` whole.
+A value with a sign bit, a non-finite value or a value that rounds to
+1000.00 or more is left undecided.
 """
 
 from __future__ import annotations
@@ -33,19 +36,21 @@ import functools
 
 import numpy as np
 
+# Values formatted by one call; bounds the temporaries, not a tuning knob.
+_BLOCK = 4096
 # One %.17g field is a row of 46 slots: "-" | 1-17 the 17 digits |
 # 18-22 "00000" | 23-39 the 17 digits again | 40-45 the exponent and
 # separator, written as one word from slot 38 before the digits.
 _G17_WIDTH = 46
 _SIGN, _INT, _ZEROS, _FRAC, _LAST = 0, 1, 18, 23, 39
 # Row indices of the per-exponent tables: k + _K0 for k in [-324, 308], then
-# zero and values left to `%`; the second _NK rows end in "\n", not ",".
+# zero; the second _NK rows end in "\n", not ",".
 _K0 = 324
-_ZERO, _LEFT, _NK = 633, 634, 635
+_ZERO, _NK = 633, 634
 # %g forms: 0-20 fixed with exponent k = form - 4, 21 exponent with two
-# exponent digits, 22 with three, 23 zero, 24 a value left to `%`.
-_EXP2, _EXP3, _ZERO_FORM, _LEFT_FORM = 21, 22, 23, 24
-# A fraction of a * 10**p this close to 1/2 goes to `%`; the double-double
+# exponent digits, 22 with three, 23 zero.
+_EXP2, _EXP3, _ZERO_FORM = 21, 22, 23
+# A fraction of a * 10**p this close to 1/2 is left undecided; the double-double
 # product is accurate to ~1e-15 there, so the band is wide on purpose.
 _GUARD = 1e-6
 _SPLIT = 134217729.0  # 2**27 + 1, Veltkamp's splitting constant
@@ -80,7 +85,7 @@ def _cents() -> np.ndarray:
 @functools.cache
 def _g17_masks() -> np.ndarray:
     """Slot keep-masks indexed by (form * 17 + significant digits - 1) * 2 + sign."""
-    form, sig = (g.reshape(-1, 1) for g in np.meshgrid(np.arange(25), np.arange(1, 18), indexing="ij"))
+    form, sig = (g.reshape(-1, 1) for g in np.meshgrid(np.arange(24), np.arange(1, 18), indexing="ij"))
     k = form - 4
     fixed = form < _EXP2
     whole = np.where(fixed, np.maximum(k + 1, 0), 1)
@@ -93,10 +98,9 @@ def _g17_masks() -> np.ndarray:
         | ((col >= start) & (col < _FRAC + sig) & (sig > whole))
         | ((col > _LAST) & (col <= _LAST + tail))
     )
-    keep[(form >= _ZERO_FORM)[:, 0]] = col == _LAST + 1
-    keep[(form == _ZERO_FORM)[:, 0], _LAST] = True
+    keep[(form == _ZERO_FORM)[:, 0]] = (col == _LAST) | (col == _LAST + 1)
     keep = np.repeat(keep, 2, axis=0)
-    keep[1 : -2 * 17 : 2, _SIGN] = True  # not for a value left to `%`, which prints it
+    keep[1::2, _SIGN] = True
     return keep
 
 
@@ -109,7 +113,7 @@ def _g17_codes() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     k = np.arange(_NK) - _K0
     fixed = (k >= -4) & (k <= 16)
     form = np.where(fixed, k + 4, np.where(np.abs(k) < 100, _EXP2, _EXP3))
-    form[[_ZERO, _LEFT]] = _ZERO_FORM, _LEFT_FORM
+    form[_ZERO] = _ZERO_FORM
     dot = np.where(fixed, _FRAC + k, _FRAC)
     e = np.abs(k)
     chars = np.empty((_NK, 8), np.uint8)
@@ -125,7 +129,7 @@ def _g17_codes() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 @functools.cache
 def _scales() -> np.ndarray:
     """Per k + _K0: s, s', hi, hi's Veltkamp halves and lo of _pow10(16 - k)."""
-    return np.array([_pow10(16 + _K0 - i) for i in range(_NK - 2)]).T
+    return np.array([_pow10(16 + _K0 - i) for i in range(_ZERO)]).T
 
 
 def _pow10(p: int) -> tuple[float, float, float, float, float, float]:
@@ -152,7 +156,9 @@ def g17_rows(block: np.ndarray) -> bytes:
     """`"%.17g,...,%.17g\\n" % row` for every row of an (n, m) float64 block."""
     n, m = block.shape
     x = block.ravel()
-    digits, row = _digits17(x)
+    digits, row, left = _digits17(x)
+    if left.any():
+        return _g17_slow(block)
     row.reshape(n, m)[:, -1] += _NK  # the last value of a row ends in "\n"
     tens, last = np.divmod(digits, 10)
     high, low = np.divmod(tens, 10**8)
@@ -174,18 +180,13 @@ def g17_rows(block: np.ndarray) -> bytes:
 
     key = np.take(base, row) + 2 * _significant(groups, last) + np.signbit(x)
     keep = np.take(_g17_masks(), key, axis=0)
-    text = slots[keep].tobytes()
-    odd = np.flatnonzero(row % _NK == _LEFT)
-    if not odd.size:
-        return text
-    # Splice each value left to `%` in front of its separator.
-    ends = np.cumsum(np.count_nonzero(keep, axis=1))[odd] - 1
-    pieces, start = [], 0
-    for end, v in zip(ends.tolist(), x[odd].tolist()):
-        pieces += [text[start:end], _g17(v)]
-        start = end
-    pieces.append(text[start:])
-    return b"".join(pieces)
+    return slots[keep].tobytes()
+
+
+def _g17_slow(block: np.ndarray) -> bytes:
+    """g17_rows by `%`, for a block that holds an undecided value."""
+    row = b",".join([b"%.17g"] * block.shape[1]) + b"\n"
+    return row * len(block) % tuple(block.ravel().tolist())
 
 
 def _column(slots: np.ndarray, col: int, dtype: str) -> np.ndarray:
@@ -193,10 +194,10 @@ def _column(slots: np.ndarray, col: int, dtype: str) -> np.ndarray:
     return np.ndarray(len(slots), dtype, slots, col, slots.strides[:1])
 
 
-def _digits17(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(digits, table row) per value of x: the 17 digits as an int64 in
-    [10**16, 10**17).  Zero gets row _ZERO and the digits of 1.0, a value
-    left to `%` row _LEFT (and the digits of 1.0 if it is not finite)."""
+def _digits17(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(digits, table row, left) per value of x: the 17 digits as an int64
+    in [10**16, 10**17), and True where they are left undecided.  Zero and
+    a value that is not finite get row _ZERO and the digits of 1.0."""
     a = np.abs(x)
     finite = np.isfinite(a)
     regular = finite & (a > 0.0)
@@ -210,15 +211,13 @@ def _digits17(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # An off-by-one k shows as N outside [10**16, 10**17).  Zero and the
     # non-finite values stand in as 1.0, whose N is exactly 10**16.
     left = ~finite | (np.abs(frac - 0.5) < _GUARD) | (digits < 10**16) | (digits >= 10**17)
-    # Exact halves are left to `%`, so rounding half up is round-half-even.
+    # Exact halves are undecided, so rounding half up is round-half-even.
     digits += frac > 0.5
-    # 10**17 is 10**16 at exponent k + 1; this also keeps digits that are
-    # left to `%` inside the digit tables.
+    # 10**17 is 10**16 at exponent k + 1.
     carry = digits >= 10**17
     digits[carry] = 10**16
     row += carry
-    row = np.where(left, _LEFT, np.where(regular, row, _ZERO))
-    return digits, row
+    return digits, np.where(regular, row, _ZERO), left
 
 
 def _times_pow10(a: np.ndarray, row: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -242,13 +241,8 @@ def _significant(groups: tuple[np.ndarray, ...], last: np.ndarray) -> np.ndarray
     return np.where(last > 0, 17, sig)
 
 
-def _g17(v: float) -> bytes:
-    """One value printed by `%`, for the values g17_rows leaves to it."""
-    return b"%.17g" % v
-
-
-def f2_pairs(xs: np.ndarray, ys: np.ndarray) -> str:
-    """`" ".join("%.2f,%.2f" % (x, y) for x, y in zip(xs, ys))`."""
+def f2_pairs(xs: np.ndarray, ys: np.ndarray) -> bytes:
+    """`" ".join("%.2f,%.2f" % (x, y) for x, y in zip(xs, ys))`, as bytes."""
     v = np.column_stack((xs, ys)).ravel()
     if not np.all((v < 1000.0) & ~np.signbit(v)):
         return _f2_pairs_slow(v)
@@ -274,8 +268,8 @@ def f2_pairs(xs: np.ndarray, ys: np.ndarray) -> str:
     keep[:, 1] = units >= 100
     keep[:, 2] = units >= 10
     keep[-1:, -1] = False
-    return slots[keep].tobytes().decode("ascii")
+    return slots[keep].tobytes()
 
 
-def _f2_pairs_slow(v: np.ndarray) -> str:
-    return " ".join(["%.2f,%.2f"] * (v.size // 2)) % tuple(v.tolist())
+def _f2_pairs_slow(v: np.ndarray) -> bytes:
+    return b" ".join([b"%.2f,%.2f"] * (v.size // 2)) % tuple(v.tolist())

@@ -37,41 +37,37 @@ _SPACING_REL_TOL = 1e-9
 _ROW_READER_ONLY = '"\x1c\x1d\x1e\x1f'
 
 _TRAJECTORY_HEADER = b"t,y,ydot,eps\n"
-# Rows formatted and written by one write(); bounds the size of the
-# temporaries, not a tuning knob.
-_ROWS_PER_WRITE = 1024
 
 
 def write_trajectory_csv(path: str | Path, traj: Trajectory) -> None:
     """Write `t,y,ydot,eps` rows at full round-trip precision.
 
-    Rows are formatted _ROWS_PER_WRITE at a time by _textfmt.g17_rows; the
-    bytes are those of formatting each row with "%.17g,%.17g,%.17g,%.17g\\n".
+    Rows are formatted _textfmt._BLOCK values at a time by _textfmt.g17_rows;
+    the bytes are those of formatting each row with "%.17g,%.17g,%.17g,%.17g\\n".
     A settled run ends in rows whose (y, ydot, eps) never change bit for
     bit: from the first of them on, only t is formatted per row, and
     "y,ydot,eps\\n" is formatted once and put in place of t's "\\n".
     """
-    from ._textfmt import g17_rows
+    from ._textfmt import _BLOCK, g17_rows
 
     times = traj.grid.times()
     columns = (times, traj.y, traj.ydot, traj.forcing)
     n = traj.grid.n_steps
     head = _settled_from(columns[1:]) + 1  # rows formatted whole
-    step = _ROWS_PER_WRITE
-    with _overwrite(path, "wb") as fh:
+    step = _BLOCK // 4
+    with _overwrite(path) as fh:
         fh.write(_TRAJECTORY_HEADER)
         for i in range(0, head, step):
             fh.write(g17_rows(np.column_stack([col[i : min(i + step, head)] for col in columns])))
         if head < n:
             rest = b"," + g17_rows(np.array([[col[head - 1] for col in columns[1:]]]))
-            # One field a row: four times the rows make the same temporaries.
-            for i in range(head, n, 4 * step):
-                fh.write(g17_rows(times[i : i + 4 * step, None]).replace(b"\n", rest))
+            for i in range(head, n, _BLOCK):
+                fh.write(g17_rows(times[i : i + _BLOCK, None]).replace(b"\n", rest))
 
 
 @contextlib.contextmanager
-def _overwrite(path: str | Path, mode: str, **kwargs) -> Iterator[IO]:
-    with open(path, mode, opener=lambda p, f: os.open(p, f & ~os.O_TRUNC, 0o666), **kwargs) as fh:
+def _overwrite(path: str | Path) -> Iterator[IO[bytes]]:
+    with open(path, "wb", opener=lambda p, f: os.open(p, f & ~os.O_TRUNC, 0o666)) as fh:
         try:
             yield fh
         finally:  # cut a regular file to the bytes written; a device cannot be cut

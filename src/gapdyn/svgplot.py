@@ -25,9 +25,6 @@ _MARGIN_TOP = 20
 _MARGIN_BOTTOM = 45
 _N_TICKS = 5
 _RANGE_PAD = 0.05  # widen the value range 5% each side
-# Polyline points formatted at once; bounds the temporaries, not a tuning
-# knob.
-_POINTS_PER_FORMAT = 2048
 
 _PALETTE = ("#1f6f8b", "#d1495b", "#edae49", "#30638e", "#66a182", "#8d96a3")
 
@@ -43,11 +40,11 @@ def write_svg(
     """Render one or more labelled lines over a shared time axis, its x
     axis labelled "time".
 
-    Polyline coordinates are computed and formatted _POINTS_PER_FORMAT
+    Polyline coordinates are computed and formatted _textfmt._BLOCK // 2
     points at a time by _textfmt.f2_pairs; the bytes are those of
-    formatting each point with "%.2f,%.2f".
+    formatting each point with "%.2f,%.2f".  The file is UTF-8.
     """
-    from ._textfmt import f2_pairs
+    from ._textfmt import _BLOCK, f2_pairs
     from .seriesio import _overwrite
 
     t = _check_array("times", times, min_size=2)
@@ -55,6 +52,8 @@ def write_svg(
     if not curves:
         raise InvariantViolation("need at least one series to plot")
     for name, text in [("title", title), ("y_label", y_label), *(("label", s) for s, _ in curves)]:
+        if not isinstance(text, str):
+            raise InvariantViolation(f"{name} must be a str, got {text!r}")
         if bad := re.search("[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]", text):
             raise InvariantViolation(f"{name} {text!r} holds {bad[0]!r}, which an SVG cannot carry")
 
@@ -116,20 +115,6 @@ def write_svg(
         f'height="{plot_bottom - plot_top}" fill="none" stroke="#444444" stroke-width="1"/>'
     )
 
-    # Each polyline stays in its formatted chunks, written one by one, so
-    # the document is never copied whole.
-    step = _POINTS_PER_FORMAT
-    polylines: list[list[str]] = []
-    for idx, (label, v) in enumerate(curves):
-        color = _PALETTE[idx % len(_PALETTE)]
-        pieces = ['<polyline points="']
-        for i in range(0, t.size, step):
-            if i:
-                pieces.append(" ")
-            pieces.append(f2_pairs(px(t[i : i + step]), py(v[i : i + step])))
-        pieces.append(f'" fill="none" stroke="{color}" stroke-width="1.5"/>\n')
-        polylines.append(pieces)
-
     # Legend in the top-right corner of the plot area.
     tail: list[str] = []
     labelled = [(i, label) for i, (label, _) in enumerate(curves) if label]
@@ -163,11 +148,20 @@ def write_svg(
     )
     tail.append("</svg>")
 
-    with _overwrite(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("\n".join(parts) + "\n")
-        for pieces in polylines:
-            fh.writelines(pieces)
-        fh.write("\n".join(tail) + "\n")
+    # Each polyline is written block by block as it is formatted, so the
+    # document is never held whole.
+    step = _BLOCK // 2
+    with _overwrite(path) as fh:
+        fh.write(("\n".join(parts) + "\n").encode())
+        for idx, (_, v) in enumerate(curves):
+            fh.write(b'<polyline points="')
+            for i in range(0, t.size, step):
+                if i:
+                    fh.write(b" ")
+                fh.write(f2_pairs(px(t[i : i + step]), py(v[i : i + step])))
+            color = _PALETTE[idx % len(_PALETTE)]
+            fh.write(f'" fill="none" stroke="{color}" stroke-width="1.5"/>\n'.encode())
+        fh.write(("\n".join(tail) + "\n").encode())
 
 
 def _axis(lo: float, hi: float, pad: float) -> tuple[float, float, float]:

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from gapdyn import OscState, TimeGrid, Trajectory, write_trajectory_csv
-from gapdyn._textfmt import _LEFT, _digits17
+from gapdyn._textfmt import _digits17
 from gapdyn.svgplot import _padded_range, write_svg
 
 SIZES = [2, 1023, 1024, 1025, 2049, 4097]
@@ -80,7 +80,7 @@ def _settled(n: int, start: int, tail=(2e-323, -0.0, 0.25), before=None,
 def _tail_left_to_percent() -> Trajectory:
     # _textfmt leaves 1e23 to `%` (log10 puts it one power of ten off), so
     # the settled row takes that path
-    assert _digits17(np.array([1e23]))[1][0] == _LEFT
+    assert _digits17(np.array([1e23]))[2][0]
     return _settled(1500, 700, (1e23, -1e23, 1e23))
 
 

@@ -118,14 +118,13 @@ def test_a_failed_csv_write_leaves_only_what_it_wrote(tmp_path, monkeypatch):
     assert old.read_bytes() == b"t,y,ydot,eps\n" + blocks[0]
 
 
-@pytest.mark.parametrize("mode, text", [("wb", b"new"), ("w", "new")])
-def test_a_failed_write_is_cut_to_its_bytes(tmp_path, mode, text):
-    # Binary for the CSV, text for the SVG: each is flushed, then cut.
+def test_a_failed_write_is_cut_to_its_bytes(tmp_path):
+    # What was written is flushed, then the file is cut after it.
     path = tmp_path / "out"
     path.write_bytes(b"old bytes, more of them")
     with pytest.raises(RuntimeError):
-        with _overwrite(path, mode) as fh:
-            fh.write(text)
+        with _overwrite(path) as fh:
+            fh.write(b"new")
             raise RuntimeError
     assert path.read_bytes() == b"new"
 
@@ -142,6 +141,33 @@ def test_svg_text_no_xml_parser_reads_is_refused(tmp_path, where, char):
     with pytest.raises(InvariantViolation, match=f"^{where} "):
         write_svg(path, [0.0, 1.0], [(label, [0.0, 1.0])], **kwargs)
     assert path.read_bytes() == b"x" * 60000
+
+
+@pytest.mark.parametrize("where, text", [
+    ("title", None), ("y_label", b"x"), ("label", None), ("label", 3),
+])
+def test_svg_text_that_is_not_a_str_is_refused(tmp_path, where, text):
+    # Refused before the file is opened, as above.
+    path = tmp_path / "plot.svg"
+    path.write_bytes(b"x" * 60000)
+    kwargs = {} if where == "label" else {where: text}
+    label = text if where == "label" else "y"
+    with pytest.raises(InvariantViolation, match=f"^{where} must be a str, got {text!r}$"):
+        write_svg(path, [0.0, 1.0], [(label, [0.0, 1.0])], **kwargs)
+    assert path.read_bytes() == b"x" * 60000
+
+
+def test_svg_text_keeps_its_utf8_bytes(tmp_path):
+    # The file is written in binary: the text's UTF-8 bytes go in as they
+    # are, a CR included, with only & < > escaped.
+    path = tmp_path / "plot.svg"
+    text = "é γ \U0001f600\ttab\rcr <&>"
+    write_svg(path, [0.0, 1.0], [(text, [0.0, 1.0])], title=text, y_label=text)
+    escaped = "é γ \U0001f600\ttab\rcr &lt;&amp;&gt;".encode("utf-8")
+    assert escaped == b"\xc3\xa9 \xce\xb3 \xf0\x9f\x98\x80\ttab\rcr &lt;&amp;&gt;"
+    data = path.read_bytes()
+    assert data.count(b">" + escaped + b"</text>") == 3  # legend, title and y label
+    assert b"\r\n" not in data
 
 
 def test_svg_text_xml_allows_parses(tmp_path):

@@ -309,12 +309,14 @@ def test_only_overwrite_opens_a_file_to_write():
     # Every output file goes through seriesio._overwrite, which opens it
     # without O_TRUNC.  Anywhere else, an os.open, a Path.write_text or
     # write_bytes, or an open() whose mode may write (or is not a literal)
-    # would bring the truncating open back.
-    found = []
+    # would bring the truncating open back.  _overwrite itself takes only
+    # the path and opens it "wb": the writers hand it bytes, so there is
+    # one open mode and nothing for a caller to choose.
+    found, helpers = [], []
     for path in sorted(Path(gapdyn.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
-        helpers = [func for func in ast.walk(tree) if isinstance(func, ast.FunctionDef)
-                   and (path.name, func.name) == ("seriesio.py", "_overwrite")]
+        helpers += [func for func in ast.walk(tree) if isinstance(func, ast.FunctionDef)
+                    and (path.name, func.name) == ("seriesio.py", "_overwrite")]
         exempt = {id(node) for func in helpers for node in ast.walk(func)}
         for call in ast.walk(tree):
             if not isinstance(call, ast.Call) or id(call) in exempt:
@@ -331,6 +333,15 @@ def test_only_overwrite_opens_a_file_to_write():
             if writes:
                 found.append(f"{path.name}:{call.lineno} {name}")
     assert found == []
+    (helper,) = helpers
+    args = helper.args
+    assert [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs] == ["path"]
+    assert args.vararg is args.kwarg is None
+    opens = [call for call in ast.walk(helper)
+             if isinstance(call, ast.Call) and isinstance(call.func, ast.Name) and call.func.id == "open"]
+    assert [(ast.dump(call.args[1]), [kw.arg for kw in call.keywords]) for call in opens] == [
+        (ast.dump(ast.Constant("wb")), ["opener"])
+    ]
 
 
 @pytest.mark.parametrize("folder, allowed", [

@@ -1,6 +1,6 @@
 """The numpy formatters print exactly what `%` prints.
 
-g17_rows must give the bytes of "%.17g" and f2_pairs the text of "%.2f" for
+g17_rows must give the bytes of "%.17g" and f2_pairs those of "%.2f" for
 every input: random bit patterns, the values next to powers of ten where
 log10 can put the exponent one off, exact ties at the 18th digit, and every
 two-decimal tie below 1000.  Property tests use hypothesis (MacIver et al.,
@@ -18,8 +18,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gapdyn import OscillatorParams, OscState, TimeGrid, _textfmt, integrate_rk4
-from gapdyn._textfmt import _LEFT, _ZERO, _digits17, f2_pairs, g17_rows
+from gapdyn import OscillatorParams, OscState, TimeGrid, Trajectory, _textfmt, integrate_rk4
+from gapdyn import write_trajectory_csv
+from gapdyn._textfmt import _ZERO, _digits17, f2_pairs, g17_rows
 from test_golden import _KERNELS
 
 _SETTINGS = settings(max_examples=1000, deadline=None, derandomize=True, database=None)
@@ -29,8 +30,8 @@ def _g17_reference(block: np.ndarray) -> bytes:
     return "".join(",".join("%.17g" % v for v in row) + "\n" for row in block.tolist()).encode()
 
 
-def _f2_reference(xs: np.ndarray, ys: np.ndarray) -> str:
-    return " ".join("%.2f,%.2f" % pair for pair in zip(xs.tolist(), ys.tolist()))
+def _f2_reference(xs: np.ndarray, ys: np.ndarray) -> bytes:
+    return " ".join("%.2f,%.2f" % pair for pair in zip(xs.tolist(), ys.tolist())).encode()
 
 
 def _assert_g17(values: np.ndarray, columns: int = 4) -> None:
@@ -88,7 +89,7 @@ def test_g17_rows_match_percent(values, columns):
 @_SETTINGS
 @given(st.floats(-10.0, 1100.0), st.floats(-10.0, 1100.0))
 def test_f2_matches_percent(x, y):
-    assert f2_pairs(np.array([x]), np.array([y])) == "%.2f,%.2f" % (x, y)
+    assert f2_pairs(np.array([x]), np.array([y])) == ("%.2f,%.2f" % (x, y)).encode()
 
 
 def _random_bits(size: int = 1_000_000) -> np.ndarray:
@@ -117,9 +118,9 @@ def _significant_digits(text: bytes) -> bytes:
 ], ids=["random-bits", "powers-of-ten", "ties"])
 def test_digits17_are_one_int64_of_17_digits(inputs):
     values = inputs()
-    digits, row = _digits17(values)
+    digits, row, left = _digits17(values)
     assert digits.dtype == np.int64
-    shown = row != _LEFT
+    shown = ~left
     assert np.all((digits[shown] >= 10**16) & (digits[shown] < 10**17))
     assert np.all(digits[row == _ZERO] == 10**16)  # the digits of 1.0
     printed = shown & (row != _ZERO)
@@ -202,32 +203,50 @@ def test_f2_blocks_left_to_percent(values):
 
 
 def test_f2_empty():
-    assert f2_pairs(np.array([]), np.array([])) == ""
+    assert f2_pairs(np.array([]), np.array([])) == b""
 
 
-def _count_fallback(monkeypatch) -> list[float]:
-    seen: list[float] = []
+def _count_fallback(monkeypatch) -> list[np.ndarray]:
+    """The blocks g17_rows leaves to `%`, as they are formatted."""
+    seen: list[np.ndarray] = []
+    slow = _textfmt._g17_slow
 
-    def counted(v: float) -> bytes:
-        seen.append(v)
-        return b"%.17g" % v
+    def counted(block: np.ndarray) -> bytes:
+        seen.append(block.copy())
+        return slow(block)
 
-    monkeypatch.setattr(_textfmt, "_g17", counted)
+    monkeypatch.setattr(_textfmt, "_g17_slow", counted)
     return seen
 
 
 def test_fallback_is_rare_on_normals(monkeypatch):
+    # 25 blocks, none of which holds a value the digits cannot decide.
     seen = _count_fallback(monkeypatch)
     normals = np.random.default_rng(3).standard_normal(100_000)
     _assert_g17(normals)
-    assert len(seen) < 1000
+    assert len(seen) == 0
 
 
 def test_fallback_takes_every_exact_tie(monkeypatch):
     seen = _count_fallback(monkeypatch)
     ties = _exact_ties()
     _assert_g17(ties)
-    assert sorted(seen) == sorted(ties.tolist())
+    assert seen and set(ties.tolist()) <= {v for block in seen for v in block.ravel().tolist()}
+
+
+def test_fallback_is_per_block_in_the_csv_writer(tmp_path, monkeypatch):
+    # One exact tie in rows 1024-2047 of a 3000-row trajectory: only the
+    # second of its three blocks goes to `%`.
+    n = 3000
+    y, ydot, eps = np.random.default_rng(6).standard_normal((3, n))
+    y[1500] = _exact_ties()[0]
+    traj = Trajectory(TimeGrid(dt=0.1, n_steps=n), y, ydot, eps)
+    seen = _count_fallback(monkeypatch)
+    path = tmp_path / "traj.csv"
+    write_trajectory_csv(path, traj)
+    assert len(seen) == 1 and np.array_equal(seen[0][:, 1], y[1024:2048])
+    block = np.column_stack([traj.grid.times(), y, ydot, eps])
+    assert path.read_bytes() == b"t,y,ydot,eps\n" + _g17_reference(block)
 
 
 @pytest.mark.parametrize("path", ["exp-decay", "rk4"])
