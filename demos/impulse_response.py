@@ -2,6 +2,11 @@
 Impulse response of an economy at rest
 ======================================
 
+One kick at t = 2 hits an economy sitting exactly at potential, under each
+of the three damping regimes.  Weak damping swings the gap past zero and
+rings on longest before it settles back inside |y| <= 0.05; critical
+damping returns first without crossing zero, and heavy damping creeps back
+a little later.  The script prints each path's peak and that settling time.
 """
 
 import numpy as np

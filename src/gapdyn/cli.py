@@ -11,7 +11,8 @@ and the exit status separates failure families:
     3  numerical error (degenerate or non-stationary fits, divergence)
 
 Each error class in errors.py owns its family as `exit_code`; main maps an
-OSError to 2 and a usage error to 1.
+OSError to 2, a usage error to 1, and a MemoryError, an input too large for
+memory, to InvariantViolation's 2.
 
 Seed precedence for seeded shocks: the --seed flag beats shock_seed in the
 config file; with a shock kind that draws nothing, --seed is BadValue.  A
@@ -58,6 +59,9 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         _fail("IoError", str(exc))
         return 2
+    except MemoryError:
+        _fail("InvariantViolation", "input too large for memory")
+        return InvariantViolation.exit_code
 
 
 @functools.cache
@@ -170,18 +174,20 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     # that fails at any gamma leaves stdout empty.  A variant differs from
     # cfg only in gamma, so checking its OscillatorParams checks the variant.
     # The forcing does not depend on gamma: it is realized once for all.
-    params = [OscillatorParams(gamma=float(g), alpha=cfg.alpha) for g in gammas]
     grid = cfg.grid()
     try:
+        params = [OscillatorParams(gamma=float(g), alpha=cfg.alpha) for g in gammas]
         eps = realize(cfg.shock, grid)
         metrics = sweep_metrics(params, cfg.initial_state(), eps, grid, cfg.integrator)
+        rows = ["gamma,settling_time,overshoot,zero_crossings,terminal_abs\n"]
+        rows += [
+            "%.17g,%.17g,%.17g,%d,%.17g\n" % row
+            for row in zip(gammas.tolist(), *(column.tolist() for column in metrics))
+        ]
     except MemoryError:
-        raise _too_large(cfg) from None
-    rows = ["gamma,settling_time,overshoot,zero_crossings,terminal_abs\n"]
-    rows += [
-        "%.17g,%.17g,%.17g,%d,%.17g\n" % row
-        for row in zip(gammas.tolist(), *(column.tolist() for column in metrics))
-    ]
+        raise InvariantViolation(
+            f"cannot allocate {args.gamma_steps} gammas on a grid of n_steps={cfg.n_steps} nodes"
+        ) from None
     sys.stdout.write("".join(rows))
     return 0
 

@@ -142,32 +142,34 @@ def _read_plain(text: str) -> ObservedSeries | None:
 
 
 def _read_rows(path: str | Path, text: str) -> ObservedSeries:
-    """read_series_csv row by row: csv cells and float()."""
+    """read_series_csv row by row: csv cells and float(), rows numbered from
+    1 in file order.  A row csv cannot split (a cell over its field size
+    limit, say) raises BadNumber naming that row."""
     from .estimation import ObservedSeries
 
-    with io.StringIO(text, newline="") as fh:
-        rows = _numbered_rows(path, fh)
-        first = next(rows, None)
-        if first is None:
-            raise MissingHeader(f"{path}: empty file")
-        header = first[1]
-        normalized = [cell.strip().lower() for cell in header]
-        if normalized[:2] != ["t", "y"]:
-            raise MissingHeader(
-                f"{path}: header must start with 't,y', got {','.join(header)!r}"
-            )
-        times: list[float] = []
-        values: list[float] = []
-        rownums: list[int] = []
-        for rownum, row in rows:
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) < 2:
+    times: list[float] = []
+    values: list[float] = []
+    rownums: list[int] = []
+    rownum = 0
+    try:
+        for rownum, row in enumerate(csv.reader(io.StringIO(text, newline="")), start=1):
+            if rownum == 1:
+                if [cell.strip().lower() for cell in row[:2]] != ["t", "y"]:
+                    raise MissingHeader(
+                        f"{path}: header must start with 't,y', got {','.join(row)!r}"
+                    )
+            elif not row or (len(row) == 1 and not row[0].strip()):
+                continue  # a blank row
+            elif len(row) < 2:
                 raise BadNumber(f"{path}: row {rownum}: expected at least 2 columns")
-            times.append(_parse_cell(path, rownum, "t", row[0]))
-            values.append(_parse_cell(path, rownum, "y", row[1]))
-            rownums.append(rownum)
-
+            else:
+                times.append(_parse_cell(path, rownum, "t", row[0]))
+                values.append(_parse_cell(path, rownum, "y", row[1]))
+                rownums.append(rownum)
+    except csv.Error as exc:
+        raise BadNumber(f"{path}: row {rownum + 1}: {exc}") from None
+    if rownum == 0:
+        raise MissingHeader(f"{path}: empty file")
     if len(values) < 2:
         raise InvariantViolation(f"{path}: need at least 2 data rows, got {len(values)}")
     dt, i = _spacing(np.array(times))
@@ -187,22 +189,6 @@ def _spacing(times: np.ndarray) -> tuple[float, int]:
         dt = float(steps[0])
         off = np.abs(steps - dt) > _SPACING_REL_TOL * np.maximum(np.abs(steps), abs(dt))
     return dt, int(np.argmax(off)) + 1 if off.any() else 0
-
-
-def _numbered_rows(path: str | Path, fh: io.StringIO) -> Iterator[tuple[int, list[str]]]:
-    """csv rows of fh numbered from 1.  A row csv cannot split (a cell over
-    its field size limit, say) raises BadNumber naming that row."""
-    reader = csv.reader(fh)
-    rownum = 1
-    while True:
-        try:
-            row = next(reader)
-        except StopIteration:
-            return
-        except csv.Error as exc:
-            raise BadNumber(f"{path}: row {rownum}: {exc}") from None
-        yield rownum, row
-        rownum += 1
 
 
 def read_text(path: str | Path) -> str:

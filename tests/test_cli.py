@@ -395,6 +395,22 @@ class TestEstimate:
         assert err.startswith("error=BadNumber")
         assert "row 2" in err
 
+    # The row reader reads and checks one row at a time, so the first bad row
+    # names the error, whether csv cannot split it or float() cannot read it.
+    @pytest.mark.parametrize("text, error", [
+        ('t,"' + "x" * 200_000 + '"\n0,1\n1,2\n',
+         "BadNumber detail={}: row 1: field larger than field limit (131072)"),
+        ('t,y\n0,oops\n1,2\n2,"' + "x" * 200_000 + '"\n',
+         "BadNumber detail={}: row 2: column 'y' is not a number: 'oops'"),
+        ("", "MissingHeader detail={}: empty file"),
+    ], ids=["csv-error-in-header", "bad-cell-before-csv-error", "empty-file"])
+    def test_first_bad_row_names_the_error(self, capsys, tmp_path, text, error):
+        path = tmp_path / "series.csv"
+        path.write_text(text)
+        code, out, err = _run(capsys, ["estimate", "--in", str(path)])
+        assert (code, out) == (2, "")
+        assert err == f"error={error.format(path)}\n"
+
     def test_ragged_csv_exit_2(self, capsys, tmp_path):
         path = tmp_path / "ragged.csv"
         path.write_text("t,y\n0.0,1.0\n0.1,0.9\n0.3,0.8\n")
@@ -603,6 +619,39 @@ class TestOversizedGrid:
         assert len(proc.stderr.splitlines()) == 1
         assert proc.stderr.startswith("error=InvariantViolation detail=")
         assert "n_steps" in proc.stderr
+
+
+class TestOutOfMemory:
+    """A MemoryError anywhere in a command is a data error on one line.
+
+    The allocation that fails is simulated: the layer that would make it
+    raises MemoryError, so nothing large is allocated.
+    """
+
+    def test_sweep_names_its_size(self, capsys, config_file, monkeypatch):
+        def refuse(**kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr("gapdyn.oscillator.OscillatorParams", refuse)
+        code, out, err = _run(
+            capsys,
+            ["sweep", "--config", config_file(), "--gamma-from", "1",
+             "--gamma-to", "2", "--gamma-steps", "3"],
+        )
+        assert (code, out) == (2, "")
+        assert err == ("error=InvariantViolation detail=cannot allocate 3 gammas"
+                       " on a grid of n_steps=201 nodes\n")
+
+    def test_estimate_input_too_large(self, capsys, tmp_path, monkeypatch):
+        def refuse(text):
+            raise MemoryError
+
+        monkeypatch.setattr("gapdyn.seriesio._read_plain", refuse)
+        path = tmp_path / "series.csv"
+        path.write_text("t,y\n0,1\n1,2\n2,3\n")
+        code, out, err = _run(capsys, ["estimate", "--in", str(path)])
+        assert (code, out) == (2, "")
+        assert err == "error=InvariantViolation detail=input too large for memory\n"
 
 
 class TestCheck:
