@@ -31,7 +31,7 @@ import functools
 import math
 import sys
 
-from .errors import BadValue, GapdynError, InvariantViolation, UnknownKey
+from .errors import BadValue, GapdynError, InvariantViolation, UnknownKey, _check
 
 
 class _UsageError(Exception):
@@ -160,6 +160,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     cfg = _load_config(args.config, seed_flag=args.seed)
     if args.gamma_steps < 1:
         raise InvariantViolation(f"gamma-steps must be >= 1, got {args.gamma_steps}")
+    # Both ends finite and >= 0, so np.linspace cannot overflow.
+    _check("gamma-from", args.gamma_from, low=0)
+    _check("gamma-to", args.gamma_to, low=0)
     if args.gamma_steps > 1 and not (args.gamma_to > args.gamma_from):
         raise InvariantViolation(
             "gamma-to must exceed gamma-from when gamma-steps > 1"

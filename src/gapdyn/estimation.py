@@ -75,7 +75,7 @@ def discretize_exact(params: OscillatorParams, dt: float) -> tuple[float, float]
 
 
 def _phi_pair(g: float, a: float, dt: float) -> tuple[float, float]:
-    return 2.0 * _flow_parts(g, a, dt, math)[0], -math.exp(-g * dt)
+    return 2.0 * _flow_parts(g, a, dt)[0], -math.exp(-g * dt)
 
 
 def conditional_loglik(series: ObservedSeries, params: OscillatorParams) -> float:

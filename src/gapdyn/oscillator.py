@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import _check, _check_array
+from .errors import _check
 
 # Width of the relative band around gamma^2 == 4*alpha inside which `classify`
 # labels a parameterization critically damped.  It only names the regime.
@@ -124,7 +124,10 @@ def solve_analytic(params: OscillatorParams, init: OscState, t: float) -> OscSta
     _check("t", t, low=0)
     if t == 0.0:
         return OscState(init.y, init.ydot)
-    return OscState(*_homogeneous(params, init, t, math))
+    g, a = params.gamma, params.alpha
+    ec, es, ed = _flow_parts(g, a, t)
+    y = ec * init.y + es * (0.5 * g * init.y + init.ydot)
+    return OscState(y, ed * init.ydot - es * (a * init.y))
 
 
 def energy(params: OscillatorParams, state: OscState) -> float:
@@ -136,17 +139,7 @@ def energy(params: OscillatorParams, state: OscState) -> float:
     return 0.5 * state.ydot * state.ydot + 0.5 * params.alpha * state.y * state.y
 
 
-def _homogeneous(params: OscillatorParams, init: OscState, t, xp):
-    """Closed-form (y, ydot) of the unforced equation at times t, with `xp`
-    as in `_flow_parts`."""
-    g, a = params.gamma, params.alpha
-    ec, es, ed = _flow_parts(g, a, t, xp)
-    y = ec * init.y + es * (0.5 * g * init.y + init.ydot)
-    ydot = ed * init.ydot - es * (a * init.y)
-    return y, ydot
-
-
-def _flow_parts(gamma: float, alpha: float, t, xp):
+def _flow_parts(gamma: float, alpha: float, t: float) -> tuple[float, float, float]:
     """Parts of the flow e^(A t) = e^(mu t) (c(t) I + s(t) N) of the unforced law.
 
     A = [[0, 1], [-alpha, -gamma]], mu = -gamma/2 and N = A - mu I, whose
@@ -156,29 +149,28 @@ def _flow_parts(gamma: float, alpha: float, t, xp):
     w^2 = -delta, (cosh(r t), sinh(r t)/r) with r^2 = delta, or (1, t).
     Over-damped, the slow root is alpha/fast, e^(mu t) s goes through expm1
     and the (2, 2) entry is e^(fast t) + slow e^(mu t) s, so nothing cancels
-    when gamma^2 >> alpha.  `xp` is numpy for an array t, math for a scalar;
-    a phase w t past the float range raises InvariantViolation.
+    when gamma^2 >> alpha.  Where gamma^2/4 passes the float range, delta is
+    taken 2^1024 lower, where it is positive and finite.  A phase w t past
+    the float range raises InvariantViolation.
     """
     mu = -0.5 * gamma
     delta = 0.25 * gamma * gamma - alpha
     if delta > 0.0:
         r = math.sqrt(delta)
+        if r == math.inf:
+            h = math.ldexp(-mu, -512)
+            r = math.ldexp(math.sqrt(h * h - math.ldexp(alpha, -1024)), 512)
         fast = mu - r
         slow = alpha / fast
-        e_slow, e_fast = xp.exp(slow * t), xp.exp(fast * t)
-        es = -e_slow * xp.expm1(-2.0 * r * t) / (2.0 * r)
+        e_slow, e_fast = math.exp(slow * t), math.exp(fast * t)
+        es = -e_slow * math.expm1(-2.0 * r * t) / (2.0 * r)
         return 0.5 * (e_slow + e_fast), es, e_fast + slow * es
-    decay = xp.exp(mu * t)
+    decay = math.exp(mu * t)
     if delta < 0.0:
         w = math.sqrt(-delta)
-        if xp is math:  # math.cos raises ValueError at inf; numpy gives nan
-            phase = w * t
-            _check("phase w*t", phase)
-        else:
-            with xp.errstate(over="ignore"):
-                phase = w * t
-            _check_array("phase w*t", xp.ravel(phase))
-        ec, es = decay * xp.cos(phase), decay * xp.sin(phase) / w
+        phase = w * t
+        _check("phase w*t", phase)  # math.cos raises ValueError at inf
+        ec, es = decay * math.cos(phase), decay * math.sin(phase) / w
     else:
         ec, es = decay, t * decay
     return ec, es, ec + mu * es

@@ -520,6 +520,29 @@ class TestSweep:
         assert len(err.splitlines()) == 1
         assert err.startswith("error=InvariantViolation")
 
+    # In a fresh process, where no pytest filter catches a numpy warning:
+    # each flag is checked before np.linspace could overflow on it.
+    @pytest.mark.parametrize("flags, detail", [
+        (["--gamma-from", "0", "--gamma-to", "inf", "--gamma-steps", "3"],
+         "gamma-to must be finite, got inf"),
+        (["--gamma-from", "inf", "--gamma-to", "1", "--gamma-steps", "1"],
+         "gamma-from must be finite, got inf"),
+        (["--gamma-from=-1e308", "--gamma-to=1e308", "--gamma-steps=3"],
+         "gamma-from must be >= 0, got -1e+308"),
+        (["--gamma-from", "1", "--gamma-to=-1.7e308", "--gamma-steps", "1"],
+         "gamma-to must be >= 0, got -1.7e+308"),
+    ])
+    def test_unusable_range_flag_is_one_error_line(self, config_file, flags, detail):
+        src = str(Path(gapdyn.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        proc = subprocess.run(
+            [sys.executable, "-m", "gapdyn.cli", "sweep", "--config", config_file(), *flags],
+            capture_output=True, text=True, env=env,
+        )
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == f"error=InvariantViolation detail={detail}\n"
+
     def test_divergence_at_later_gamma_prints_no_table(self, capsys, config_file):
         # Explicit Euler at dt 0.5 is fine at gamma 0.5 and overflows within
         # 400 steps at gamma 15.25 (per-step growth about |1 - gamma dt|).

@@ -20,10 +20,10 @@ from gapdyn import (
     integrate_rk4,
     recovery_metrics,
     realize,
+    solve_analytic,
 )
 import gapdyn.integrate as integrate
 from gapdyn.integrate import _rk4_steps, integrate_batch
-from gapdyn.oscillator import _homogeneous
 
 UNDER = OscillatorParams(gamma=0.5, alpha=1.0)
 CRITICAL = OscillatorParams(gamma=2.0, alpha=1.0)
@@ -436,11 +436,10 @@ def _zoh_exact(params, init, eps, grid):
     # unforced flow of its offset from (e/alpha, 0)
     y, v = np.empty(grid.n_steps), np.empty(grid.n_steps)
     y[0], v[0] = init.y, init.ydot
-    dt = np.array([grid.dt])
     for i in range(1, grid.n_steps):
         rest = eps[i - 1] / params.alpha
-        hy, hv = _homogeneous(params, OscState(y[i - 1] - rest, v[i - 1]), dt, np)
-        y[i], v[i] = hy[0] + rest, hv[0]
+        h = solve_analytic(params, OscState(y[i - 1] - rest, v[i - 1]), grid.dt)
+        y[i], v[i] = h.y + rest, h.ydot
     return y, v
 
 

@@ -4,7 +4,13 @@ Property tests use hypothesis (MacIver et al., "Hypothesis: A new approach
 to property-based testing", JOSS 4(43), 2019).
 """
 
+import hashlib
 import math
+import os
+import platform
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,7 +29,8 @@ from gapdyn import (
     from_physical,
     solve_analytic,
 )
-from gapdyn.oscillator import _homogeneous, _scaled_squares
+from gapdyn.oscillator import _scaled_squares
+from test_golden import _KERNELS
 
 UNDER = OscillatorParams(gamma=0.5, alpha=1.0)
 CRITICAL = OscillatorParams(gamma=2.0, alpha=1.0)
@@ -197,9 +204,8 @@ class TestSolveAnalytic:
 
     @pytest.mark.filterwarnings("error")
     def test_overflowed_phase_on_a_grid_is_an_invariant_violation(self):
-        # the same phase on a grid: checked before numpy's cos and sin make
-        # nan of it, and with no numpy warning from w * t overflowing
-        with pytest.raises(InvariantViolation, match=r"^phase w\*t must be finite, got inf at index 1$"):
+        # the same phase on a grid, at its node t = 1e300, with no numpy warning
+        with pytest.raises(InvariantViolation, match=r"^phase w\*t must be finite, got inf$"):
             analytic_trajectory(OscillatorParams(0.0, 1e300), UNIT_START, TimeGrid(1e300, 3))
 
     def test_satisfies_ode_by_central_difference(self):
@@ -227,6 +233,73 @@ class TestSolveAnalytic:
             scale = max(abs(combined.y), abs(combined.ydot), 1.0)
             assert abs(combined.y - (a.y + b.y)) < 1e-12 * scale
             assert abs(combined.ydot - (a.ydot + b.ydot)) < 1e-12 * scale
+
+
+def _random_regime_params(rng: np.random.Generator, regime: str) -> OscillatorParams:
+    """(gamma, alpha) with gamma in [0.1, 5] and gamma^2/4 - alpha of the
+    regime's sign; "band" lands within 1e-9 of gamma^2 = 4 alpha, on
+    either side or, for gamma = 2, alpha = 1, on it."""
+    g = float(rng.uniform(0.1, 5.0))
+    if regime == "band":
+        if rng.integers(4) == 0:
+            return OscillatorParams(2.0, 1.0)
+        return OscillatorParams(g, 0.25 * g * g * (1.0 + float(rng.uniform(-1e-9, 1e-9))))
+    scale = float(rng.uniform(0.05, 0.95))
+    return OscillatorParams(g, 0.25 * g * g * (scale if regime == "over" else 1.0 / scale))
+
+
+def _trajectory_bytes() -> bytes:
+    """The y and ydot bytes of analytic_trajectory on 1000 nodes in each regime."""
+    grid = TimeGrid(0.05, 1000)
+    paths = [analytic_trajectory(p, UNIT_START, grid) for p in (UNDER, CRITICAL, OVER)]
+    paths.append(analytic_trajectory(OscillatorParams(3.0, 1.0), OscState(0.5, -1.0), grid))
+    return b"".join(t.y.tobytes() + t.ydot.tobytes() for t in paths)
+
+
+_DISPATCH_CHILD = """
+import hashlib
+from test_oscillator import _trajectory_bytes
+print(hashlib.sha256(_trajectory_bytes()).hexdigest())
+"""
+
+
+class TestAnalyticTrajectory:
+    @pytest.mark.parametrize("regime", ["under", "over", "band"])
+    def test_every_node_is_solve_analytic(self, regime):
+        rng = np.random.default_rng({"under": 41, "over": 43, "band": 47}[regime])
+        for _ in range(20):
+            params = _random_regime_params(rng, regime)
+            init = OscState(float(rng.normal()), float(rng.normal()))
+            grid = TimeGrid(float(rng.uniform(0.01, 0.5)), 401)
+            traj = analytic_trajectory(params, init, grid)
+            states = [solve_analytic(params, init, t) for t in grid.times().tolist()]
+            assert traj.y.tobytes() == np.array([s.y for s in states]).tobytes(), params
+            assert traj.ydot.tobytes() == np.array([s.ydot for s in states]).tobytes(), params
+
+    @pytest.mark.filterwarnings("error")
+    def test_gamma_squared_past_the_float_range(self):
+        # y = e^(-t alpha/gamma) to the last bit; ydot = -alpha/gamma y
+        traj = analytic_trajectory(OscillatorParams(1e200, 1.0), UNIT_START, TimeGrid(1.0, 3))
+        assert traj.y.tolist() == [1.0, 1.0, 1.0]
+        assert traj.ydot.tolist() == [0.0, -1e-200, -1e-200]
+
+    @pytest.mark.skipif(
+        platform.machine().lower() not in ("x86_64", "amd64"), reason="x86-64 kernel names"
+    )
+    @pytest.mark.parametrize(
+        "kernel", [env for env in _KERNELS if "NPY_ENABLE_CPU_FEATURES" in env],
+        ids=lambda env: "=".join(*env.items()),
+    )
+    def test_bytes_do_not_depend_on_kernels(self, kernel):
+        # The closed form runs on Python's math, not numpy's dispatched exp,
+        # cos and sin, so a fresh process at another SIMD level gets the
+        # bytes of this one.
+        tests = Path(__file__).resolve().parent
+        path = [str(tests.parent / "src"), str(tests), os.environ.get("PYTHONPATH")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p), **kernel)
+        proc = subprocess.run([sys.executable, "-c", _DISPATCH_CHILD], capture_output=True, text=True, env=env)
+        want = hashlib.sha256(_trajectory_bytes()).hexdigest()
+        assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", want + "\n")
 
 
 class TestEnergy:
@@ -258,7 +331,9 @@ class TestEnergy:
 # of gamma and alpha, rounded to the nearest double.  Rows are
 # (gamma, alpha, y0, ydot0, y at _REF_TIMES, ydot at _REF_TIMES).  "band" sits
 # inside classify's critical band (delta < 0, = 0 and > 0), "outside" just
-# beyond it, "undamped" has gamma = 0 and "stiff" gamma^2 >> alpha.
+# beyond it, "undamped" has gamma = 0 and "stiff" gamma^2 >> alpha.  The last
+# four "stiff" rows, where gamma^2/4 passes the float range, come from the
+# eigenvalue form of e^(A t) at 900 digits, with roots -gamma/2 +- sqrt(delta).
 _REF_TIMES = (0.1, 1.0, 5.0, 20.0)
 _REF_TABLE = {
     "band": [
@@ -418,6 +493,18 @@ _REF_TABLE = {
         (100.0, 1.0, 0.0, 1.0,
          (0.009991548055045945, 0.009902469126932089, 0.009514149694400132, 0.008188781673653016),
          (-5.4480117152098474e-05, -9.903459571943692e-05, -9.515101299700152e-05, -8.189600715636971e-05)),
+        (1e155, 1e150, 1.0, 0.0,
+         (0.9999990000005, 0.9999900000499998, 0.9999500012499791, 0.9998000199986667),
+         (-9.999990000005e-06, -9.999900000499997e-06, -9.999500012499792e-06, -9.998000199986667e-06)),
+        (1e155, 1e150, 0.0, 1.0,
+         (9.999990000005e-156, 9.999900000499998e-156, 9.999500012499793e-156, 9.998000199986667e-156),
+         (-9.999990000005e-161, -9.999900000499999e-161, -9.999500012499791e-161, -9.998000199986666e-161)),
+        (1e200, 1e196, 1.0, 0.0,
+         (0.9999900000499998, 0.9999000049998333, 0.9995001249791693, 0.9980019986673331),
+         (-9.999900000499998e-05, -9.999000049998334e-05, -9.995001249791693e-05, -9.98001998667333e-05)),
+        (1e200, 1e196, 0.0, 1.0,
+         (9.999900000499999e-201, 9.999000049998333e-201, 9.995001249791693e-201, 9.980019986673331e-201),
+         (-9.999900000499998e-205, -9.999000049998334e-205, -9.995001249791693e-205, -9.98001998667333e-205)),
     ],
 }
 _REF_BOUND = {"band": 5e-14, "outside": 1e-12, "undamped": 1e-15, "stiff": 1e-15}
@@ -427,7 +514,8 @@ class TestClosedFormReference:
     @pytest.mark.parametrize("kind", sorted(_REF_TABLE))
     def test_relative_error_within_bound(self, kind):
         for g, a, y0, v0, ys, vs in _REF_TABLE[kind]:
-            y, v = _homogeneous(OscillatorParams(g, a), OscState(y0, v0), np.array(_REF_TIMES), np)
+            states = [solve_analytic(OscillatorParams(g, a), OscState(y0, v0), t) for t in _REF_TIMES]
+            y, v = np.array([s.y for s in states]), np.array([s.ydot for s in states])
             ys, vs = np.array(ys), np.array(vs)
             err = np.maximum(abs(y - ys), abs(v - vs)) / np.maximum(abs(ys), abs(vs))
             assert err.max() <= _REF_BOUND[kind], (g, a, y0, v0, float(err.max()))

@@ -33,6 +33,7 @@ from gapdyn import (
     recovery_metrics,
     standard_normals,
 )
+from gapdyn.errors import _check
 from gapdyn.integrate import integrate_batch, recovery_metrics_block, sweep_metrics
 from gapdyn.shocks import realize
 
@@ -219,6 +220,8 @@ def _reference_sweep(args):
     cfg = cli._load_config(args.config, seed_flag=args.seed)
     if args.gamma_steps < 1:
         raise InvariantViolation(f"gamma-steps must be >= 1, got {args.gamma_steps}")
+    _check("gamma-from", args.gamma_from, low=0)
+    _check("gamma-to", args.gamma_to, low=0)
     if args.gamma_steps > 1 and not (args.gamma_to > args.gamma_from):
         raise InvariantViolation("gamma-to must exceed gamma-from when gamma-steps > 1")
     gammas = np.linspace(args.gamma_from, args.gamma_to, args.gamma_steps)
