@@ -126,8 +126,14 @@ def solve_analytic(params: OscillatorParams, init: OscState, t: float) -> OscSta
         return OscState(init.y, init.ydot)
     g, a = params.gamma, params.alpha
     ec, es, ed = _flow_parts(g, a, t)
-    y = ec * init.y + es * (0.5 * g * init.y + init.ydot)
-    return OscState(y, ed * init.ydot - es * (a * init.y))
+    # Where gamma/2 y + ydot or alpha y passes the float range, the answer
+    # need not (es falls like 1/gamma or 1/sqrt(alpha)), so es scales the
+    # coefficient first; wherever both are finite, the plain products run,
+    # bit for bit.
+    drift, pull = 0.5 * g * init.y + init.ydot, a * init.y
+    es_drift = es * drift if math.isfinite(drift) else (es * 0.5 * g) * init.y + es * init.ydot
+    es_pull = es * pull if math.isfinite(pull) else (es * a) * init.y
+    return OscState(ec * init.y + es_drift, ed * init.ydot - es_pull)
 
 
 def energy(params: OscillatorParams, state: OscState) -> float:

@@ -1,10 +1,12 @@
 """Forcing-term constructors: deterministic impulses and seeded noise processes.
 
-Random sequences come from the counter-based Philox engine keyed directly by
-the 64-bit seed; its raw words are exact on every platform.  Gaussian
-variates come from an explicit Box-Muller transform of the raw uniform bits,
-whose numpy log, cos and sin can differ in the last bit between CPU dispatch
-levels, since numpy picks their kernels per CPU.
+Random sequences come from the package's own counter-based Philox4x64-10,
+with counter (j, 0, 0, 0) for block j = 1, 2, ... and key (seed, 0); its raw
+words are numpy's Philox(key=seed) stream, computed in uint64 integer
+arithmetic that is exact on every platform, without numpy's random module.
+Gaussian variates come from an explicit Box-Muller transform of the raw
+uniform bits, whose numpy log, cos and sin can differ in the last bit between
+CPU dispatch levels, since numpy picks their kernels per CPU.
 """
 
 from __future__ import annotations
@@ -19,6 +21,12 @@ from .integrate import TimeGrid
 
 _SEED_LIMIT = 2**64
 _TWO_NEG53 = 2.0**-53
+# Philox4x64-10 (Salmon, Moraes, Dror & Shaw, SC'11): round multipliers and
+# the Weyl increments of the key between rounds.
+_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+_LOW32 = np.uint64(0xFFFFFFFF)
+_SHIFT32 = np.uint64(32)
 
 
 def _check_seed(seed: int) -> None:
@@ -82,10 +90,50 @@ class Ar1:
 ShockSpec = NoShock | Impulse | WhiteNoise | Ar1
 
 
+def _mulhilo(m: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """High and low 64-bit words of m * x for each entry of the uint64 array x.
+
+    The low word is the wrapping uint64 product.  The high word sums four
+    32 x 32-bit partial products, each exact in uint64, with their carries.
+    """
+    m_lo, m_hi = np.uint64(m & 0xFFFFFFFF), np.uint64(m >> 32)
+    x_lo, x_hi = x & _LOW32, x >> _SHIFT32
+    lh, hl = m_lo * x_hi, m_hi * x_lo
+    mid = ((m_lo * x_lo) >> _SHIFT32) + (lh & _LOW32) + (hl & _LOW32)
+    hi = m_hi * x_hi + (lh >> _SHIFT32) + (hl >> _SHIFT32) + (mid >> _SHIFT32)
+    return hi, x * np.uint64(m)
+
+
+def _philox_words(seed: int, n: int) -> np.ndarray:
+    """The first n raw 64-bit words of Philox4x64-10 keyed by (seed, 0).
+
+    Block j = 1, 2, ... encrypts the counter (j, 0, 0, 0) and yields words
+    4(j-1) .. 4(j-1)+3 in order, as numpy's Philox(key=seed).random_raw does,
+    since numpy bumps its counter before the first block.  A round maps
+    (x0, x1, x2, x3) to (hi(M1 x2) ^ x1 ^ k0, lo(M1 x2), hi(M0 x0) ^ x3 ^ k1,
+    lo(M0 x0)), and the key (k0, k1) grows by the Weyl increments, modulo
+    2^64 in Python ints, between rounds.  Every uint64 operation acts on
+    arrays with one entry per block, where overflow wraps without a warning.
+    """
+    blocks = -(-n // 4)
+    x0 = np.arange(1, blocks + 1, dtype=np.uint64)
+    x1, x2, x3 = (np.zeros(blocks, dtype=np.uint64) for _ in range(3))
+    k0, k1 = seed, 0
+    for _ in range(10):
+        hi0, lo0 = _mulhilo(_PHILOX_M[0], x0)
+        hi1, lo1 = _mulhilo(_PHILOX_M[1], x2)
+        x0, x1, x2, x3 = hi1 ^ x1 ^ np.uint64(k0), lo1, hi0 ^ x3 ^ np.uint64(k1), lo0
+        k0, k1 = (k0 + _PHILOX_W[0]) % _SEED_LIMIT, (k1 + _PHILOX_W[1]) % _SEED_LIMIT
+    return np.stack((x0, x1, x2, x3), axis=1).ravel()[:n]
+
+
 def standard_normals(seed: int, n: int) -> np.ndarray:
     """n deterministic standard-normal draws from a Philox stream.
 
-    The generator is frozen for reproducibility: raw 64-bit words are mapped
+    The generator is frozen for reproducibility.  The raw 64-bit words come
+    from `_philox_words`, the package's Philox4x64-10 with counter (j, 0, 0, 0)
+    for block j = 1, 2, ... and key (seed, 0), which equals numpy's
+    Philox(key=seed).random_raw stream word for word.  They are mapped
     to uniforms by u = (bits >> 11) * 2^-53 (u1 gets +1 before scaling so it
     lies in (0, 1]), then paired through Box-Muller with r = sqrt(-2 ln u1)
     and angles 2 pi u2; cosines fill the even output slots, sines the odd.
@@ -96,7 +144,7 @@ def standard_normals(seed: int, n: int) -> np.ndarray:
     if not (isinstance(n, int) and n >= 0):
         raise InvariantViolation(f"n must be an integer >= 0, got {n!r}")
     pairs = (n + 1) // 2
-    raw = np.random.Philox(key=seed).random_raw(2 * pairs)
+    raw = _philox_words(seed, 2 * pairs)
     u1 = ((raw[0::2] >> np.uint64(11)) + np.uint64(1)) * _TWO_NEG53
     u2 = (raw[1::2] >> np.uint64(11)) * _TWO_NEG53
     radius = np.sqrt(-2.0 * np.log(u1))

@@ -202,6 +202,21 @@ class TestSolveAnalytic:
         with pytest.raises(InvariantViolation, match=r"^phase w\*t must be finite, got inf$"):
             solve_analytic(OscillatorParams(0.0, 1e300), UNIT_START, 1e300)
 
+    # References from an 800-digit evaluation of e^(A t) at t = 1.
+    @pytest.mark.parametrize("gamma, alpha, init, y, ydot", [
+        # gamma/2 y overflows: y = y0 e^(-t alpha/gamma), ydot = -alpha/gamma y
+        (1e200, 1.0, OscState(1e200, 0.0), 1e200, -1.0),
+        (1e200, 1.0, OscState(-1e200, 3.0), -1e200, 1.0),
+        # alpha y overflows, with the slow root -alpha/gamma = -1
+        (1e300, 1e300, OscState(1e10, 0.0), 3678794411.714423216, -3678794411.714423216),
+        # gamma/2 y + ydot overflows, though neither term does
+        (2.0, 1.0, OscState(1e308, 1e308), 1.1036383235143269769e308, -3.6787944117144232563e307),
+    ])
+    def test_products_past_the_float_range(self, gamma, alpha, init, y, ydot):
+        s = solve_analytic(OscillatorParams(gamma, alpha), init, 1.0)
+        assert s.y == pytest.approx(y, rel=1e-15)
+        assert s.ydot == pytest.approx(ydot, rel=1e-15)
+
     @pytest.mark.filterwarnings("error")
     def test_overflowed_phase_on_a_grid_is_an_invariant_violation(self):
         # the same phase on a grid, at its node t = 1e300, with no numpy warning

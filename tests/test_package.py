@@ -152,9 +152,9 @@ class TestImportBoundary:
 
     @pytest.mark.parametrize("command, unused", [
         (["simulate", "--config", "{cfg}", "--out", "{dir}/out.csv"],
-         ["gapdyn.estimation", "gapdyn.svgplot", "gapdyn.dsge"]),
+         ["gapdyn.estimation", "gapdyn.svgplot", "gapdyn.dsge", "numpy.random"]),
         (["sweep", "--config", "{cfg}", "--gamma-from", "0.5", "--gamma-to", "2",
-          "--gamma-steps", "4"], ["gapdyn.estimation", "gapdyn.svgplot"]),
+          "--gamma-steps", "4"], ["gapdyn.estimation", "gapdyn.svgplot", "numpy.random"]),
         (["estimate", "--in", "{csv}", "--method", "mle"],
          ["gapdyn.integrate", "gapdyn.svgplot", "gapdyn.dsge"]),
         (["classify", "--gamma", "0.5", "--alpha", "4.0"], ["gapdyn.dsge"]),
@@ -366,4 +366,25 @@ def test_imports_stay_within_the_dependencies(folder, allowed):
                 continue
             found += [f"{path.name}:{node.lineno} {name}" for name in names
                       if name.partition(".")[0] not in allowed]
+    assert found == []
+
+
+def test_library_never_reaches_numpy_random():
+    # The Philox words are the package's own uint64 arithmetic
+    # (shocks._philox_words), so no module imports numpy.random or reads
+    # np.random: a seeded run never pays for loading it.  Tests and the
+    # benchmark's oracle still use numpy.random as the reference stream.
+    found = []
+    for path in sorted(Path(gapdyn.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [f"{node.module}.{alias.name}" for alias in node.names] + [node.module]
+            elif isinstance(node, ast.Attribute) and _name(node.value) in ("np", "numpy"):
+                names = [f"numpy.{node.attr}"]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {name}" for name in names
+                      if name and (name == "numpy.random" or name.startswith("numpy.random."))]
     assert found == []

@@ -16,6 +16,7 @@ from gapdyn import (
     realize,
     standard_normals,
 )
+from gapdyn.shocks import _philox_words
 
 GRID = TimeGrid(dt=0.1, n_steps=201)
 
@@ -82,6 +83,29 @@ class TestStandardNormals:
         with pytest.raises(InvariantViolation) as excinfo:
             standard_normals(0, n)
         assert str(excinfo.value) == f"n must be an integer >= 0, got {n!r}"
+
+
+# numpy's Philox(key=seed).random_raw is the reference for the package's own
+# Philox4x64-10 words: seeds at both ends of the 64-bit key and across the
+# top bit, lengths on and off the 4-word block boundary.
+WORD_SEEDS = [0, 1, 11, 2**63 + 5, 2**64 - 1]
+WORD_LENGTHS = [0, 1, 2, 3, 4, 5, 7, 20_002]
+
+
+@pytest.mark.filterwarnings("error")
+class TestPhiloxWords:
+    @pytest.mark.parametrize("seed", WORD_SEEDS)
+    @pytest.mark.parametrize("n", WORD_LENGTHS)
+    def test_words_equal_numpy_philox(self, seed, n):
+        words = _philox_words(seed, n)
+        assert words.dtype == np.uint64
+        assert words.tobytes() == np.random.Philox(key=seed).random_raw(n).tobytes()
+
+    @pytest.mark.parametrize("seed", WORD_SEEDS)
+    def test_prefix_stability(self, seed):
+        longest = _philox_words(seed, max(WORD_LENGTHS))
+        for n in WORD_LENGTHS:
+            assert _philox_words(seed, n).tobytes() == longest[:n].tobytes(), n
 
 
 class TestRealize:
