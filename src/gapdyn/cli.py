@@ -31,7 +31,7 @@ import functools
 import math
 import sys
 
-from .errors import BadValue, GapdynError, InvariantViolation, UnknownKey, _check
+from .errors import BadValue, GapdynError, InvariantViolation, UnknownKey, _check, _check_int
 
 
 class _UsageError(Exception):
@@ -158,8 +158,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     from .shocks import realize
 
     cfg = _load_config(args.config, seed_flag=args.seed)
-    if args.gamma_steps < 1:
-        raise InvariantViolation(f"gamma-steps must be >= 1, got {args.gamma_steps}")
+    _check_int("gamma-steps", args.gamma_steps, 1)
     # Both ends finite and >= 0, so np.linspace cannot overflow.
     _check("gamma-from", args.gamma_from, low=0)
     _check("gamma-to", args.gamma_to, low=0)
@@ -246,7 +245,7 @@ def _run_scenario(cfg: ScenarioConfig, args: argparse.Namespace) -> int:
     try:
         traj = _integrate(cfg, realize(cfg.shock, cfg.grid()))
     except MemoryError:
-        raise _too_large(cfg) from None
+        raise InvariantViolation(f"cannot allocate a grid of n_steps={cfg.n_steps} nodes") from None
     if args.out:
         from .seriesio import write_trajectory_csv
 
@@ -263,11 +262,6 @@ def _run_scenario(cfg: ScenarioConfig, args: argparse.Namespace) -> int:
     print(f"zero_crossings={metrics.zero_crossings}")
     print(f"terminal_abs={_num(metrics.terminal_abs)}")
     return 0
-
-
-def _too_large(cfg: ScenarioConfig) -> InvariantViolation:
-    """The error for a grid whose forcing or path cannot be allocated."""
-    return InvariantViolation(f"cannot allocate a grid of n_steps={cfg.n_steps} nodes")
 
 
 def _integrate(cfg: ScenarioConfig, eps: np.ndarray) -> Trajectory:

@@ -8,6 +8,8 @@ interface, so they stay short and description-free.  Each class's
 The module also owns `_check`, the one finiteness and bounds rule for every
 scalar: a bad value reads `<name> must be finite, got nan` or `<name> must
 be > 0, got -1.0`, with the bound printed as its caller passes it.
+`_check_int` is the one rule for every integer input: `<name> must be an
+integer >= 1, got 0`.  Neither takes a bool for a number.
 `_check_array` is the same rule for every array input, and it names the
 first bad entry: `<name> must be finite, got inf at index 0`.
 """
@@ -78,7 +80,10 @@ class BadEncoding(GapdynError, ValueError):
 def _check(name: str, value: float, low: float | None = None,
            low_strict: bool = False, high: float | None = None,
            high_strict: bool = False) -> None:
-    """Raise InvariantViolation unless `value` is finite and within bounds."""
+    """Raise InvariantViolation unless `value` is finite, within bounds and
+    not a bool."""
+    if isinstance(value, bool):
+        raise InvariantViolation(f"{name} must be a number, got {value!r}")
     try:
         finite = math.isfinite(value)
     except OverflowError:  # an int past the float range
@@ -91,6 +96,15 @@ def _check(name: str, value: float, low: float | None = None,
     if high is not None and (value > high or (high_strict and value == high)):
         op = "<" if high_strict else "<="
         raise InvariantViolation(f"{name} must be {op} {high}, got {value!r}")
+
+
+def _check_int(name: str, value: int, low: int, high: int | None = None) -> None:
+    """Raise InvariantViolation unless `value` is an int, not a bool, in
+    [low, high) (at least `low` when `high` is None)."""
+    integer = isinstance(value, int) and not isinstance(value, bool)
+    if not (integer and low <= value and (high is None or value < high)):
+        bound = f">= {low}" if high is None else f"in [{low}, {high})"
+        raise InvariantViolation(f"{name} must be an integer {bound}, got {value!r}")
 
 
 def _check_array(name: str, values, size: int | None = None, min_size: int = 0):

@@ -14,8 +14,9 @@ float64 rows, one column per parameter set, into (n, k) arrays for
 correctly and neither fuses a multiply-add, so each column of a batch is
 bit-identical to the single run.  Both kinds of call run the loop through
 one driver, _run, and its _step_nodes, which stops once the state no longer
-changes (a settled run decays to a float fixed point), and end in one
-finiteness check, which raises Divergence at the first non-finite node.
+changes after the forcing's last change, found once per run by _settled_from
+(a settled run decays to a float fixed point), and end in one finiteness
+check, which raises Divergence at the first non-finite node.
 With eps held, RK4 on x' = A x + b eps, x = (y, ydot), is the affine map
 x[i] = R x[i-1] + dt S b eps[i-1]: z = A dt, S = I + z/2 + z^2/6 + z^3/24,
 and R = I + z S is RK4's stability function.  Their entries come from those
@@ -33,7 +34,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import Divergence, InvariantViolation, _check, _check_array
+from .errors import Divergence, InvariantViolation, _check, _check_array, _check_int
 from .oscillator import OscillatorParams, OscState, solve_analytic
 
 
@@ -46,8 +47,7 @@ class TimeGrid:
 
     def __post_init__(self) -> None:
         _check("dt", self.dt, low=0, low_strict=True)
-        if not (isinstance(self.n_steps, int) and self.n_steps >= 1):
-            raise InvariantViolation(f"n_steps must be an integer >= 1, got {self.n_steps!r}")
+        _check_int("n_steps", self.n_steps, 1)
 
     @property
     def t_end(self) -> float:
@@ -138,28 +138,36 @@ def _step_nodes(steps, y, v, eps, ng, a, dt) -> None:
     """Fill nodes 1.. of the (n,) or (n, k) positions y and rates v from
     node 0 with `steps` (_euler_steps or _rk4_steps), _CHUNK steps a call.
 
-    After a call that ends at node i, stepping stops when node i is equal
-    bit for bit to node i-1 (in every column) and eps[i-1:-1], the
-    forcing of every later step, is one value bit for bit: each later step
-    then has the inputs of step i and gives node i again, so node i fills
-    the rest.  Bitwise, so -0.0 and +0.0 stay apart.  One parameter set
-    (1-d buffers) steps on Python floats through memoryviews.
+    The forcing is read once, before stepping: quiet is the first step
+    after which every later step's forcing, eps[quiet:-1], is one value bit
+    for bit.  After a call that ends at node i > quiet, stepping stops when
+    node i is equal bit for bit to node i-1 (in every column): each later
+    step then has the inputs of step i and gives node i again, so node i
+    fills the rest.  Bitwise, so -0.0 and +0.0 stay apart.  One parameter
+    set (1-d buffers) steps on Python floats through memoryviews.
     """
     rows = memoryview if y.ndim == 1 else np.asarray
     last = len(eps) - 1
-    yb, vb, eb = y.view(np.int64), v.view(np.int64), eps.view(np.int64)
+    quiet = _settled_from((eps[:last],))
+    yb, vb = y.view(np.int64), v.view(np.int64)
     for start in range(0, last, _CHUNK):
         i = min(start + _CHUNK, last)
         steps(rows(y[start:]), rows(v[start:]), eps[start:i].tolist(), ng, a, dt)
-        if (
-            i < last
-            and np.all(yb[i] == yb[i - 1])
-            and np.all(vb[i] == vb[i - 1])
-            and np.all(eb[i - 1 : last] == eb[i - 1])
-        ):
+        if quiet < i < last and np.all(yb[i] == yb[i - 1]) and np.all(vb[i] == vb[i - 1]):
             y[i + 1 :] = y[i]
             v[i + 1 :] = v[i]
             return
+
+
+def _settled_from(columns: tuple[np.ndarray, ...]) -> int:
+    """The first row from which every column keeps its bits to the end (0
+    for columns of no rows)."""
+    changed = np.zeros(max(len(columns[0]) - 1, 0), bool)
+    for col in columns:
+        bits = col.view(np.int64)
+        changed |= bits[1:] != bits[:-1]
+    last = np.flatnonzero(changed)
+    return int(last[-1]) + 1 if last.size else 0
 
 
 def _check_finite(y: np.ndarray, v: np.ndarray) -> None:

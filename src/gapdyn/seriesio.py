@@ -49,6 +49,7 @@ def write_trajectory_csv(path: str | Path, traj: Trajectory) -> None:
     "y,ydot,eps\\n" is formatted once and put in place of t's "\\n".
     """
     from ._textfmt import _BLOCK, g17_rows
+    from .integrate import _settled_from
 
     times = traj.grid.times()
     columns = (times, traj.y, traj.ydot, traj.forcing)
@@ -73,16 +74,6 @@ def _overwrite(path: str | Path) -> Iterator[IO[bytes]]:
         finally:  # cut a regular file to the bytes written; a device cannot be cut
             if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
                 fh.truncate()
-
-
-def _settled_from(columns: tuple[np.ndarray, ...]) -> int:
-    """The first row from which every column keeps its bits to the end."""
-    changed = np.zeros(len(columns[0]) - 1, bool)
-    for col in columns:
-        bits = col.view(np.int64)
-        changed |= bits[1:] != bits[:-1]
-    last = np.flatnonzero(changed)
-    return int(last[-1]) + 1 if last.size else 0
 
 
 def read_series_csv(path: str | Path) -> ObservedSeries:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ImpulseOutsideGrid, InvariantViolation, _check
+from .errors import ImpulseOutsideGrid, InvariantViolation, _check, _check_int
 from .integrate import TimeGrid
 
 _SEED_LIMIT = 2**64
@@ -27,11 +27,6 @@ _PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
 _PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
 _LOW32 = np.uint64(0xFFFFFFFF)
 _SHIFT32 = np.uint64(32)
-
-
-def _check_seed(seed: int) -> None:
-    if not (isinstance(seed, int) and 0 <= seed < _SEED_LIMIT):
-        raise InvariantViolation(f"seed must be an integer in [0, 2^64), got {seed!r}")
 
 
 @dataclass(frozen=True)
@@ -66,7 +61,7 @@ class WhiteNoise:
 
     def __post_init__(self) -> None:
         _check("sigma", self.sigma, low=0)
-        _check_seed(self.seed)
+        _check_int("seed", self.seed, 0, _SEED_LIMIT)
 
 
 @dataclass(frozen=True)
@@ -84,7 +79,7 @@ class Ar1:
     def __post_init__(self) -> None:
         _check("rho", self.rho, low=-1, low_strict=True, high=1, high_strict=True)
         _check("sigma", self.sigma, low=0)
-        _check_seed(self.seed)
+        _check_int("seed", self.seed, 0, _SEED_LIMIT)
 
 
 ShockSpec = NoShock | Impulse | WhiteNoise | Ar1
@@ -140,9 +135,8 @@ def standard_normals(seed: int, n: int) -> np.ndarray:
     Pair k consumes raw words 2k and 2k+1, so a longer request extends a
     shorter one without disturbing its draws.
     """
-    _check_seed(seed)
-    if not (isinstance(n, int) and n >= 0):
-        raise InvariantViolation(f"n must be an integer >= 0, got {n!r}")
+    _check_int("seed", seed, 0, _SEED_LIMIT)
+    _check_int("n", n, 0)
     pairs = (n + 1) // 2
     raw = _philox_words(seed, 2 * pairs)
     u1 = ((raw[0::2] >> np.uint64(11)) + np.uint64(1)) * _TWO_NEG53

@@ -165,30 +165,20 @@ def write_svg(
 
 
 def _axis(lo: float, hi: float, pad: float) -> tuple[float, float, float]:
-    """(scale, low, high) of an axis over values in [lo, hi]: _padded_range
-    at scale 1, or _scaled_range where that span is zero or past the
-    largest float."""
-    low, high = _padded_range(lo, hi, pad)
+    """(scale, low, high) of an axis over values in [lo, hi]: at scale 1,
+    the range widened by pad times its span each side (a flat line by 0.5,
+    so that it still has a drawable band).  Where that span is zero or past
+    the largest float, the plot shows the values times 1/4, so that even a
+    span of twice the largest float, padded, stays finite; its padded ends
+    stay within the largest float times the scale, so every tick label (a
+    tick over the scale) is finite too."""
+    if hi == lo:
+        low, high = lo - 0.5, hi + 0.5
+    else:
+        span = hi - lo
+        low, high = lo - pad * span, hi + pad * span
     if 0.0 < high - low < math.inf:
         return 1.0, low, high
-    return _scaled_range(lo, hi)
-
-
-def _padded_range(lo: float, hi: float, pad: float) -> tuple[float, float]:
-    if hi == lo:
-        # a flat line still needs a drawable band
-        return lo - 0.5, hi + 0.5
-    span = hi - lo
-    return lo - pad * span, hi + pad * span
-
-
-def _scaled_range(lo: float, hi: float) -> tuple[float, float, float]:
-    """(scale, low, high) for values whose range _padded_range cannot
-    give: a span past the largest float, or a flat line too large for a
-    band of 0.5.  The plot shows the values times the scale, 1/4 so that
-    even a span of twice the largest float, padded, stays finite; its
-    padded ends stay within the largest float times the scale, so every
-    tick label (a tick over the scale) is finite too."""
     scale = 0.25
     lo, hi = lo * scale, hi * scale
     pad = _RANGE_PAD * (hi - lo) if hi > lo else abs(lo) / 4

@@ -16,7 +16,7 @@ import pytest
 
 from gapdyn import OscState, TimeGrid, Trajectory, write_trajectory_csv
 from gapdyn._textfmt import _digits17
-from gapdyn.svgplot import _padded_range, write_svg
+from gapdyn.svgplot import _axis, write_svg
 
 SIZES = [2, 1023, 1024, 1025, 2049, 4097]
 SPECIALS = [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1e-310,
@@ -43,10 +43,10 @@ def _csv_reference(traj: Trajectory) -> bytes:
 
 
 def _polyline_reference(t: np.ndarray, curves: list[np.ndarray]) -> list[str]:
-    x_min, x_max = _padded_range(float(t.min()), float(t.max()), pad=0.0)
+    x_min, x_max = _axis(float(t.min()), float(t.max()), pad=0.0)[1:]
     lo = min(float(v.min()) for v in curves)
     hi = max(float(v.max()) for v in curves)
-    y_min, y_max = _padded_range(lo, hi, pad=0.05)
+    y_min, y_max = _axis(lo, hi, pad=0.05)[1:]
 
     def px(x):
         return 60 + (x - x_min) / (x_max - x_min) * (780 - 60)

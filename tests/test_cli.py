@@ -665,6 +665,16 @@ class TestOutOfMemory:
         assert err == ("error=InvariantViolation detail=cannot allocate 3 gammas"
                        " on a grid of n_steps=201 nodes\n")
 
+    def test_simulate_names_its_size(self, capsys, config_file, monkeypatch):
+        def refuse(spec, grid):
+            raise MemoryError
+
+        monkeypatch.setattr("gapdyn.shocks.realize", refuse)
+        code, out, err = _run(capsys, ["simulate", "--config", config_file()])
+        assert (code, out) == (2, "")
+        assert err == ("error=InvariantViolation detail=cannot allocate a grid"
+                       " of n_steps=201 nodes\n")
+
     def test_estimate_input_too_large(self, capsys, tmp_path, monkeypatch):
         def refuse(text):
             raise MemoryError

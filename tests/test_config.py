@@ -1,5 +1,6 @@
 """Scenario config grammar: defaults, shock wiring, and rejection paths."""
 
+import sys
 from dataclasses import fields
 
 import pytest
@@ -116,6 +117,13 @@ class TestInvariants:
         assert "t_end / dt" in str(excinfo.value)
         with pytest.raises(InvariantViolation):
             ScenarioConfig(t_end=1.7e308, dt=0.5)
+
+    def test_grid_past_a_float_array_is_rejected(self):
+        # numpy counts a float64 array's bytes in a signed machine word.
+        with pytest.raises(InvariantViolation) as excinfo:
+            parse_config("t_end = 1e19\ndt = 1")
+        limit = sys.maxsize // 8
+        assert str(excinfo.value) == f"n_steps must be <= {limit}, got 10000000000000000001"
 
     def test_direct_construction_checks_too(self):
         with pytest.raises(InvariantViolation):

@@ -1,6 +1,7 @@
 """The one domain rule, errors._check: its wording, and every float field
-of the model's value classes checked through it; and its array twin,
-errors._check_array, with every array input checked through it."""
+of the model's value classes checked through it; its integer twin,
+errors._check_int; and its array twin, errors._check_array, with every
+array input checked through it."""
 
 import math
 import os
@@ -27,8 +28,9 @@ from gapdyn import (
     integrate_rk4,
     write_svg,
 )
-from gapdyn.errors import _check
+from gapdyn.errors import _check, _check_int
 from gapdyn.integrate import integrate_batch
+from gapdyn.shocks import standard_normals
 
 # One valid instance of every class that holds float fields.
 _VALID = [
@@ -60,6 +62,50 @@ def test_non_finite_field_is_worded_once(obj, name, value):
     with pytest.raises(InvariantViolation) as excinfo:
         replace(obj, **{name: value})
     assert str(excinfo.value) == f"{name} must be finite, got {value!r}"
+
+
+# bool is a subclass of int, yet True is not a number a model reads.
+@pytest.mark.parametrize("value", [True, False])
+@pytest.mark.parametrize(
+    "obj, name", _FLOAT_FIELDS, ids=[f"{type(o).__name__}.{n}" for o, n in _FLOAT_FIELDS]
+)
+def test_bool_field_is_refused(obj, name, value):
+    with pytest.raises(InvariantViolation) as excinfo:
+        replace(obj, **{name: value})
+    assert str(excinfo.value) == f"{name} must be a number, got {value!r}"
+
+
+# The integer inputs; the float fields are in the table above.
+@pytest.mark.parametrize("call, text", [
+    (lambda: TimeGrid(0.1, True), "n_steps must be an integer >= 1, got True"),
+    (lambda: WhiteNoise(0.1, seed=True),
+     "seed must be an integer in [0, 18446744073709551616), got True"),
+    (lambda: Ar1(seed=False), "seed must be an integer in [0, 18446744073709551616), got False"),
+    (lambda: standard_normals(True, True),
+     "seed must be an integer in [0, 18446744073709551616), got True"),
+    (lambda: standard_normals(0, True), "n must be an integer >= 0, got True"),
+], ids=["TimeGrid", "WhiteNoise", "Ar1", "standard_normals.seed", "standard_normals.n"])
+def test_bool_is_not_an_integer(call, text):
+    with pytest.raises(InvariantViolation) as excinfo:
+        call()
+    assert str(excinfo.value) == text
+
+
+@pytest.mark.parametrize("value, high, text", [
+    (0, None, "x must be an integer >= 1, got 0"),
+    (1.0, None, "x must be an integer >= 1, got 1.0"),
+    (True, None, "x must be an integer >= 1, got True"),
+    (2**64, 2**64, "x must be an integer in [1, 18446744073709551616), got 18446744073709551616"),
+], ids=["low", "float", "bool", "high"])
+def test_check_int_words_each_bound(value, high, text):
+    with pytest.raises(InvariantViolation) as excinfo:
+        _check_int("x", value, 1, high)
+    assert str(excinfo.value) == text
+
+
+def test_check_int_accepts_both_ends():
+    _check_int("x", 1, 1)
+    _check_int("x", 2**64 - 1, 1, 2**64)
 
 
 _GRID = TimeGrid(dt=0.1, n_steps=3)

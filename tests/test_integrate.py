@@ -335,6 +335,9 @@ class TestSettledRuns:
             eps[: integrate._CHUNK] = 2.5
         elif kind == "kick":
             eps[3500] = 3.0
+        elif kind == "last":
+            # the last entry drives no step, so it cannot keep a run stepping
+            eps[-1] = 3.0
         return eps
 
     @pytest.fixture
@@ -357,7 +360,7 @@ class TestSettledRuns:
     # after the release only CRITICAL settles again.
     @pytest.mark.parametrize("scheme", ["euler", "rk4"])
     @pytest.mark.parametrize("kind, settles", [
-        ("none", True), ("step", True), ("release", None), ("kick", False),
+        ("none", True), ("step", True), ("release", None), ("kick", False), ("last", True),
     ])
     def test_matches_full_length_loop(self, stepped, scheme, kind, settles):
         eps = self._forcing(kind)
@@ -375,6 +378,26 @@ class TestSettledRuns:
         stepped.clear()
         integrate_batch(self.PARAMS, self.START, eps, self.GRID, scheme)
         assert settles is None or (sum(stepped) < last) == settles
+
+    @pytest.mark.parametrize("scheme", ["euler", "rk4"])
+    @pytest.mark.parametrize("kind", ["none", "kick"])
+    def test_forcing_is_read_once_a_run(self, monkeypatch, scheme, kind):
+        # Where the forcing stops changing is decided from the input before
+        # stepping, not rescanned at every check for a settled state.
+        calls = []
+
+        def counting(columns):
+            calls.append(len(columns[0]))
+            return settled_from(columns)
+
+        settled_from = integrate._settled_from
+        monkeypatch.setattr(integrate, "_settled_from", counting)
+        eps = self._forcing(kind)
+        self.SINGLE[scheme](CRITICAL, self.START, eps, self.GRID)
+        assert calls == [self.GRID.n_steps - 1]
+        calls.clear()
+        integrate_batch(self.PARAMS, self.START, eps, self.GRID, scheme)
+        assert calls == [self.GRID.n_steps - 1]
 
     @pytest.mark.parametrize("scheme", ["euler", "rk4"])
     @pytest.mark.parametrize("params, start", [

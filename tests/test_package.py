@@ -222,6 +222,20 @@ def test_only_errors_words_a_finiteness_check():
     assert found == []
 
 
+def test_only_errors_words_an_integer_check():
+    # errors._check_int is the one rule for an integer input, so no other
+    # module writes `must be an integer` itself.
+    found = []
+    for path in sorted(Path(gapdyn.__file__).parent.glob("*.py")):
+        if path.name == "errors.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                if "must be an integer" in node.value:
+                    found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
 def _name(node):
     """The name that a Name or an attribute node ends in, else None."""
     return node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)

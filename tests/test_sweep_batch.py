@@ -219,7 +219,7 @@ def _reference_sweep(args):
     """`gapdyn sweep` as a loop over gamma with the scalar steppers."""
     cfg = cli._load_config(args.config, seed_flag=args.seed)
     if args.gamma_steps < 1:
-        raise InvariantViolation(f"gamma-steps must be >= 1, got {args.gamma_steps}")
+        raise InvariantViolation(f"gamma-steps must be an integer >= 1, got {args.gamma_steps}")
     _check("gamma-from", args.gamma_from, low=0)
     _check("gamma-to", args.gamma_to, low=0)
     if args.gamma_steps > 1 and not (args.gamma_to > args.gamma_from):
