@@ -33,16 +33,15 @@ _EXPORTS = {
         if isinstance(value, type) and issubclass(value, errors.GapdynError)
     ),
     "estimation": (
-        "EstimationResult", "ObservedSeries", "conditional_loglik",
-        "discretize_exact", "estimate_ar2", "estimate_mle",
+        "EstimationResult", "ObservedSeries", "discretize_exact", "estimate_ar2",
+        "estimate_mle",
     ),
     "integrate": (
         "RecoveryMetrics", "TimeGrid", "Trajectory", "analytic_trajectory",
         "integrate_euler", "integrate_rk4", "recovery_metrics",
     ),
     "oscillator": (
-        "OscillatorParams", "OscState", "PhysicalOscillator", "classify",
-        "energy", "from_physical", "solve_analytic",
+        "OscillatorParams", "OscState", "classify", "energy", "solve_analytic",
     ),
     "seriesio": ("read_series_csv", "write_trajectory_csv"),
     "shocks": (

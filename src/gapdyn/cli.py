@@ -166,18 +166,13 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         raise InvariantViolation(
             "gamma-to must exceed gamma-from when gamma-steps > 1"
         )
-    try:
-        gammas = np.linspace(args.gamma_from, args.gamma_to, args.gamma_steps)
-    except (ValueError, IndexError, MemoryError) as exc:
-        raise InvariantViolation(
-            f"cannot build a grid of {args.gamma_steps} gammas: {exc}"
-        ) from None
     # Every gamma is checked and run before anything is printed, so a sweep
     # that fails at any gamma leaves stdout empty.  A variant differs from
     # cfg only in gamma, so checking its OscillatorParams checks the variant.
     # The forcing does not depend on gamma: it is realized once for all.
     grid = cfg.grid()
     try:
+        gammas = np.linspace(args.gamma_from, args.gamma_to, args.gamma_steps)
         params = [OscillatorParams(gamma=float(g), alpha=cfg.alpha) for g in gammas]
         eps = realize(cfg.shock, grid)
         metrics = sweep_metrics(params, cfg.initial_state(), eps, grid, cfg.integrator)

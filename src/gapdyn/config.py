@@ -20,7 +20,6 @@ Shock kinds and their parameter keys; a key of another kind is BadValue:
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, field, fields
 
 from .errors import BadValue, InvariantViolation, UnknownKey, _check
@@ -64,9 +63,7 @@ class ScenarioConfig:
             raise InvariantViolation(
                 f"t_end / dt must be finite, got t_end={self.t_end!r} dt={self.dt!r}"
             )
-        # numpy counts a float64 array's bytes in a signed machine word.
-        if self.n_steps > sys.maxsize // 8:
-            raise InvariantViolation(f"n_steps must be <= {sys.maxsize // 8}, got {self.n_steps}")
+        self.grid()
 
     @property
     def n_steps(self) -> int:

@@ -7,14 +7,20 @@ interface, so they stay short and description-free.  Each class's
 
 The module also owns `_check`, the one finiteness and bounds rule for every
 scalar: a bad value reads `<name> must be finite, got nan` or `<name> must
-be > 0, got -1.0`, with the bound printed as its caller passes it.
+be > 0, got -1.0`, with the bound printed as its caller passes it, and one
+that is no real number (a bool, str, None, complex, Decimal or list) reads
+`<name> must be a number, got '1'`.
 `_check_int` is the one rule for every integer input: `<name> must be an
-integer >= 1, got 0`.  Neither takes a bool for a number.
+integer >= 1, got 0`.  With no upper bound it counts float64 entries, so it
+is also refused past the count ceiling sys.maxsize // 8, the most entries
+whose bytes numpy's signed machine word can count.
 `_check_array` is the same rule for every array input, and it names the
-first bad entry: `<name> must be finite, got inf at index 0`.
+first bad entry: `<name> must be finite, got inf at index 0`, or reads
+`<name> must be an array of numbers` where an entry is no real number.
 """
 
 import math
+import sys
 
 
 class GapdynError(Exception):
@@ -80,10 +86,13 @@ class BadEncoding(GapdynError, ValueError):
 def _check(name: str, value: float, low: float | None = None,
            low_strict: bool = False, high: float | None = None,
            high_strict: bool = False) -> None:
-    """Raise InvariantViolation unless `value` is finite, within bounds and
-    not a bool."""
-    if isinstance(value, bool):
-        raise InvariantViolation(f"{name} must be a number, got {value!r}")
+    """Raise InvariantViolation unless `value` is a real number (no bool, and
+    no Decimal, which mixes with no float), finite and within bounds."""
+    if not isinstance(value, float):  # floats skip the slower ABC check
+        import numbers  # here, so that importing gapdyn loads no more modules
+
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise InvariantViolation(f"{name} must be a number, got {value!r}")
     try:
         finite = math.isfinite(value)
     except OverflowError:  # an int past the float range
@@ -100,11 +109,13 @@ def _check(name: str, value: float, low: float | None = None,
 
 def _check_int(name: str, value: int, low: int, high: int | None = None) -> None:
     """Raise InvariantViolation unless `value` is an int, not a bool, in
-    [low, high) (at least `low` when `high` is None)."""
+    [low, high) (in [low, sys.maxsize // 8] when `high` is None)."""
     integer = isinstance(value, int) and not isinstance(value, bool)
     if not (integer and low <= value and (high is None or value < high)):
         bound = f">= {low}" if high is None else f"in [{low}, {high})"
         raise InvariantViolation(f"{name} must be an integer {bound}, got {value!r}")
+    if high is None and value > sys.maxsize // 8:
+        raise InvariantViolation(f"{name} must be <= {sys.maxsize // 8}, got {value!r}")
 
 
 def _check_array(name: str, values, size: int | None = None, min_size: int = 0):
@@ -112,7 +123,13 @@ def _check_array(name: str, values, size: int | None = None, min_size: int = 0):
     when None), all finite; otherwise InvariantViolation."""
     import numpy as np  # here, so that importing gapdyn loads no numpy
 
-    arr = np.asarray(values, dtype=float)
+    try:
+        arr = np.asarray(values)
+        if arr.dtype.kind == "c":  # a float cast would drop the imaginary parts
+            raise TypeError
+        arr = arr.astype(float, copy=False)
+    except (TypeError, ValueError, OverflowError):  # text, ragged, objects, huge ints
+        raise InvariantViolation(f"{name} must be an array of numbers") from None
     if arr.ndim != 1 or arr.size < min_size or (size is not None and arr.size != size):
         want = size if size is not None else f"at least {min_size}"
         raise InvariantViolation(f"{name} must be 1-d with {want} entries, got shape {arr.shape}")

@@ -78,17 +78,6 @@ def _phi_pair(g: float, a: float, dt: float) -> tuple[float, float]:
     return 2.0 * _flow_parts(g, a, dt)[0], -math.exp(-g * dt)
 
 
-def conditional_loglik(series: ObservedSeries, params: OscillatorParams) -> float:
-    """Gaussian log-likelihood of the sampled recursion at (gamma, alpha).
-
-    Conditions on the first two observations; the innovation variance is
-    concentrated out analytically at its maximizing value SSR/n.  A flat or
-    geometric series has a finite value; two samples raise Degenerate.
-    """
-    lags = _ScaledLags(series.values)
-    return lags.loglik(lags.ssr_at(*discretize_exact(params, series.dt)))
-
-
 def estimate_ar2(series: ObservedSeries) -> EstimationResult:
     """Least-squares fit of the two-lag recursion, mapped back to (gamma, alpha).
 
@@ -142,9 +131,10 @@ def estimate_mle(series: ObservedSeries) -> EstimationResult:
       finite gamma >= 0, alpha > 0 reaches is moved just inside S.
       converged=False: the likelihood has no interior maximum there.
 
-    loglik and sigma_hat come from the float residual at the returned
-    (gamma, alpha), so loglik equals conditional_loglik there.  A
-    rank-deficient series raises Degenerate.
+    loglik (the Gaussian likelihood given the first two observations, with
+    sigma^2 concentrated out at SSR/m) and sigma_hat come from the float
+    residual at the returned (gamma, alpha).  A rank-deficient series raises
+    Degenerate.
     """
     fit = _LagFit(series.values)
     phi1, phi2 = fit.phi
@@ -230,47 +220,14 @@ def _dot(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.sum(a * b))
 
 
-class _ScaledLags:
-    """The lag rows (y[i-2], y[i-1], y[i]) of a series scaled by 2^-shift.
-
-    shift is the binary exponent of max|y|, so the scaled series peaks at
-    `peak` in [0.5, 1) and the scaling is exact: its sums of squares neither
-    overflow nor underflow, whatever the data's magnitude.  Every SSR here
-    is in these units, 2^(-2 shift) times the data's; `result` and `loglik`
-    carry sigma and the log-likelihood back to the data's units
-    analytically, so no intermediate leaves the float range.
-    """
-
-    def __init__(self, values: np.ndarray) -> None:
-        if values.size < 3:
-            raise Degenerate("a two-sample series has no lag rows")
-        peak, shift = math.frexp(float(np.max(np.abs(values))))
-        y = np.ldexp(values, -shift)
-        self.lag2, self.lag1, self.target = y[:-2], y[1:-1], y[2:]
-        self.m, self.peak, self.shift = y.size - 2, peak, shift
-
-    def ssr_at(self, phi1: float, phi2: float) -> float:
-        """Float SSR of the recursion's residuals at (phi1, phi2), one O(n) pass."""
-        resid = self.target - phi1 * self.lag1 - phi2 * self.lag2
-        return _dot(resid, resid)
-
-    def loglik(self, ssr: float) -> float:
-        """-m/2 (ln(2 pi SSR/m) + 1) in the data's units; the clamp keeps it finite."""
-        log_var = math.log(2.0 * math.pi * max(ssr, 1e-300) / self.m)
-        return -0.5 * self.m * (log_var + 2.0 * self.shift * math.log(2.0) + 1.0)
-
-    def result(self, method: str, gamma: float, alpha: float, ssr: float, dt: float,
-               converged: bool) -> EstimationResult:
-        sigma = math.sqrt(ssr / self.m / dt)
-        # math.ldexp raises OverflowError past the float range: sigma_hat is inf there.
-        in_range = math.frexp(sigma)[1] + self.shift <= 1024
-        sigma = math.ldexp(sigma, self.shift) if in_range else math.inf
-        return EstimationResult(gamma, alpha, sigma, self.loglik(ssr), method, converged,
-                                self.m + 2)
-
-
-class _LagFit(_ScaledLags):
+class _LagFit:
     """Least-squares fit of y[i] on (y[i-1], y[i-2]), with an O(1) SSR.
+
+    The lag rows (y[i-2], y[i-1], y[i]) are scaled by 2^-shift, shift the
+    binary exponent of max|y|, so they peak at `peak` in [0.5, 1), exactly:
+    no sum of squares overflows or underflows, whatever the data's scale.
+    Every SSR here is 2^(-2 shift) times the data's; `result` and `loglik`
+    carry sigma and the log-likelihood back analytically.
 
     The scaled lag design X = [y[i-1], y[i-2]] is factored X = QR by
     Gram-Schmidt, R = [[r11, r12], [0, r22]].  The least-squares point phi*
@@ -282,14 +239,18 @@ class _LagFit(_ScaledLags):
         SSR(phi) = ssr + |R (phi - phi_hat - delta)|^2,
 
     and `offset(phi)` is that 2-vector, formed as ((phi - phi_hat) - delta)
-    so it keeps digits below phi*'s last bit; `r_times(d)` is R d.  All
-    three are in `_ScaledLags`' units.  The factor, the refinement and
-    `ssr_at` are the estimators' only passes over the series.
+    so it keeps digits below phi*'s last bit; `r_times(d)` is R d.  The
+    factor, the refinement and `ssr_at` are the estimators' only passes
+    over the series.
     """
 
     def __init__(self, values: np.ndarray) -> None:
-        super().__init__(values)
-        lag2, lag1, target = self.lag2, self.lag1, self.target
+        if values.size < 3:
+            raise Degenerate("a two-sample series has no lag rows")
+        peak, shift = math.frexp(float(np.max(np.abs(values))))
+        y = np.ldexp(values, -shift)
+        lag2, lag1, target = self.lag2, self.lag1, self.target = y[:-2], y[1:-1], y[2:]
+        self.m, self.peak, self.shift = y.size - 2, peak, shift
         s11 = _dot(lag1, lag1)
         if not s11 > 0.0:
             raise Degenerate(f"lag regression has rank {int(np.any(lag2))} < 2")
@@ -325,6 +286,25 @@ class _LagFit(_ScaledLags):
     def offset(self, phi1: float, phi2: float) -> tuple[float, float]:
         b1, b2, d1, d2 = self._centre
         return self.r_times((phi1 - b1) - d1, (phi2 - b2) - d2)
+
+    def ssr_at(self, phi1: float, phi2: float) -> float:
+        """Float SSR of the recursion's residuals at (phi1, phi2), one O(n) pass."""
+        resid = self.target - phi1 * self.lag1 - phi2 * self.lag2
+        return _dot(resid, resid)
+
+    def loglik(self, ssr: float) -> float:
+        """-m/2 (ln(2 pi SSR/m) + 1) in the data's units; the clamp keeps it finite."""
+        log_var = math.log(2.0 * math.pi * max(ssr, 1e-300) / self.m)
+        return -0.5 * self.m * (log_var + 2.0 * self.shift * math.log(2.0) + 1.0)
+
+    def result(self, method: str, gamma: float, alpha: float, ssr: float, dt: float,
+               converged: bool) -> EstimationResult:
+        sigma = math.sqrt(ssr / self.m / dt)
+        # math.ldexp raises OverflowError past the float range: sigma_hat is inf there.
+        in_range = math.frexp(sigma)[1] + self.shift <= 1024
+        sigma = math.ldexp(sigma, self.shift) if in_range else math.inf
+        return EstimationResult(gamma, alpha, sigma, self.loglik(ssr), method, converged,
+                                self.m + 2)
 
 
 def _root_product(phi1: float, phi2: float, dt: float) -> float:

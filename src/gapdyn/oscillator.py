@@ -55,20 +55,6 @@ class OscillatorParams:
 
 
 @dataclass(frozen=True)
-class PhysicalOscillator:
-    """Mass/friction/stiffness form of the same oscillator: m y'' + c y' + k y."""
-
-    m: float
-    c: float
-    k: float
-
-    def __post_init__(self) -> None:
-        _check("m", self.m, low=0, low_strict=True)
-        _check("c", self.c, low=0)
-        _check("k", self.k, low=0, low_strict=True)
-
-
-@dataclass(frozen=True)
 class OscState:
     """Instantaneous gap level and its rate of change (y, ydot)."""
 
@@ -78,11 +64,6 @@ class OscState:
     def __post_init__(self) -> None:
         _check("y", self.y)
         _check("ydot", self.ydot)
-
-
-def from_physical(osc: PhysicalOscillator) -> OscillatorParams:
-    """Reduce a mass/friction/stiffness triple to (gamma, alpha) = (c/m, k/m)."""
-    return OscillatorParams(gamma=osc.c / osc.m, alpha=osc.k / osc.m)
 
 
 def classify(params: OscillatorParams) -> str:

@@ -598,8 +598,8 @@ class TestSweep:
         assert code == 2
         assert err.startswith("error=InvariantViolation")
 
-    # numpy refuses both counts before allocating: one as larger than any
-    # array, the other inside linspace's index arithmetic.
+    # Both counts pass the ceiling of every array count, sys.maxsize // 8,
+    # so errors._check_int refuses them before numpy sees them.
     @pytest.mark.parametrize("steps", ["18446744073709551616", "9223372036854775807"])
     def test_step_count_numpy_cannot_grid(self, capsys, config_file, steps):
         code, out, err = _run(
@@ -619,8 +619,9 @@ class TestOversizedGrid:
 
     1e15 nodes need 7.1 PiB, beyond the 128 TiB a 64-bit Linux process can
     map, so the allocation is refused under any overcommit setting; 5e18
-    float64 nodes overflow numpy's byte count, and 1e30 its index too.  Each
-    command runs in a fresh process.
+    and 1e30 nodes pass the ceiling that errors._check_int puts on every
+    count, sys.maxsize // 8, past which numpy's byte count of a float64
+    array overflows.  Each command runs in a fresh process.
     """
 
     @pytest.mark.parametrize("t_end", ["1e15", "5e18", "1e30"])

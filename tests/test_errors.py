@@ -5,21 +5,26 @@ array input checked through it."""
 
 import math
 import os
+import sys
 from dataclasses import fields, replace
+from decimal import Decimal
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import gapdyn
 from gapdyn import (
     Ar1,
     DsgeBlockParams,
     DsgePoint,
+    GapdynError,
     Impulse,
     InvariantViolation,
     ObservedSeries,
     OscillatorParams,
     OscState,
-    PhysicalOscillator,
     ScenarioConfig,
     TimeGrid,
     Trajectory,
@@ -35,7 +40,6 @@ from gapdyn.shocks import standard_normals
 # One valid instance of every class that holds float fields.
 _VALID = [
     OscillatorParams(gamma=0.5, alpha=2.0),
-    PhysicalOscillator(m=1.0, c=0.5, k=2.0),
     OscState(y=1.0, ydot=0.0),
     Impulse(),
     WhiteNoise(),
@@ -64,8 +68,11 @@ def test_non_finite_field_is_worded_once(obj, name, value):
     assert str(excinfo.value) == f"{name} must be finite, got {value!r}"
 
 
-# bool is a subclass of int, yet True is not a number a model reads.
-@pytest.mark.parametrize("value", [True, False])
+# bool is a subclass of int, yet True is not a number a model reads; nor
+# is any other value that is not a real number, such as a Decimal, which no
+# float arithmetic takes.
+@pytest.mark.parametrize("value", [True, False, "1", None, 1j, [1.0], Decimal("sNaN")],
+                         ids=["True", "False", "str", "None", "complex", "list", "sNaN"])
 @pytest.mark.parametrize(
     "obj, name", _FLOAT_FIELDS, ids=[f"{type(o).__name__}.{n}" for o, n in _FLOAT_FIELDS]
 )
@@ -96,7 +103,9 @@ def test_bool_is_not_an_integer(call, text):
     (1.0, None, "x must be an integer >= 1, got 1.0"),
     (True, None, "x must be an integer >= 1, got True"),
     (2**64, 2**64, "x must be an integer in [1, 18446744073709551616), got 18446744073709551616"),
-], ids=["low", "float", "bool", "high"])
+    # a count that no float64 array can hold
+    (sys.maxsize // 8 + 1, None, f"x must be <= {sys.maxsize // 8}, got {sys.maxsize // 8 + 1}"),
+], ids=["low", "float", "bool", "high", "ceiling"])
 def test_check_int_words_each_bound(value, high, text):
     with pytest.raises(InvariantViolation) as excinfo:
         _check_int("x", value, 1, high)
@@ -106,6 +115,7 @@ def test_check_int_words_each_bound(value, high, text):
 def test_check_int_accepts_both_ends():
     _check_int("x", 1, 1)
     _check_int("x", 2**64 - 1, 1, 2**64)
+    _check_int("x", sys.maxsize // 8, 1)
 
 
 _GRID = TimeGrid(dt=0.1, n_steps=3)
@@ -136,7 +146,9 @@ _ARRAY_INPUTS = [
 ]
 
 
-@pytest.mark.parametrize("bad", ["nan", "inf", "short", "2-d"])
+@pytest.mark.parametrize(
+    "bad", ["nan", "inf", "short", "2-d", "text", "ragged", "object", "complex", "big-int"]
+)
 @pytest.mark.parametrize(
     "name, size, call", [case[1:] for case in _ARRAY_INPUTS], ids=[c[0] for c in _ARRAY_INPUTS]
 )
@@ -148,6 +160,12 @@ def test_bad_array_is_worded_once(name, size, call, bad):
         "inf": ([0.0, 0.5, -math.inf], f"{name} must be finite, got -inf at index 2"),
         "short": ([0.0] * short, f"{name} must be 1-d with {want} entries, got shape ({short},)"),
         "2-d": ([_NODES], f"{name} must be 1-d with {want} entries, got shape (1, 3)"),
+        "text": (["0.0", "x", "1.0"], f"{name} must be an array of numbers"),
+        "ragged": ([[0.0], [0.5, 1.0], 1.0], f"{name} must be an array of numbers"),
+        "object": (np.array([object()] * 3), f"{name} must be an array of numbers"),
+        # a float cast would keep the real parts alone
+        "complex": (np.array([0.0, 1j, 1.0]), f"{name} must be an array of numbers"),
+        "big-int": ([0.0, 10**400, 1.0], f"{name} must be an array of numbers"),
     }[bad]
     with pytest.raises(InvariantViolation) as excinfo:
         call(values)
@@ -188,3 +206,118 @@ def test_check_accepts_a_closed_bound_and_the_interior():
     _check("x", 0.0, low=0)
     _check("x", 1.0, high=1)
     _check("x", 0.5, low=0, low_strict=True, high=1, high_strict=True)
+
+
+_BLOCK = DsgeBlockParams(beta=0.99, sigma_c=2.0)
+_POINT = DsgePoint(r=0.03)
+_TRAJ = Trajectory(_GRID, _NODES, _NODES, _NODES)
+_SERIES = ObservedSeries(dt=0.1, values=[1.0, 0.4, -0.3, -0.5, 0.1, 0.6, 0.2, -0.4])
+
+# One valid call of every callable that gapdyn exports, by keyword; the
+# error classes, the taxonomy itself, are left out.  Each float, int and
+# list-of-floats argument is an input the contract covers.
+_CALLS = {
+    "Ar1": dict(rho=0.5, sigma=0.1, seed=1),
+    "DsgeBlockParams": dict(beta=0.99, sigma_c=2.0, theta=0.3, a_tfp=1.0),
+    "DsgePoint": dict(r=0.03, c=1.2, b=0.5, b_next=0.4, w=1.1, n=0.9, k=2.0, y=1.3, p=1.0,
+                      r_k=0.05),
+    "EstimationResult": dict(gamma_hat=0.5, alpha_hat=2.0, sigma_hat=0.1, loglik=-1.0,
+                             method="ar2", converged=True, n_obs=8),
+    "Impulse": dict(at=0.1, magnitude=1.0),
+    "NoShock": dict(),
+    "ObservedSeries": dict(dt=0.1, values=_NODES),
+    "OscState": dict(y=1.0, ydot=0.0),
+    "OscillatorParams": dict(gamma=0.5, alpha=2.0),
+    "RecoveryMetrics": dict(settling_time=0.1, overshoot=0.0, zero_crossings=1,
+                            terminal_abs=0.0),
+    "ScenarioConfig": dict(gamma=0.5, alpha=2.0, y0=1.0, ydot0=0.0, t_end=0.2, dt=0.1,
+                           shock=Impulse(), integrator="rk4"),
+    "TimeGrid": dict(dt=0.1, n_steps=3),
+    "Trajectory": dict(grid=_GRID, y=_NODES, ydot=_NODES, forcing=_NODES),
+    "WhiteNoise": dict(sigma=0.1, seed=1),
+    "analytic_trajectory": dict(params=_PARAMS, init=_INIT, grid=_GRID),
+    "budget_residual": dict(point=_POINT),
+    "classify": dict(params=_PARAMS),
+    "discretize_exact": dict(params=_PARAMS, dt=0.1),
+    "energy": dict(params=_PARAMS, state=_INIT),
+    "estimate_ar2": dict(series=_SERIES),
+    "estimate_mle": dict(series=_SERIES),
+    "euler_residual": dict(c_now=1.0, c_next=1.1, r_next=0.03, params=_BLOCK),
+    "integrate_euler": dict(params=_PARAMS, init=_INIT, forcing=_NODES, grid=_GRID),
+    "integrate_rk4": dict(params=_PARAMS, init=_INIT, forcing=_NODES, grid=_GRID),
+    "parse_config": dict(text="gamma = 0.5\n"),
+    "production": dict(k=2.0, n=0.9, params=_BLOCK),
+    "profit": dict(point=_POINT),
+    "read_series_csv": dict(
+        path=os.path.join(os.path.dirname(__file__), "golden", "simulate-rk4-white-noise.csv")),
+    "realize": dict(spec=WhiteNoise(), grid=_GRID),
+    "recovery_metrics": dict(traj=_TRAJ),
+    "solve_analytic": dict(params=_PARAMS, init=_INIT, t=0.5),
+    "standard_normals": dict(seed=1, n=3),
+    "steady_state_rate": dict(params=_BLOCK),
+    "utility": dict(c=1.0, l=0.5, params=_BLOCK),
+    "write_svg": dict(path=os.devnull, times=_NODES, series=[("a", _NODES)], title="t",
+                      y_label="y"),
+    "write_trajectory_csv": dict(path=os.devnull, traj=_TRAJ),
+}
+
+
+def _kind(value):
+    """"int" (a count, seed or index), "float" or "array" for an input the
+    contract covers, else None (a record, a name, a path, a flag)."""
+    if isinstance(value, bool):
+        return None
+    if isinstance(value, int):
+        return "int"
+    if isinstance(value, float):
+        return "float"
+    if isinstance(value, list) and all(isinstance(v, float) for v in value):
+        return "array"
+    return None
+
+
+# Anything a caller might pass where a number goes, but an int, drawn apart.
+_NOT_INT = st.one_of(
+    st.floats(), st.floats().map(np.float64), st.booleans(), st.none(), st.text(max_size=3),
+    st.complex_numbers(), st.decimals(), st.fractions(), st.lists(st.floats(), max_size=2),
+    st.just(np.array([1.0, 2.0])),
+)
+_CEILING = sys.maxsize // 8  # of every count, in errors._check_int
+_VALUES = {
+    # Counts stay at most 16 or pass the ceiling, so nothing large is allocated.
+    "int": st.one_of(st.integers(max_value=16), st.integers(min_value=_CEILING + 1), _NOT_INT),
+    "float": st.one_of(st.integers(), st.just(10**400), _NOT_INT),
+    "array": st.one_of(
+        st.lists(st.one_of(st.integers(-(2**70), 2**70), st.just(10**400), _NOT_INT),
+                 max_size=4),
+        st.lists(st.lists(st.floats(), max_size=2), max_size=3),  # 2-d or ragged
+        st.lists(st.floats(), max_size=16).map(np.array),
+        st.lists(st.complex_numbers(), min_size=1, max_size=3).map(np.array),
+        st.lists(st.floats(), min_size=1, max_size=3).map(lambda v: np.array(v, dtype=object)),
+        _NOT_INT,
+    ),
+}
+_EXPORTED = sorted(
+    name for name in gapdyn.__all__ if callable(value := getattr(gapdyn, name))
+    and not (isinstance(value, type) and issubclass(value, GapdynError))
+)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_every_bad_input_stays_in_the_taxonomy(data):
+    # Every export runs from its table entry, once with each covered input
+    # swapped for one drawn value of its kind (or as it is, if it has none):
+    # it returns or raises a GapdynError, never a bare Python error.  numpy
+    # scalars warn where their arithmetic overflows, as numpy does; the
+    # contract is about errors, so errstate lets them overflow quietly.
+    assert sorted(_CALLS) == _EXPORTED  # a new export needs an entry
+    values = {kind: data.draw(strategy, label=kind) for kind, strategy in _VALUES.items()}
+    for name, valid in _CALLS.items():
+        swaps = [{param: values[_kind(v)]} for param, v in valid.items() if _kind(v)]
+        for swap in swaps or [{}]:
+            try:
+                with np.errstate(all="ignore"):
+                    getattr(gapdyn, name)(**{**valid, **swap})
+            except GapdynError:
+                pass

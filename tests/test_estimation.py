@@ -20,7 +20,6 @@ from gapdyn import (
     OscillatorParams,
     TimeGrid,
     analytic_trajectory,
-    conditional_loglik,
     discretize_exact,
     estimate_ar2,
     estimate_mle,
@@ -31,6 +30,13 @@ from gapdyn.estimation import _boundary_candidates, _LagFit, _root_product
 UNDER = OscillatorParams(gamma=0.5, alpha=1.0)
 CRITICAL = OscillatorParams(gamma=2.0, alpha=1.0)
 OVER = OscillatorParams(gamma=3.0, alpha=1.0)
+
+
+def _loglik_at(series: ObservedSeries, params: OscillatorParams) -> float:
+    """The MLE's Gaussian log-likelihood of the sampled recursion at (gamma,
+    alpha): conditioned on the first two observations, sigma concentrated out."""
+    fit = _LagFit(series.values)
+    return fit.loglik(fit.ssr_at(*discretize_exact(params, series.dt)))
 
 
 def _analytic_series(params: OscillatorParams, n: int = 201, dt: float = 0.1,
@@ -156,6 +162,12 @@ class TestEstimateAr2:
         with pytest.raises(Degenerate):
             estimate_ar2(ObservedSeries(dt=0.1, values=[1.0, 0.5]))
 
+    def test_rank_one_series_is_degenerate(self):
+        # one lag already predicts the next sample exactly
+        for values in (0.9 ** np.arange(50.0), np.ones(3)):
+            with pytest.raises(Degenerate, match=r"^lag regression has rank 1 < 2$"):
+                estimate_ar2(ObservedSeries(dt=0.1, values=values))
+
     def test_positive_phi2_is_non_stationary(self):
         # build data obeying y[i] = 0.1 y[i-1] + 0.5 y[i-2]: no damping maps to it
         y = np.empty(60)
@@ -265,7 +277,7 @@ class TestEstimateMle:
         assert r.alpha_hat == pytest.approx(params.alpha, rel=1e-4)
         assert r.method == "mle"
         # the optimizer must not degrade the exact fit
-        assert r.loglik >= conditional_loglik(series, params)
+        assert r.loglik >= _loglik_at(series, params)
 
     @pytest.mark.parametrize("params", [UNDER, CRITICAL, OVER], ids=["under", "critical", "over"])
     def test_no_polish_stencil_point_beats_an_interior_fit(self, params):
@@ -310,6 +322,11 @@ class TestEstimateMle:
     def test_degenerate_series_still_raises(self):
         with pytest.raises(Degenerate):
             estimate_mle(ObservedSeries(dt=0.1, values=np.zeros(50)))
+
+    def test_two_samples_are_degenerate(self):
+        # no residual to condition on, as for estimate_ar2
+        with pytest.raises(Degenerate):
+            estimate_mle(ObservedSeries(dt=0.1, values=[1.0, 2.0]))
 
     def test_dominates_ols_likelihood(self):
         series = _recursion_series(CRITICAL, sigma=0.05, seed=3)
@@ -365,44 +382,6 @@ class TestEstimateMle:
         assert r.sigma_hat == pytest.approx(0.05, rel=0.1)
 
 
-class TestConditionalLoglik:
-    def test_matches_ols_at_its_own_estimate(self):
-        series = _recursion_series(CRITICAL, sigma=0.05, seed=1)
-        r = estimate_ar2(series)
-        ll = conditional_loglik(series, OscillatorParams(r.gamma_hat, r.alpha_hat))
-        # OLS minimizes SSR over unconstrained (phi1, phi2); mapping back to
-        # (gamma, alpha) and re-evaluating can only stay equal or dip below
-        assert ll <= r.loglik + 1e-9
-        assert ll == pytest.approx(r.loglik, abs=1e-6)
-
-    def test_prefers_truth_over_distant_params(self):
-        series = _recursion_series(CRITICAL, sigma=0.05, seed=2)
-        good = conditional_loglik(series, CRITICAL)
-        bad = conditional_loglik(series, OscillatorParams(8.0, 0.2))
-        assert good > bad
-
-    def test_two_samples_are_degenerate(self):
-        # no residual to condition on, as for the estimators
-        series = ObservedSeries(dt=0.1, values=[1.0, 2.0])
-        with pytest.raises(Degenerate):
-            conditional_loglik(series, UNDER)
-        with pytest.raises(Degenerate):
-            estimate_mle(series)
-
-    def test_overflowed_phase_is_an_invariant_violation(self):
-        series = ObservedSeries(dt=1e300, values=[1.0, 0.5, 0.2, 0.1])
-        with pytest.raises(InvariantViolation, match=r"^phase w\*t must be finite, got inf$"):
-            conditional_loglik(series, OscillatorParams(0.0, 1e300))
-
-    def test_rank_deficient_series_have_a_finite_value(self):
-        # the estimators raise Degenerate here; the likelihood itself exists
-        for values in (np.zeros(50), 0.9 ** np.arange(50.0), np.ones(3)):
-            series = ObservedSeries(dt=0.1, values=values)
-            assert math.isfinite(conditional_loglik(series, UNDER))
-            with pytest.raises(Degenerate):
-                estimate_ar2(series)
-
-
 # Noisy series from the sampled recursion, at any scale: the lag fit's inputs.
 _noisy_series = st.builds(
     lambda g, a, dt, seed, n, exp10: ObservedSeries(
@@ -437,7 +416,7 @@ class TestLagFit:
     @given(series=_noisy_series)
     def test_mle_loglik_is_conditional_loglik_at_its_estimate(self, series):
         r = estimate_mle(series)
-        assert r.loglik == conditional_loglik(series, OscillatorParams(r.gamma_hat, r.alpha_hat))
+        assert r.loglik == _loglik_at(series, OscillatorParams(r.gamma_hat, r.alpha_hat))
 
 
     def test_boundary_fit_has_the_least_float_ssr_of_its_candidates(self):

@@ -1,4 +1,4 @@
-"""Closed-form solutions, regime classification, and the physical-form bridge.
+"""Closed-form solutions, regime classification, and the physical form.
 
 Property tests use hypothesis (MacIver et al., "Hypothesis: A new approach
 to property-based testing", JOSS 4(43), 2019).
@@ -21,12 +21,10 @@ from gapdyn import (
     InvariantViolation,
     OscState,
     OscillatorParams,
-    PhysicalOscillator,
     TimeGrid,
     analytic_trajectory,
     classify,
     energy,
-    from_physical,
     solve_analytic,
 )
 from gapdyn.oscillator import _scaled_squares
@@ -92,29 +90,9 @@ class TestParamTypes:
         with pytest.raises(InvariantViolation):
             OscState(y=math.inf, ydot=0.0)
 
-    def test_physical_invariants(self):
-        with pytest.raises(InvariantViolation):
-            PhysicalOscillator(m=0.0, c=1.0, k=1.0)
-        with pytest.raises(InvariantViolation):
-            PhysicalOscillator(m=1.0, c=-1.0, k=1.0)
-        with pytest.raises(InvariantViolation):
-            PhysicalOscillator(m=1.0, c=1.0, k=0.0)
-
 
 class TestFromPhysical:
-    def test_unit_mass_identity(self):
-        p = from_physical(PhysicalOscillator(m=1.0, c=0.5, k=1.0))
-        assert p.gamma == 0.5
-        assert p.alpha == 1.0
-
-    def test_hand_division(self):
-        p = from_physical(PhysicalOscillator(m=2.0, c=4.0, k=2.0))
-        assert p.gamma == 2.0
-        assert p.alpha == 1.0
-        p = from_physical(PhysicalOscillator(m=2.0, c=8.0, k=2.0))
-        assert p.gamma == 4.0
-        assert p.alpha == 1.0
-
+    # m y'' + c y' + k y = F is OscillatorParams(c / m, k / m), by hand.
     def test_regime_matches_discriminant_sign(self):
         # sign(c^2 - 4mk) must agree with the normalized-form classification
         rng = np.random.default_rng(11)
@@ -122,7 +100,7 @@ class TestFromPhysical:
             m = float(rng.uniform(0.2, 3.0))
             c = float(rng.uniform(0.0, 4.0))
             k = float(rng.uniform(0.1, 3.0))
-            regime = classify(from_physical(PhysicalOscillator(m=m, c=c, k=k)))
+            regime = classify(OscillatorParams(c / m, k / m))
             d = c * c - 4.0 * m * k
             if d < 0:
                 assert regime == "under-damped"

@@ -271,6 +271,15 @@ def test_every_record_field_is_read():
     assert [where for where, name in fields if name not in read] == []
 
 
+def _trees(*places):
+    """(path, parsed module) of every .py file in each folder or file of
+    `places`, given relative to the repository root."""
+    for place in places:
+        root = _ROOT / place
+        for path in sorted(root.glob("*.py")) if root.is_dir() else [root]:
+            yield path, ast.parse(path.read_text(encoding="utf-8"))
+
+
 def _defaults(path):
     """(where, function name, parameter, its position in a call or None
     for keyword-only, the default's AST dump) for every parameter with a
@@ -300,23 +309,48 @@ def test_every_default_is_set_by_some_caller():
     # Calls are matched by the name they end in, not by the function object.
     params = [d for path in sorted((_ROOT / "src/gapdyn").glob("*.py")) for d in _defaults(path)]
     set_by_a_call = set()
-    for folder in ("src/gapdyn", "demos", "bench"):
-        for path in sorted((_ROOT / folder).glob("*.py")):
-            for call in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-                if not isinstance(call, ast.Call):
+    for _, tree in _trees("src/gapdyn", "demos", "bench"):
+        for call in ast.walk(tree):
+            if not isinstance(call, ast.Call):
+                continue
+            given = {kw.arg: kw.value for kw in call.keywords if kw.arg is not None}
+            for _, func, name, pos, default in params:
+                if func != _name(call.func):
                     continue
-                given = {kw.arg: kw.value for kw in call.keywords if kw.arg is not None}
-                for _, func, name, pos, default in params:
-                    if func != _name(call.func):
-                        continue
-                    value = given.get(name)
-                    if value is None and pos is not None and pos < len(call.args):
-                        value = call.args[pos]
-                    if value is not None and ast.dump(value) != default:
-                        set_by_a_call.add((func, name))
+                value = given.get(name)
+                if value is None and pos is not None and pos < len(call.args):
+                    value = call.args[pos]
+                if value is not None and ast.dump(value) != default:
+                    set_by_a_call.add((func, name))
     # one positional and one keyword-only parameter, so the walk sees both
     assert {"cli.py:main.argv", "svgplot.py:write_svg.title"} <= {p[0] for p in params}
     assert [where for where, func, name, *_ in params if (func, name) not in set_by_a_call] == []
+
+
+def test_every_export_is_reached():
+    # A public name that only its own module and its unit tests use is
+    # surface that no product path keeps honest, so each name in
+    # gapdyn.__all__ is referenced outside its defining module and
+    # __init__: in the package, the demos, the benchmark or the acceptance
+    # tests.  A record that a reached export returns is reached with it.
+    # Names are matched as in the tests above, not by object.
+    exports = set(gapdyn.__all__)
+    package = _ROOT / "src/gapdyn"
+    home = {name: package / f"{gapdyn._OWNER.get(name, name)}.py" for name in exports}
+    reached, returns = set(), {}
+    for path, tree in _trees("src/gapdyn", "demos", "bench", "tests/test_acceptance.py"):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) and node.name in exports and node.returns:
+                returns[node.name] = {_name(part) for part in ast.walk(node.returns)}
+            if isinstance(node, ast.ImportFrom):
+                names = [(node.module or "").rpartition(".")[2], *(a.name for a in node.names)]
+            else:
+                names = [_name(node)]
+            reached.update(name for name in names if name in exports
+                           and path not in (home[name], package / "__init__.py"))
+    reached.update(*(returns[name] for name in reached & returns.keys()))
+    assert {"EstimationResult", "RecoveryMetrics", "errors"} <= reached
+    assert sorted(exports - reached) == []
 
 
 def test_only_overwrite_opens_a_file_to_write():
