@@ -31,7 +31,15 @@ import functools
 import math
 import sys
 
-from .errors import BadValue, GapdynError, InvariantViolation, UnknownKey, _check, _check_int
+from .errors import (
+    BadValue,
+    GapdynError,
+    InvariantViolation,
+    UnknownKey,
+    _allocating,
+    _check,
+    _check_int,
+)
 
 
 class _UsageError(Exception):
@@ -171,7 +179,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     # cfg only in gamma, so checking its OscillatorParams checks the variant.
     # The forcing does not depend on gamma: it is realized once for all.
     grid = cfg.grid()
-    try:
+    with _allocating(f"{args.gamma_steps} gammas on a grid of n_steps={cfg.n_steps} nodes"):
         gammas = np.linspace(args.gamma_from, args.gamma_to, args.gamma_steps)
         params = [OscillatorParams(gamma=float(g), alpha=cfg.alpha) for g in gammas]
         eps = realize(cfg.shock, grid)
@@ -181,10 +189,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             "%.17g,%.17g,%.17g,%d,%.17g\n" % row
             for row in zip(gammas.tolist(), *(column.tolist() for column in metrics))
         ]
-    except MemoryError:
-        raise InvariantViolation(
-            f"cannot allocate {args.gamma_steps} gammas on a grid of n_steps={cfg.n_steps} nodes"
-        ) from None
     sys.stdout.write("".join(rows))
     return 0
 
@@ -237,10 +241,9 @@ def _run_scenario(cfg: ScenarioConfig, args: argparse.Namespace) -> int:
     from .integrate import recovery_metrics
     from .shocks import realize
 
-    try:
-        traj = _integrate(cfg, realize(cfg.shock, cfg.grid()))
-    except MemoryError:
-        raise InvariantViolation(f"cannot allocate a grid of n_steps={cfg.n_steps} nodes") from None
+    grid = cfg.grid()
+    with grid._allocating():
+        traj = _integrate(cfg, realize(cfg.shock, grid))
     if args.out:
         from .seriesio import write_trajectory_csv
 

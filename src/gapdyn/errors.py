@@ -17,8 +17,12 @@ whose bytes numpy's signed machine word can count.
 `_check_array` is the same rule for every array input, and it names the
 first bad entry: `<name> must be finite, got inf at index 0`, or reads
 `<name> must be an array of numbers` where an entry is no real number.
+`_allocating` is the one rule for an input too large for memory: a
+MemoryError from allocating one entry per count reads `cannot allocate a
+grid of n_steps=10 nodes`, naming the count.
 """
 
+import contextlib
 import math
 import sys
 
@@ -138,3 +142,14 @@ def _check_array(name: str, values, size: int | None = None, min_size: int = 0):
         i = int(np.argmin(finite))
         raise InvariantViolation(f"{name} must be finite, got {float(arr[i])!r} at index {i}")
     return arr
+
+
+@contextlib.contextmanager
+def _allocating(what: str):
+    """Raise InvariantViolation("cannot allocate <what>") for a MemoryError
+    in the block, where `what` names the count that sized the allocation:
+    an input too large for memory is a bad input, not a bare Python error."""
+    try:
+        yield
+    except MemoryError:
+        raise InvariantViolation(f"cannot allocate {what}") from None

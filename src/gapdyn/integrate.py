@@ -34,7 +34,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import Divergence, InvariantViolation, _check, _check_array, _check_int
+from .errors import Divergence, InvariantViolation, _allocating, _check, _check_array, _check_int
 from .oscillator import OscillatorParams, OscState, solve_analytic
 
 
@@ -54,7 +54,13 @@ class TimeGrid:
         return (self.n_steps - 1) * self.dt
 
     def times(self) -> np.ndarray:
-        return self.dt * np.arange(self.n_steps)
+        with self._allocating():
+            return self.dt * np.arange(self.n_steps)
+
+    def _allocating(self):
+        """errors._allocating for arrays of one entry per node: a MemoryError
+        reads `cannot allocate a grid of n_steps=<n> nodes`."""
+        return _allocating(f"a grid of n_steps={self.n_steps} nodes")
 
 
 @dataclass(frozen=True)
@@ -130,7 +136,10 @@ def _scheme(name: str, scheme):
 
 
 # Steps between two checks for a settled state: bounds the steps taken after
-# a run settles, not a tuning knob.
+# a run settles.  It is also how many nodes a loop over Python floats holds
+# as Python objects at once (here, in shocks.realize's AR(1) recursion and
+# in analytic_trajectory), so their memory does not grow with the grid.
+# Not a tuning knob.
 _CHUNK = 1024
 
 
@@ -233,8 +242,9 @@ def _run(steps, ng, a, init, forcing, grid, cols):
     (k,) rows for cols (k,)), and the checked forcing.  A non-finite node
     raises Divergence, as _check_finite does."""
     eps = _check_array("forcing", forcing, grid.n_steps)
-    y = np.empty((grid.n_steps, *cols))
-    v = np.empty_like(y)
+    with grid._allocating():
+        y = np.empty((grid.n_steps, *cols))
+        v = np.empty_like(y)
     y[0], v[0] = init.y, init.ydot
     # Overflow to inf is reported as Divergence, so silence the warning that
     # (k,) rows or numpy scalars in `params` would give.
@@ -247,9 +257,22 @@ def _run(steps, ng, a, init, forcing, grid, cols):
 
 def analytic_trajectory(params: OscillatorParams, init: OscState, grid: TimeGrid) -> Trajectory:
     """Sample the closed-form unforced solution on a grid (forcing is zero):
-    solve_analytic at each node, so the two agree bit for bit."""
-    states = [solve_analytic(params, init, t) for t in grid.times().tolist()]
-    return Trajectory(grid, [s.y for s in states], [s.ydot for s in states], np.zeros(grid.n_steps))
+    solve_analytic at each node, so the two agree bit for bit.
+
+    The times go to Python floats _CHUNK nodes at a time, and each state's
+    y and ydot are stored into float64 arrays through memoryviews, so no
+    per-node object outlives its chunk.
+    """
+    times = grid.times()
+    with grid._allocating():
+        y, v, eps = np.empty(grid.n_steps), np.empty(grid.n_steps), np.zeros(grid.n_steps)
+    y_store, v_store = memoryview(y), memoryview(v)
+    for start in range(0, grid.n_steps, _CHUNK):
+        for i, t in enumerate(times[start : start + _CHUNK].tolist(), start):
+            state = solve_analytic(params, init, t)
+            y_store[i] = state.y
+            v_store[i] = state.ydot
+    return Trajectory(grid, y, v, eps)
 
 
 def integrate_batch(

@@ -32,9 +32,14 @@ if TYPE_CHECKING:
 # Successive time deltas may differ from the first delta by at most this
 # relative amount before the grid is rejected as non-uniform.
 _SPACING_REL_TOL = 1e-9
-# Characters that send a file to the row-by-row reader: csv quoting, and
-# the ASCII separators that numpy's float parser strips and float() rejects.
-_ROW_READER_ONLY = '"\x1c\x1d\x1e\x1f'
+# Bytes that send a file to the row-by-row reader: csv quoting, and the
+# ASCII separators that numpy's float parser strips and float() rejects.
+# No other UTF-8 character holds an ASCII byte.
+_ROW_READER_ONLY = b'"\x1c\x1d\x1e\x1f'
+# Bytes of a file that the plain reader decodes and hands to numpy at once
+# (more when one line is longer): a series of a few thousand rows is one
+# block.  Bounds a temporary; it is not a tuning knob.
+_READ_BLOCK_BYTES = 256 * 2**10
 
 _TRAJECTORY_HEADER = b"t,y,ydot,eps\n"
 
@@ -88,48 +93,78 @@ def read_series_csv(path: str | Path) -> ObservedSeries:
     no `"` and none of the separator characters U+001C-U+001F (which numpy
     strips around a number and `float()` does not), and `np.loadtxt` parses
     two or more rows that are finite and uniformly spaced.  Every other file
-    goes to the row-by-row reader, which is the only source of errors.  Both
-    paths convert cells through the same C routine and test spacing with
-    `_spacing`, so they give the same series.  numpy gets the text as
-    a list of its lines, split at "\\n" only.
+    goes to the row-by-row reader, which raises every error but BadEncoding
+    (worded as by read_text, on either path).  Both paths convert cells
+    through the same C routine and test spacing with `_spacing`, so they
+    give the same series.
+
+    The plain path holds the file's bytes and, past them, the lines of
+    about _READ_BLOCK_BYTES of text at a time and the two float columns: a
+    long series costs about 2.4 times its file.  The row reader holds the
+    whole text and Python lists of the rows, about 8 times the file.
     """
-    text = read_text(path)
-    series = _read_plain(text)
-    return series if series is not None else _read_rows(path, text)
+    data = Path(path).read_bytes()
+    series = _read_plain(path, data)
+    if series is not None:
+        return series
+    text = _decode(path, data)
+    del data  # the row reader holds the text, and not the bytes too
+    return _read_rows(path, text)
 
 
-def _read_plain(text: str) -> ObservedSeries | None:
-    """The series in a plain file, or None to leave the file to _read_rows.
+def _read_plain(path: str | Path, data: bytes) -> ObservedSeries | None:
+    """The series in the bytes `data` of a plain file, or None to leave the
+    file to _read_rows.
 
-    The text is split once at "\\n": the first line is the header, and the
-    list goes to np.loadtxt whole, which skips the header and reads each
-    item as one line (a CR before the "\\n" ends it, a lone CR inside it
-    fails the parse).  A list of lines costs numpy less than a file object
-    over the same text.
+    A file that holds a byte of _ROW_READER_ONLY is left to _read_rows
+    before anything is decoded.  Other files go to numpy in blocks of about
+    _READ_BLOCK_BYTES, each ending at a b"\n" (or the file's end), which
+    never falls inside a UTF-8 sequence, so a block decodes on its own and
+    BadEncoding names the file offset of the first bad byte.  A block's
+    text is split once at "\n"; the first line of the first block is the
+    header, and the list goes to np.loadtxt whole, which reads each item as
+    one line (a CR before the "\n" ends it, a lone CR inside it fails the
+    parse).  A list of lines costs numpy less than a file object over the
+    same text.  A block with no data line is skipped: np.loadtxt warns on
+    one.
     """
     from .estimation import ObservedSeries
 
-    if any(char in text for char in _ROW_READER_ONLY):
+    if any(byte in data for byte in _ROW_READER_ONLY):
         return None
-    # Not splitlines(): it also ends lines at \v, \f, U+001C-U+001E, U+0085,
-    # U+2028 and U+2029, where csv and numpy do not.
-    lines = text.split("\n")
-    header = lines[0].removesuffix("\r")
-    # csv ends a row at a lone CR too; such a header is not plain.
-    if "\r" in header or [c.strip().lower() for c in header.split(",")[:2]] != ["t", "y"]:
+    view = memoryview(data)
+    blocks = []
+    start = 0
+    while start < len(data):
+        stop = start + _READ_BLOCK_BYTES
+        end = len(data)
+        if stop < end:  # the last b"\n" before stop, else the first after it
+            end = data.rfind(b"\n", start, stop) + 1 or data.find(b"\n", stop) + 1 or end
+        # Not splitlines(): it also ends lines at \v, \f, U+001C-U+001E, U+0085,
+        # U+2028 and U+2029, where csv and numpy do not.
+        lines = _decode(path, view[start:end], start).split("\n")
+        skip = 1 if start == 0 else 0
+        if skip:
+            header = lines[0].removesuffix("\r")
+            # csv ends a row at a lone CR too; such a header is not plain.
+            if "\r" in header or [c.strip().lower() for c in header.split(",")[:2]] != ["t", "y"]:
+                return None
+        if any(map(str.strip, lines[skip:])):
+            try:
+                blocks.append(np.loadtxt(
+                    lines, delimiter=",", comments=None, skiprows=skip, usecols=(0, 1), ndmin=2
+                ))
+            except ValueError:
+                return None
+        start = end
+    if not blocks:  # no rows
         return None
-    if not any(map(str.strip, lines[1:])):  # no rows; loadtxt would warn
+    table = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
+    del blocks  # their rows now live in table alone
+    if len(table) < 2 or not np.isfinite(table).all():
         return None
-    try:
-        data = np.loadtxt(
-            lines, delimiter=",", comments=None, skiprows=1, usecols=(0, 1), ndmin=2
-        )
-    except ValueError:
-        return None
-    if len(data) < 2 or not np.isfinite(data).all():
-        return None
-    dt, off_grid = _spacing(data[:, 0])
-    return None if dt <= 0.0 or off_grid else ObservedSeries(dt=dt, values=data[:, 1])
+    dt, off_grid = _spacing(table[:, 0])
+    return None if dt <= 0.0 or off_grid else ObservedSeries(dt=dt, values=table[:, 1])
 
 
 def _read_rows(path: str | Path, text: str) -> ObservedSeries:
@@ -185,11 +220,17 @@ def _spacing(times: np.ndarray) -> tuple[float, int]:
 def read_text(path: str | Path) -> str:
     """Whole file as text.  Input files are UTF-8; other bytes raise
     BadEncoding with the offset of the first one that does not decode."""
-    data = Path(path).read_bytes()
+    return _decode(path, Path(path).read_bytes())
+
+
+def _decode(path: str | Path, data, offset: int = 0) -> str:
+    """The bytes-like `data`, which starts at byte `offset` of the file
+    `path`, as UTF-8 text; BadEncoding names the file offset of the first
+    byte that does not decode."""
     try:
-        return data.decode("utf-8")
+        return str(data, "utf-8")
     except UnicodeDecodeError as exc:
-        raise BadEncoding(f"{path}: byte {exc.start} is not valid UTF-8") from None
+        raise BadEncoding(f"{path}: byte {offset + exc.start} is not valid UTF-8") from None
 
 
 def _parse_cell(path: str | Path, rownum: int, column: str, cell: str) -> float:

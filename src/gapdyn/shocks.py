@@ -7,6 +7,11 @@ arithmetic that is exact on every platform, without numpy's random module.
 Gaussian variates come from an explicit Box-Muller transform of the raw
 uniform bits, whose numpy log, cos and sin can differ in the last bit between
 CPU dispatch levels, since numpy picks their kernels per CPU.
+
+A forcing sequence is one float64 array, one entry per node, and no
+per-node Python object outlives a pass over integrate._CHUNK nodes (see
+realize).  An allocation that fails raises InvariantViolation naming the
+count: n for the draws of a noise process, else the grid's n_steps.
 """
 
 from __future__ import annotations
@@ -16,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ImpulseOutsideGrid, InvariantViolation, _check, _check_int
-from .integrate import TimeGrid
+from .errors import ImpulseOutsideGrid, InvariantViolation, _allocating, _check, _check_int
+from .integrate import _CHUNK, TimeGrid
 
 _SEED_LIMIT = 2**64
 _TWO_NEG53 = 2.0**-53
@@ -137,45 +142,53 @@ def standard_normals(seed: int, n: int) -> np.ndarray:
     """
     _check_int("seed", seed, 0, _SEED_LIMIT)
     _check_int("n", n, 0)
-    pairs = (n + 1) // 2
-    raw = _philox_words(seed, 2 * pairs)
-    u1 = ((raw[0::2] >> np.uint64(11)) + np.uint64(1)) * _TWO_NEG53
-    u2 = (raw[1::2] >> np.uint64(11)) * _TWO_NEG53
-    radius = np.sqrt(-2.0 * np.log(u1))
-    angle = 2.0 * np.pi * u2
-    out = np.empty(2 * pairs)
-    out[0::2] = radius * np.cos(angle)
-    out[1::2] = radius * np.sin(angle)
-    return out[:n]
+    with _allocating(f"n={n} draws"):
+        pairs = (n + 1) // 2
+        raw = _philox_words(seed, 2 * pairs)
+        u1 = ((raw[0::2] >> np.uint64(11)) + np.uint64(1)) * _TWO_NEG53
+        u2 = (raw[1::2] >> np.uint64(11)) * _TWO_NEG53
+        radius = np.sqrt(-2.0 * np.log(u1))
+        angle = 2.0 * np.pi * u2
+        out = np.empty(2 * pairs)
+        out[0::2] = radius * np.cos(angle)
+        out[1::2] = radius * np.sin(angle)
+        return out[:n]
 
 
 def realize(spec: ShockSpec, grid: TimeGrid) -> np.ndarray:
-    """Forcing sequence for `spec` on `grid`, one value per node."""
+    """Forcing sequence for `spec` on `grid`, one value per node.
+
+    AR(1) scales its draws into innovations in place, then overwrites each
+    innovation with the process value through a memoryview, as the
+    integrators store their nodes, taking _CHUNK innovations a pass as
+    Python floats.
+    """
     n = grid.n_steps
-    if isinstance(spec, NoShock):
-        return np.zeros(n)
-    if isinstance(spec, Impulse):
-        if spec.at < 0.0 or spec.at > grid.t_end:
-            raise ImpulseOutsideGrid(
-                f"impulse at t={spec.at!r} outside grid span [0.0, {grid.t_end!r}]"
-            )
-        # Nearest node; an exact midpoint resolves to the earlier node.
-        idx = math.ceil(spec.at / grid.dt - 0.5)
-        idx = min(max(idx, 0), n - 1)
-        out = np.zeros(n)
-        out[idx] = spec.magnitude
-        return out
-    if isinstance(spec, WhiteNoise):
-        return standard_normals(spec.seed, n) * (spec.sigma / math.sqrt(grid.dt))
-    if isinstance(spec, Ar1):
-        draws = standard_normals(spec.seed, n)
-        innov = spec.sigma * math.sqrt(1.0 - spec.rho * spec.rho) * draws
-        innov[0] = spec.sigma * draws[0]
-        out = []
-        prev = 0.0
-        rho = spec.rho
-        for e in innov.tolist():
-            prev = e + rho * prev
-            out.append(prev)
-        return np.array(out, dtype=np.float64)
+    with grid._allocating():
+        if isinstance(spec, NoShock):
+            return np.zeros(n)
+        if isinstance(spec, Impulse):
+            if spec.at < 0.0 or spec.at > grid.t_end:
+                raise ImpulseOutsideGrid(
+                    f"impulse at t={spec.at!r} outside grid span [0.0, {grid.t_end!r}]"
+                )
+            # Nearest node; an exact midpoint resolves to the earlier node.
+            idx = math.ceil(spec.at / grid.dt - 0.5)
+            idx = min(max(idx, 0), n - 1)
+            out = np.zeros(n)
+            out[idx] = spec.magnitude
+            return out
+        if isinstance(spec, WhiteNoise):
+            return standard_normals(spec.seed, n) * (spec.sigma / math.sqrt(grid.dt))
+        if isinstance(spec, Ar1):
+            out = standard_normals(spec.seed, n)
+            first = spec.sigma * out[0]  # the stationary draw
+            out *= spec.sigma * math.sqrt(1.0 - spec.rho * spec.rho)
+            out[0] = first
+            store, prev, rho = memoryview(out), 0.0, spec.rho
+            for start in range(0, n, _CHUNK):
+                for i, e in enumerate(out[start : start + _CHUNK].tolist(), start):
+                    prev = e + rho * prev
+                    store[i] = prev
+            return out
     raise InvariantViolation(f"unknown shock spec {spec!r}")

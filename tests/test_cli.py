@@ -677,7 +677,7 @@ class TestOutOfMemory:
                        " of n_steps=201 nodes\n")
 
     def test_estimate_input_too_large(self, capsys, tmp_path, monkeypatch):
-        def refuse(text):
+        def refuse(path, data):
             raise MemoryError
 
         monkeypatch.setattr("gapdyn.seriesio._read_plain", refuse)

@@ -22,6 +22,7 @@ from gapdyn import (
     GapdynError,
     Impulse,
     InvariantViolation,
+    NoShock,
     ObservedSeries,
     OscillatorParams,
     OscState,
@@ -283,9 +284,14 @@ _NOT_INT = st.one_of(
     st.just(np.array([1.0, 2.0])),
 )
 _CEILING = sys.maxsize // 8  # of every count, in errors._check_int
+# Counts past the 128 TiB a 64-bit Linux process can map, in float64
+# entries: numpy refuses to allocate them at once.
+_UNMAPPABLE = (10**14, 10**17)
 _VALUES = {
-    # Counts stay at most 16 or pass the ceiling, so nothing large is allocated.
-    "int": st.one_of(st.integers(max_value=16), st.integers(min_value=_CEILING + 1), _NOT_INT),
+    # Counts stay at most 16, are unmappable or pass the ceiling, so nothing
+    # large is allocated.
+    "int": st.one_of(st.integers(max_value=16), st.integers(*_UNMAPPABLE),
+                     st.integers(min_value=_CEILING + 1), _NOT_INT),
     "float": st.one_of(st.integers(), st.just(10**400), _NOT_INT),
     "array": st.one_of(
         st.lists(st.one_of(st.integers(-(2**70), 2**70), st.just(10**400), _NOT_INT),
@@ -321,3 +327,32 @@ def test_every_bad_input_stays_in_the_taxonomy(data):
                     getattr(gapdyn, name)(**{**valid, **swap})
             except GapdynError:
                 pass
+
+
+@pytest.mark.parametrize("n", _UNMAPPABLE)
+@pytest.mark.parametrize("call, text", [
+    (lambda n: TimeGrid(0.1, n).times(), "a grid of n_steps={n} nodes"),
+    (lambda n: standard_normals(0, n), "n={n} draws"),
+    (lambda n: gapdyn.realize(NoShock(), TimeGrid(0.1, n)), "a grid of n_steps={n} nodes"),
+    # A noise process's first allocation is its draws.
+    (lambda n: gapdyn.realize(Ar1(), TimeGrid(0.1, n)), "n={n} draws"),
+    (lambda n: gapdyn.realize(WhiteNoise(), TimeGrid(0.1, n)), "n={n} draws"),
+    (lambda n: gapdyn.analytic_trajectory(_PARAMS, _INIT, TimeGrid(0.1, n)),
+     "a grid of n_steps={n} nodes"),
+], ids=["times", "standard_normals", "realize-none", "realize-ar1", "realize-white-noise",
+        "analytic_trajectory"])
+def test_a_count_too_large_for_memory_names_the_count(call, text, n):
+    with pytest.raises(InvariantViolation) as excinfo:
+        call(n)
+    assert str(excinfo.value) == "cannot allocate " + text.format(n=n)
+
+
+def test_a_stepper_out_of_memory_names_n_steps(monkeypatch):
+    # A forcing of n_steps entries exists, so the grid is no bigger than
+    # memory: the allocation that fails is simulated.
+    def refuse(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(np, "empty", refuse)
+    with pytest.raises(InvariantViolation, match=r"^cannot allocate a grid of n_steps=3 nodes$"):
+        integrate_euler(_PARAMS, _INIT, _NODES, _GRID)

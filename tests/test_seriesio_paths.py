@@ -10,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from gapdyn import TimeGrid, Trajectory, read_series_csv, write_trajectory_csv
+from gapdyn import BadEncoding, TimeGrid, Trajectory, read_series_csv, write_trajectory_csv
 from gapdyn.seriesio import _read_plain, _read_rows, read_text
 
 _SETTINGS = settings(
@@ -103,6 +103,33 @@ def test_read_matches_row_by_row(csv_path, text):
     assert got == want
 
 
+@settings(_SETTINGS, max_examples=100)
+@given(text=series_texts())
+def test_read_matches_row_by_row_in_small_blocks(csv_path, monkeypatch, text):
+    # test_read_matches_row_by_row with the plain reader's blocks cut to a
+    # few dozen bytes, so most files span several blocks and some lines
+    # run past a block's end.
+    monkeypatch.setattr("gapdyn.seriesio._READ_BLOCK_BYTES", 32)
+    test_read_matches_row_by_row.hypothesis.inner_test(csv_path, text)
+
+
+@pytest.mark.parametrize("block", [1, 7, 64])
+def test_blocks_end_at_newlines(monkeypatch, block):
+    # Lines of several lengths around the block size, a blank line at a
+    # block's start, CRLF endings and no final newline.
+    monkeypatch.setattr("gapdyn.seriesio._READ_BLOCK_BYTES", block)
+    data = b"t,y\r\n0,1.5\r\n\r\n0.5,2\r\n1.0,-3.25e-300\r\n1.5," + b"4" * 90
+    series = _read_plain("series.csv", data)
+    assert (series.dt, series.values.tolist()) == (0.5, [1.5, 2.0, -3.25e-300, float("4" * 90)])
+
+
+def test_a_bad_byte_is_named_by_its_file_offset(csv_path, monkeypatch):
+    monkeypatch.setattr("gapdyn.seriesio._READ_BLOCK_BYTES", 8)
+    csv_path.write_bytes(b"t,y\n0,1\n1,2\n2,3\n3,\xe9\n")
+    with pytest.raises(BadEncoding, match=r"byte 18 is not valid UTF-8$"):
+        read_series_csv(csv_path)
+
+
 @_SETTINGS
 @given(
     dt=st.floats(1e-3, 10.0),
@@ -144,7 +171,7 @@ def test_lone_cr_in_a_crlf_file(csv_path):
     ],
 )
 def test_plain_files_take_the_numpy_path(text):
-    series = _read_plain(text)
+    series = _read_plain("series.csv", text.encode("utf-8"))
     assert series is not None
     assert series.dt == 0.5
     assert series.values.tolist() == [1.0, 2.0, 3.0]
@@ -167,4 +194,4 @@ def test_plain_files_take_the_numpy_path(text):
     ],
 )
 def test_other_files_take_the_row_by_row_path(text):
-    assert _read_plain(text) is None
+    assert _read_plain("series.csv", text.encode("utf-8")) is None
