@@ -3,6 +3,13 @@
 Both take up to _BLOCK values a call, and both follow one rule: a block
 holding a value they leave undecided is printed by `%` whole.
 
+They pay off over many blocks: the first call in a process builds the
+tables below, which costs more time and memory than `%` spends on one
+block.  So a trajectory CSV of at most _BLOCK // 4 rows is printed by `%`
+whole (seriesio calls _g17_slow) and leaves them unbuilt, as cli's sweep
+table, one row per gamma, is printed by `%`.  svgplot calls f2_pairs for
+every plot.
+
 %.17g: with a = |x| and k = floor(log10(a)), the digits are
 round-half-even(a * 10**(16 - k)), carried as one int64 in [10**16, 10**17).
 Per k, 10**(16 - k) = (hi + lo) * s * s' with hi in (1/2, 2) and s, s'
@@ -184,7 +191,8 @@ def g17_rows(block: np.ndarray) -> bytes:
 
 
 def _g17_slow(block: np.ndarray) -> bytes:
-    """g17_rows by `%`, for a block that holds an undecided value."""
+    """g17_rows by `%`: for a block that holds an undecided value, and for
+    output of one block (see the module docstring)."""
     row = b",".join([b"%.17g"] * block.shape[1]) + b"\n"
     return row * len(block) % tuple(block.ravel().tolist())
 

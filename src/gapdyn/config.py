@@ -59,7 +59,7 @@ class ScenarioConfig:
             raise InvariantViolation(
                 f"dt must not exceed t_end, got dt={self.dt!r} t_end={self.t_end!r}"
             )
-        if not math.isfinite(self.t_end / self.dt):
+        if not math.isfinite(float(self.t_end) / float(self.dt)):
             raise InvariantViolation(
                 f"t_end / dt must be finite, got t_end={self.t_end!r} dt={self.dt!r}"
             )

@@ -61,10 +61,10 @@ class DsgePoint:
 
 
 def _pow(x: float, y: float) -> float:
-    """x ** y for x > 0.  Where it overflows, and Python's float power would
-    raise, +inf as IEEE-754 rounds it."""
+    """x ** y for x > 0, as floats.  Where it overflows, and Python's float
+    power would raise, +inf as IEEE-754 rounds it."""
     try:
-        return x ** y
+        return float(x) ** float(y)
     except OverflowError:
         return math.inf
 
@@ -94,7 +94,7 @@ def euler_residual(c_now: float, c_next: float, r_next: float,
     _check("c_next", c_next, low=0.0, low_strict=True)
     _check("r_next", r_next, low=-1.0, low_strict=True)
     s = params.sigma_c
-    return _pow(c_now, -s) - params.beta * (1.0 + r_next) * _pow(c_next, -s)
+    return _pow(c_now, -s) - params.beta * (1.0 + float(r_next)) * _pow(c_next, -s)
 
 
 def budget_residual(point: DsgePoint) -> float:
@@ -106,7 +106,7 @@ def production(k: float, n: float, params: DsgeBlockParams) -> float:
     """Cobb-Douglas output a_tfp * k^theta * n^(1-theta); 0^theta is 0."""
     _check("k", k, low=0.0)
     _check("n", n, low=0.0)
-    return params.a_tfp * k ** params.theta * n ** (1.0 - params.theta)
+    return params.a_tfp * float(k) ** params.theta * float(n) ** (1.0 - params.theta)
 
 
 def profit(point: DsgePoint) -> float:

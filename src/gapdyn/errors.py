@@ -20,6 +20,11 @@ first bad entry: `<name> must be finite, got inf at index 0`, or reads
 `_allocating` is the one rule for an input too large for memory: a
 MemoryError from allocating one entry per count reads `cannot allocate a
 grid of n_steps=10 nodes`, naming the count.
+
+A value that passes `_check` may be a numpy scalar, whose arithmetic warns
+where float arithmetic overflows quietly; an argument's arithmetic that can
+overflow takes float(value), which is exact, so it gives a float's result
+and no warning.
 """
 
 import contextlib

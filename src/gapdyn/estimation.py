@@ -71,7 +71,7 @@ def discretize_exact(params: OscillatorParams, dt: float) -> tuple[float, float]
     e^(r1 dt) + e^(r2 dt) for real ones.
     """
     _check("dt", dt, low=0, low_strict=True)
-    return _phi_pair(params.gamma, params.alpha, dt)
+    return _phi_pair(params.gamma, params.alpha, float(dt))
 
 
 def _phi_pair(g: float, a: float, dt: float) -> tuple[float, float]:

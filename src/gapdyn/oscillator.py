@@ -106,7 +106,7 @@ def solve_analytic(params: OscillatorParams, init: OscState, t: float) -> OscSta
     if t == 0.0:
         return OscState(init.y, init.ydot)
     g, a = params.gamma, params.alpha
-    ec, es, ed = _flow_parts(g, a, t)
+    ec, es, ed = _flow_parts(g, a, float(t))
     # Where gamma/2 y + ydot or alpha y passes the float range, the answer
     # need not (es falls like 1/gamma or 1/sqrt(alpha)), so es scales the
     # coefficient first; wherever both are finite, the plain products run,

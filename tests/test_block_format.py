@@ -14,7 +14,7 @@ import re
 import numpy as np
 import pytest
 
-from gapdyn import OscState, TimeGrid, Trajectory, write_trajectory_csv
+from gapdyn import OscState, TimeGrid, Trajectory, _textfmt, write_trajectory_csv
 from gapdyn._textfmt import _digits17
 from gapdyn.svgplot import _axis, write_svg
 
@@ -103,6 +103,37 @@ def test_csv_matches_row_by_row(tmp_path, case):
     path = tmp_path / "traj.csv"
     write_trajectory_csv(path, traj)
     assert path.read_bytes() == _csv_reference(traj)
+
+
+def _left_to_percent_in_a_block(n: int) -> Trajectory:
+    y = _values(n, 1, True)
+    y[n // 2] = 1e23  # see _tail_left_to_percent
+    return Trajectory(TimeGrid(dt=1e-3, n_steps=n), y, _values(n, 2, True), _values(n, 3, True))
+
+
+ONE_BLOCK_CASES = {
+    "settled": lambda n: _settled(n, 700),
+    "left-to-percent": _left_to_percent_in_a_block,
+}
+
+
+@pytest.mark.parametrize("n", [1024, 1025])  # one block of _textfmt._BLOCK values, and past it
+@pytest.mark.parametrize("case", ONE_BLOCK_CASES)
+def test_one_block_is_printed_by_percent(tmp_path, monkeypatch, n, case):
+    # Up to one block, `%` prints the whole file and g17_rows is not called.
+    calls = []
+    g17_rows = _textfmt.g17_rows
+
+    def counted(block):
+        calls.append(len(block))
+        return g17_rows(block)
+
+    monkeypatch.setattr(_textfmt, "g17_rows", counted)
+    traj = ONE_BLOCK_CASES[case](n)
+    path = tmp_path / "traj.csv"
+    write_trajectory_csv(path, traj)
+    assert path.read_bytes() == _csv_reference(traj)
+    assert bool(calls) == (n > _textfmt._BLOCK // 4)
 
 
 @pytest.mark.parametrize("specials", [True, False], ids=["specials", "plain"])

@@ -314,19 +314,33 @@ _EXPORTED = sorted(
 def test_every_bad_input_stays_in_the_taxonomy(data):
     # Every export runs from its table entry, once with each covered input
     # swapped for one drawn value of its kind (or as it is, if it has none):
-    # it returns or raises a GapdynError, never a bare Python error.  numpy
-    # scalars warn where their arithmetic overflows, as numpy does; the
-    # contract is about errors, so errstate lets them overflow quietly.
+    # it returns or raises a GapdynError, never a bare Python error, and it
+    # warns for no input, numpy scalars included (tier-1 makes a warning an
+    # error).
     assert sorted(_CALLS) == _EXPORTED  # a new export needs an entry
     values = {kind: data.draw(strategy, label=kind) for kind, strategy in _VALUES.items()}
     for name, valid in _CALLS.items():
         swaps = [{param: values[_kind(v)]} for param, v in valid.items() if _kind(v)]
         for swap in swaps or [{}]:
             try:
-                with np.errstate(all="ignore"):
-                    getattr(gapdyn, name)(**{**valid, **swap})
+                getattr(gapdyn, name)(**{**valid, **swap})
             except GapdynError:
                 pass
+
+
+@pytest.mark.parametrize("number", [float, np.float64])
+def test_an_overflowing_grid_ratio_warns_for_no_number_type(number):
+    # numpy's scalar divide warns where float division overflows quietly.
+    with pytest.raises(InvariantViolation, match="t_end / dt must be finite"):
+        ScenarioConfig(t_end=number(1e308))
+
+
+@pytest.mark.parametrize("number", [float, np.float64])
+def test_an_overflowing_power_warns_for_no_number_type(number):
+    # 3.4e-211 ** -2 passes the float range: +inf, with numpy's scalar power
+    # as with Python's.
+    params = DsgeBlockParams(beta=0.99, sigma_c=2.0)
+    assert gapdyn.euler_residual(number(3.4e-211), 1.1, 0.03, params) == math.inf
 
 
 @pytest.mark.parametrize("n", _UNMAPPABLE)

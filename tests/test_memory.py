@@ -54,8 +54,9 @@ def test_analytic_trajectory_holds_no_per_node_objects():
 
 
 # Traced peak of read_series_csv over the size of a 200 001-row t,y file of
-# 17-digit values (7.1 MB): 2.36 here, 4.93 when the text was parsed whole.
-_READ_PEAK_PER_FILE_BYTE = 2.5
+# 17-digit values (7.1 MB): 1.94 here, 2.36 when _spacing made four
+# temporaries the size of the time column, 4.93 when the text was parsed whole.
+_READ_PEAK_PER_FILE_BYTE = 2.1
 
 
 def test_read_series_in_bounded_memory(tmp_path):

@@ -2,7 +2,8 @@
 the dependencies each folder may import.
 
 `import gapdyn` and `import gapdyn.cli` load no numpy, and neither do the
-commands that need none (`classify`, `check`, usage errors).  Boundary checks
+commands that need none (`classify`, `check`, usage errors).  A CSV of one
+block leaves the numpy formatter's tables unbuilt.  Boundary checks
 run in fresh interpreters, since this one has long imported everything.
 """
 
@@ -184,6 +185,27 @@ class TestImportBoundary:
         assert main(argv) == 0
         assert proc.stdout == capsys.readouterr().out
         assert proc.stdout.startswith("settling_time=")
+
+    @pytest.mark.parametrize("config, built", [
+        ("", []),  # 201 nodes, one block: printed by `%`
+        ("t_end = 128\ndt = 0.125\n",  # 1025 nodes
+         ["_g17_codes", "_g17_masks", "_group_digits", "_quads", "_scales"]),
+    ], ids=["201-nodes", "1025-nodes"])
+    def test_only_a_csv_past_one_block_builds_the_formatter_tables(self, tmp_path, config, built):
+        cfg = tmp_path / "scenario.cfg"
+        cfg.write_text(config)
+        argv = ["simulate", "--config", str(cfg), "--out", str(tmp_path / "out.csv")]
+        proc = _fresh(
+            "import sys\n"
+            "from gapdyn import _textfmt\n"
+            "from gapdyn.cli import main\n"
+            f"code = main({argv!r})\n"
+            "print(code, sorted(name for name, fn in vars(_textfmt).items()\n"
+            "                   if hasattr(fn, 'cache_info') and fn.cache_info().currsize),\n"
+            "      file=sys.stderr)\n"
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr.splitlines()[-1] == f"0 {built}"
 
 
 def test_no_module_reads_the_environment():

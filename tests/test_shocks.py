@@ -16,6 +16,7 @@ from gapdyn import (
     realize,
     standard_normals,
 )
+from gapdyn import shocks
 from gapdyn.shocks import _philox_words
 
 GRID = TimeGrid(dt=0.1, n_steps=201)
@@ -202,3 +203,19 @@ class TestAr1:
         eps = realize(Ar1(rho=rho, sigma=sigma, seed=seed), TimeGrid(0.1, n))
         assert eps.dtype == np.float64
         assert eps.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("spec", [WhiteNoise(0.1, 7), Ar1(0.8, 0.1, 7)], ids=["white-noise", "ar1"])
+def test_realize_draws_through_the_module_function(monkeypatch, spec):
+    # realize reads standard_normals from gapdyn.shocks when it draws, so a
+    # wrapper put there (a tracer's draw counter, say) sees every draw.
+    calls = []
+    draw = shocks.standard_normals
+
+    def counted(seed, n):
+        calls.append(n)
+        return draw(seed, n)
+
+    monkeypatch.setattr(shocks, "standard_normals", counted)
+    realize(spec, GRID)
+    assert calls == [GRID.n_steps]
