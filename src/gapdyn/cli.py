@@ -168,9 +168,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     cfg = _load_config(args.config, seed_flag=args.seed)
     _check_int("gamma-steps", args.gamma_steps, 1)
     # Both ends finite and >= 0, so np.linspace cannot overflow.
-    _check("gamma-from", args.gamma_from, low=0)
-    _check("gamma-to", args.gamma_to, low=0)
-    if args.gamma_steps > 1 and not (args.gamma_to > args.gamma_from):
+    gamma_from = _check("gamma-from", args.gamma_from, low=0)
+    gamma_to = _check("gamma-to", args.gamma_to, low=0)
+    if args.gamma_steps > 1 and not (gamma_to > gamma_from):
         raise InvariantViolation(
             "gamma-to must exceed gamma-from when gamma-steps > 1"
         )
@@ -180,8 +180,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     # The forcing does not depend on gamma: it is realized once for all.
     grid = cfg.grid()
     with _allocating(f"{args.gamma_steps} gammas on a grid of n_steps={cfg.n_steps} nodes"):
-        gammas = np.linspace(args.gamma_from, args.gamma_to, args.gamma_steps)
-        params = [OscillatorParams(gamma=float(g), alpha=cfg.alpha) for g in gammas]
+        gammas = np.linspace(gamma_from, gamma_to, args.gamma_steps)
+        params = [OscillatorParams(gamma=g, alpha=cfg.alpha) for g in gammas]
         eps = realize(cfg.shock, grid)
         metrics = sweep_metrics(params, cfg.initial_state(), eps, grid, cfg.integrator)
         rows = ["gamma,settling_time,overshoot,zero_crossings,terminal_abs\n"]

@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, fields
 
-from .errors import BadValue, InvariantViolation, UnknownKey, _check
+from .errors import BadValue, InvariantViolation, UnknownKey, _check_field
 from .integrate import _STEPS, TimeGrid, _scheme
 from .oscillator import OscillatorParams, OscState
 from .shocks import Ar1, Impulse, NoShock, ShockSpec, WhiteNoise
@@ -45,11 +45,12 @@ class ScenarioConfig:
     integrator: str = "euler"
 
     def __post_init__(self) -> None:
-        self.params()
-        _check("y0", self.y0)
-        _check("ydot0", self.ydot0)
-        _check("t_end", self.t_end, low=0, low_strict=True)
-        _check("dt", self.dt, low=0, low_strict=True)
+        _check_field(self, "gamma", low=0)
+        _check_field(self, "alpha", low=0, low_strict=True)
+        _check_field(self, "y0")
+        _check_field(self, "ydot0")
+        _check_field(self, "t_end", low=0, low_strict=True)
+        _check_field(self, "dt", low=0, low_strict=True)
         _scheme("integrator", self.integrator)
         if not isinstance(self.shock, ShockSpec):
             *rest, last = (kind.__name__ for kind in ShockSpec.__args__)
@@ -59,7 +60,7 @@ class ScenarioConfig:
             raise InvariantViolation(
                 f"dt must not exceed t_end, got dt={self.dt!r} t_end={self.t_end!r}"
             )
-        if not math.isfinite(float(self.t_end) / float(self.dt)):
+        if not math.isfinite(self.t_end / self.dt):
             raise InvariantViolation(
                 f"t_end / dt must be finite, got t_end={self.t_end!r} dt={self.dt!r}"
             )

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import _check
+from .errors import _check, _check_field
 
 
 @dataclass(frozen=True)
@@ -24,10 +24,10 @@ class DsgeBlockParams:
     a_tfp: float = 1.0
 
     def __post_init__(self) -> None:
-        _check("beta", self.beta, low=0.0, low_strict=True, high=1.0)
-        _check("sigma_c", self.sigma_c, low=0.0, low_strict=True)
-        _check("theta", self.theta, low=0.0, low_strict=True, high=1.0, high_strict=True)
-        _check("a_tfp", self.a_tfp, low=0.0, low_strict=True)
+        _check_field(self, "beta", low=0.0, low_strict=True, high=1.0)
+        _check_field(self, "sigma_c", low=0.0, low_strict=True)
+        _check_field(self, "theta", low=0.0, low_strict=True, high=1.0, high_strict=True)
+        _check_field(self, "a_tfp", low=0.0, low_strict=True)
 
 
 @dataclass(frozen=True)
@@ -48,23 +48,23 @@ class DsgePoint:
     r_k: float = 0.0     # capital rental rate, >= 0
 
     def __post_init__(self) -> None:
-        _check("r", self.r, low=-1.0, low_strict=True)
-        _check("c", self.c, low=0.0, low_strict=True)
-        _check("b", self.b)
-        _check("b_next", self.b_next)
-        _check("w", self.w, low=0.0)
-        _check("n", self.n, low=0.0)
-        _check("k", self.k, low=0.0)
-        _check("y", self.y, low=0.0)
-        _check("p", self.p, low=0.0, low_strict=True)
-        _check("r_k", self.r_k, low=0.0)
+        _check_field(self, "r", low=-1.0, low_strict=True)
+        _check_field(self, "c", low=0.0, low_strict=True)
+        _check_field(self, "b")
+        _check_field(self, "b_next")
+        _check_field(self, "w", low=0.0)
+        _check_field(self, "n", low=0.0)
+        _check_field(self, "k", low=0.0)
+        _check_field(self, "y", low=0.0)
+        _check_field(self, "p", low=0.0, low_strict=True)
+        _check_field(self, "r_k", low=0.0)
 
 
 def _pow(x: float, y: float) -> float:
-    """x ** y for x > 0, as floats.  Where it overflows, and Python's float
-    power would raise, +inf as IEEE-754 rounds it."""
+    """x ** y, a float for x > 0 and y a float or an int <= 0.  Where it
+    overflows, and Python's float power would raise, +inf as IEEE-754 rounds it."""
     try:
-        return float(x) ** float(y)
+        return x ** y
     except OverflowError:
         return math.inf
 
@@ -74,8 +74,8 @@ def utility(c: float, l: float, params: DsgeBlockParams) -> float:
 
     At sigma_c = 1 the consumption term is its limit ln(c).
     """
-    _check("c", c, low=0.0, low_strict=True)
-    _check("l", l, low=0.0)
+    c = _check("c", c, low=0.0, low_strict=True)
+    l = _check("l", l, low=0.0)
     s = params.sigma_c
     if s == 1.0:
         consumption_term = math.log(c)
@@ -90,11 +90,11 @@ def euler_residual(c_now: float, c_next: float, r_next: float,
 
     Zero exactly when consumption is on the optimal path between two periods.
     """
-    _check("c_now", c_now, low=0.0, low_strict=True)
-    _check("c_next", c_next, low=0.0, low_strict=True)
-    _check("r_next", r_next, low=-1.0, low_strict=True)
+    c_now = _check("c_now", c_now, low=0.0, low_strict=True)
+    c_next = _check("c_next", c_next, low=0.0, low_strict=True)
+    r_next = _check("r_next", r_next, low=-1.0, low_strict=True)
     s = params.sigma_c
-    return _pow(c_now, -s) - params.beta * (1.0 + float(r_next)) * _pow(c_next, -s)
+    return _pow(c_now, -s) - params.beta * (1.0 + r_next) * _pow(c_next, -s)
 
 
 def budget_residual(point: DsgePoint) -> float:
@@ -104,9 +104,9 @@ def budget_residual(point: DsgePoint) -> float:
 
 def production(k: float, n: float, params: DsgeBlockParams) -> float:
     """Cobb-Douglas output a_tfp * k^theta * n^(1-theta); 0^theta is 0."""
-    _check("k", k, low=0.0)
-    _check("n", n, low=0.0)
-    return params.a_tfp * float(k) ** params.theta * float(n) ** (1.0 - params.theta)
+    k = _check("k", k, low=0.0)
+    n = _check("n", n, low=0.0)
+    return params.a_tfp * k ** params.theta * n ** (1.0 - params.theta)
 
 
 def profit(point: DsgePoint) -> float:

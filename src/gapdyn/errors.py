@@ -9,7 +9,9 @@ The module also owns `_check`, the one finiteness and bounds rule for every
 scalar: a bad value reads `<name> must be finite, got nan` or `<name> must
 be > 0, got -1.0`, with the bound printed as its caller passes it, and one
 that is no real number (a bool, str, None, complex, Decimal or list) reads
-`<name> must be a number, got '1'`.
+`<name> must be a number, got '1'`.  It returns a Python int or float, which
+every caller keeps, so a numpy scalar computes as a float does; a record
+keeps it through `_check_field` (`_check_array_field` for an array).
 `_check_int` is the one rule for every integer input: `<name> must be an
 integer >= 1, got 0`.  With no upper bound it counts float64 entries, so it
 is also refused past the count ceiling sys.maxsize // 8, the most entries
@@ -20,11 +22,6 @@ first bad entry: `<name> must be finite, got inf at index 0`, or reads
 `_allocating` is the one rule for an input too large for memory: a
 MemoryError from allocating one entry per count reads `cannot allocate a
 grid of n_steps=10 nodes`, naming the count.
-
-A value that passes `_check` may be a numpy scalar, whose arithmetic warns
-where float arithmetic overflows quietly; an argument's arithmetic that can
-overflow takes float(value), which is exact, so it gives a float's result
-and no warning.
 """
 
 import contextlib
@@ -94,17 +91,19 @@ class BadEncoding(GapdynError, ValueError):
 
 def _check(name: str, value: float, low: float | None = None,
            low_strict: bool = False, high: float | None = None,
-           high_strict: bool = False) -> None:
-    """Raise InvariantViolation unless `value` is a real number (no bool, and
-    no Decimal, which mixes with no float), finite and within bounds."""
-    if not isinstance(value, float):  # floats skip the slower ABC check
-        import numbers  # here, so that importing gapdyn loads no more modules
-
-        if isinstance(value, bool) or not isinstance(value, numbers.Real):
-            raise InvariantViolation(f"{name} must be a number, got {value!r}")
+           high_strict: bool = False) -> float:
+    """`value` as an int if it is an Integral, else as a float, if it is a
+    real number (no bool, and no Decimal, which mixes with no float), finite
+    and within bounds; otherwise InvariantViolation."""
     try:
+        if type(value) is not float and type(value) is not int:  # these skip the ABC checks
+            import numbers  # here, so that importing gapdyn loads no more modules
+
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise InvariantViolation(f"{name} must be a number, got {value!r}")
+            value = int(value) if isinstance(value, numbers.Integral) else float(value)
         finite = math.isfinite(value)
-    except OverflowError:  # an int past the float range
+    except OverflowError:  # past the float range: a huge int or Fraction, worded as given
         finite = False
     if not finite:
         raise InvariantViolation(f"{name} must be finite, got {value!r}")
@@ -114,6 +113,13 @@ def _check(name: str, value: float, low: float | None = None,
     if high is not None and (value > high or (high_strict and value == high)):
         op = "<" if high_strict else "<="
         raise InvariantViolation(f"{name} must be {op} {high}, got {value!r}")
+    return value
+
+
+def _check_field(record, name: str, low=None, low_strict=False, high=None, high_strict=False):
+    """Store _check of field `name` of the frozen dataclass `record` in it."""
+    value = _check(name, getattr(record, name), low, low_strict, high, high_strict)
+    object.__setattr__(record, name, value)
 
 
 def _check_int(name: str, value: int, low: int, high: int | None = None) -> None:
@@ -147,6 +153,13 @@ def _check_array(name: str, values, size: int | None = None, min_size: int = 0):
         i = int(np.argmin(finite))
         raise InvariantViolation(f"{name} must be finite, got {float(arr[i])!r} at index {i}")
     return arr
+
+
+def _check_array_field(record, name: str, size=None, min_size=0):
+    """_check_field for an array: store a read-only copy, so the caller's stays writable."""
+    arr = _check_array(name, getattr(record, name), size, min_size).copy()
+    arr.setflags(write=False)
+    object.__setattr__(record, name, arr)
 
 
 @contextlib.contextmanager

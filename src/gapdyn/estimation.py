@@ -21,7 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import Degenerate, InvariantViolation, NonStationary, _check, _check_array
+from .errors import (Degenerate, InvariantViolation, NonStationary, _check, _check_array_field,
+                     _check_field)
 from .oscillator import OscillatorParams, _flow_parts
 
 # Relative width of the discriminant band treated as a repeated root when
@@ -43,11 +44,8 @@ class ObservedSeries:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        _check("dt", self.dt, low=0, low_strict=True)
-        # A copy: freezing the caller's own array would make it read-only.
-        arr = _check_array("values", self.values, min_size=2).copy()
-        arr.setflags(write=False)
-        object.__setattr__(self, "values", arr)
+        _check_field(self, "dt", low=0, low_strict=True)
+        _check_array_field(self, "values", min_size=2)
 
 
 @dataclass(frozen=True)
@@ -70,8 +68,8 @@ def discretize_exact(params: OscillatorParams, dt: float) -> tuple[float, float]
     flow e^(A dt), is 2 e^(-gamma dt/2) cos(wd dt) for complex roots and
     e^(r1 dt) + e^(r2 dt) for real ones.
     """
-    _check("dt", dt, low=0, low_strict=True)
-    return _phi_pair(params.gamma, params.alpha, float(dt))
+    dt = _check("dt", dt, low=0, low_strict=True)
+    return _phi_pair(params.gamma, params.alpha, dt)
 
 
 def _phi_pair(g: float, a: float, dt: float) -> tuple[float, float]:

@@ -34,7 +34,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import Divergence, InvariantViolation, _allocating, _check, _check_array, _check_int
+from .errors import (Divergence, InvariantViolation, _allocating, _check_array,
+                     _check_array_field, _check_field, _check_int)
 from .oscillator import OscillatorParams, OscState, solve_analytic
 
 
@@ -46,7 +47,7 @@ class TimeGrid:
     n_steps: int
 
     def __post_init__(self) -> None:
-        _check("dt", self.dt, low=0, low_strict=True)
+        _check_field(self, "dt", low=0, low_strict=True)
         _check_int("n_steps", self.n_steps, 1)
 
     @property
@@ -74,10 +75,7 @@ class Trajectory:
 
     def __post_init__(self) -> None:
         for name in ("y", "ydot", "forcing"):
-            # A copy: freezing the caller's own array would make it read-only.
-            arr = _check_array(name, getattr(self, name), self.grid.n_steps).copy()
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+            _check_array_field(self, name, self.grid.n_steps)
 
 
 # Half-width of the corridor around trend that recovery_metrics measures.
@@ -247,7 +245,7 @@ def _run(steps, ng, a, init, forcing, grid, cols):
         v = np.empty_like(y)
     y[0], v[0] = init.y, init.ydot
     # Overflow to inf is reported as Divergence, so silence the warning that
-    # (k,) rows or numpy scalars in `params` would give.
+    # (k,) rows would give: a record holds Python numbers, which give none.
     with np.errstate(over="ignore", invalid="ignore"):
         if y.size:  # else cols is (0,): no parameter set to step
             _step_nodes(steps, y, v, eps, ng, a, grid.dt)

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import _check
+from .errors import _check, _check_field
 
 # Width of the relative band around gamma^2 == 4*alpha inside which `classify`
 # labels a parameterization critically damped.  It only names the regime.
@@ -32,8 +32,8 @@ class OscillatorParams:
     alpha: float
 
     def __post_init__(self) -> None:
-        _check("gamma", self.gamma, low=0)
-        _check("alpha", self.alpha, low=0, low_strict=True)
+        _check_field(self, "gamma", low=0)
+        _check_field(self, "alpha", low=0, low_strict=True)
 
     @property
     def discriminant(self) -> float:
@@ -62,8 +62,8 @@ class OscState:
     ydot: float
 
     def __post_init__(self) -> None:
-        _check("y", self.y)
-        _check("ydot", self.ydot)
+        _check_field(self, "y")
+        _check_field(self, "ydot")
 
 
 def classify(params: OscillatorParams) -> str:
@@ -102,11 +102,11 @@ def solve_analytic(params: OscillatorParams, init: OscState, t: float) -> OscSta
     companion matrix A and N = A + gamma/2 I, with c and s as in `_flow_parts`.
     t must be finite and >= 0; t = 0 returns `init` unchanged.
     """
-    _check("t", t, low=0)
+    t = _check("t", t, low=0)
     if t == 0.0:
         return OscState(init.y, init.ydot)
     g, a = params.gamma, params.alpha
-    ec, es, ed = _flow_parts(g, a, float(t))
+    ec, es, ed = _flow_parts(g, a, t)
     # Where gamma/2 y + ydot or alpha y passes the float range, the answer
     # need not (es falls like 1/gamma or 1/sqrt(alpha)), so es scales the
     # coefficient first; wherever both are finite, the plain products run,
@@ -155,8 +155,7 @@ def _flow_parts(gamma: float, alpha: float, t: float) -> tuple[float, float, flo
     decay = math.exp(mu * t)
     if delta < 0.0:
         w = math.sqrt(-delta)
-        phase = w * t
-        _check("phase w*t", phase)  # math.cos raises ValueError at inf
+        phase = _check("phase w*t", w * t)  # math.cos raises ValueError at inf
         ec, es = decay * math.cos(phase), decay * math.sin(phase) / w
     else:
         ec, es = decay, t * decay

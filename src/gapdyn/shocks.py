@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ImpulseOutsideGrid, InvariantViolation, _allocating, _check, _check_int
+from .errors import ImpulseOutsideGrid, InvariantViolation, _allocating, _check_field, _check_int
 from .integrate import _CHUNK, TimeGrid
 
 _SEED_LIMIT = 2**64
@@ -47,8 +47,8 @@ class Impulse:
     magnitude: float = 1.0
 
     def __post_init__(self) -> None:
-        _check("at", self.at)
-        _check("magnitude", self.magnitude)
+        _check_field(self, "at")
+        _check_field(self, "magnitude")
 
 
 @dataclass(frozen=True)
@@ -65,7 +65,7 @@ class WhiteNoise:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        _check("sigma", self.sigma, low=0)
+        _check_field(self, "sigma", low=0)
         _check_int("seed", self.seed, 0, _SEED_LIMIT)
 
 
@@ -82,8 +82,8 @@ class Ar1:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        _check("rho", self.rho, low=-1, low_strict=True, high=1, high_strict=True)
-        _check("sigma", self.sigma, low=0)
+        _check_field(self, "rho", low=-1, low_strict=True, high=1, high_strict=True)
+        _check_field(self, "sigma", low=0)
         _check_int("seed", self.seed, 0, _SEED_LIMIT)
 
 

@@ -6,8 +6,9 @@ array input checked through it."""
 import math
 import os
 import sys
-from dataclasses import fields, replace
+from dataclasses import fields, is_dataclass, replace
 from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -58,8 +59,10 @@ _FLOAT_FIELDS = [
 ]
 
 
-# An int past the float range is not finite either.
-@pytest.mark.parametrize("value", [math.nan, math.inf, 10**400], ids=["nan", "inf", "int"])
+# An int past the float range is not finite either, nor a Fraction that
+# float() refuses.
+@pytest.mark.parametrize("value", [math.nan, math.inf, 10**400, Fraction(10**400, 3)],
+                         ids=["nan", "inf", "int", "fraction"])
 @pytest.mark.parametrize(
     "obj, name", _FLOAT_FIELDS, ids=[f"{type(o).__name__}.{n}" for o, n in _FLOAT_FIELDS]
 )
@@ -67,6 +70,21 @@ def test_non_finite_field_is_worded_once(obj, name, value):
     with pytest.raises(InvariantViolation) as excinfo:
         replace(obj, **{name: value})
     assert str(excinfo.value) == f"{name} must be finite, got {value!r}"
+
+
+@pytest.mark.parametrize(
+    "obj, name", _FLOAT_FIELDS, ids=[f"{type(o).__name__}.{n}" for o, n in _FLOAT_FIELDS]
+)
+def test_a_numpy_scalar_field_holds_a_python_number(obj, name):
+    x = getattr(obj, name)
+    held = getattr(replace(obj, **{name: np.float64(x)}), name)
+    assert type(held) is float and held == x
+    # An integer in the field's domain: rho's (-1, 1) holds 0, and no
+    # integer lies in theta's (0, 1).
+    if name != "theta":
+        n = 0 if name == "rho" else 1
+        held = getattr(replace(obj, **{name: np.int64(n)}), name)
+        assert type(held) is int and held == n
 
 
 # bool is a subclass of int, yet True is not a number a model reads; nor
@@ -196,7 +214,11 @@ def test_records_copy_and_freeze_the_callers_arrays():
     ({"low": 0.0, "low_strict": True}, 0.0, "x must be > 0.0, got 0.0"),
     ({"high": 1}, 2.0, "x must be <= 1, got 2.0"),
     ({"high": 1.0, "high_strict": True}, 1.0, "x must be < 1.0, got 1.0"),
-], ids=["finite", "low-closed", "low-open", "high-closed", "high-open"])
+    # a numpy scalar is worded as the Python number it becomes
+    ({}, np.float64(math.nan), "x must be finite, got nan"),
+    ({"low": 0}, np.int64(-2), "x must be >= 0, got -2"),
+], ids=["finite", "low-closed", "low-open", "high-closed", "high-open", "numpy-float",
+        "numpy-int"])
 def test_check_words_each_bound(kwargs, value, text):
     with pytest.raises(InvariantViolation) as excinfo:
         _check("x", value, **kwargs)
@@ -303,6 +325,28 @@ _VALUES = {
         _NOT_INT,
     ),
 }
+
+# A numpy scalar of each kind a record field may be built from.
+_NUMPY_SCALARS = st.one_of(
+    st.floats().map(np.float64), st.floats(width=32).map(np.float32),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+)
+
+
+def _field_swaps(valid, value):
+    """{param: record} for each record argument in `valid` rebuilt with one
+    float field set to `value`, where the record takes it."""
+    swaps = []
+    for param, record in valid.items():
+        for f in fields(record) if is_dataclass(record) else ():
+            if f.type == "float":
+                try:
+                    swaps.append({param: replace(record, **{f.name: value})})
+                except GapdynError:
+                    pass
+    return swaps
+
+
 _EXPORTED = sorted(
     name for name in gapdyn.__all__ if callable(value := getattr(gapdyn, name))
     and not (isinstance(value, type) and issubclass(value, GapdynError))
@@ -316,11 +360,14 @@ def test_every_bad_input_stays_in_the_taxonomy(data):
     # swapped for one drawn value of its kind (or as it is, if it has none):
     # it returns or raises a GapdynError, never a bare Python error, and it
     # warns for no input, numpy scalars included (tier-1 makes a warning an
-    # error).
+    # error).  Each record argument is also rebuilt, one float field at a
+    # time, from one drawn numpy scalar.
     assert sorted(_CALLS) == _EXPORTED  # a new export needs an entry
     values = {kind: data.draw(strategy, label=kind) for kind, strategy in _VALUES.items()}
+    scalar = data.draw(_NUMPY_SCALARS, label="numpy scalar")
     for name, valid in _CALLS.items():
         swaps = [{param: values[_kind(v)]} for param, v in valid.items() if _kind(v)]
+        swaps += _field_swaps(valid, scalar)
         for swap in swaps or [{}]:
             try:
                 getattr(gapdyn, name)(**{**valid, **swap})
@@ -341,6 +388,25 @@ def test_an_overflowing_power_warns_for_no_number_type(number):
     # as with Python's.
     params = DsgeBlockParams(beta=0.99, sigma_c=2.0)
     assert gapdyn.euler_residual(number(3.4e-211), 1.1, 0.03, params) == math.inf
+
+
+# Each call takes a numpy scalar through a record field into arithmetic that
+# overflows; tier-1 makes numpy's overflow warning an error, so each gives
+# the float result or fails.
+@pytest.mark.parametrize("call", [
+    lambda number: gapdyn.energy(_PARAMS, OscState(number(1e308), 0.0)),
+    lambda number: gapdyn.budget_residual(DsgePoint(r=0.5, b=number(1.7976931348623157e308))),
+    lambda number: gapdyn.steady_state_rate(DsgeBlockParams(beta=number(5e-324), sigma_c=2.0)),
+    lambda number: gapdyn.realize(WhiteNoise(sigma=number(1e308), seed=1), _GRID),
+    lambda number: gapdyn.solve_analytic(OscillatorParams(number(1e308), 2.0), _INIT, 0.5),
+    lambda number: gapdyn.discretize_exact(OscillatorParams(number(1e308), 2.0), 0.1),
+    lambda number: gapdyn.production(
+        2.0, 0.9, DsgeBlockParams(beta=0.99, sigma_c=2.0, a_tfp=number(1.7e308))),
+    lambda number: OscillatorParams(number(1e200), 1.0).discriminant,
+], ids=["energy", "budget_residual", "steady_state_rate", "realize", "solve_analytic",
+        "discretize_exact", "production", "discriminant"])
+def test_a_numpy_scalar_field_overflows_as_a_float(call):
+    assert repr(call(np.float64)) == repr(call(float))
 
 
 @pytest.mark.parametrize("n", _UNMAPPABLE)

@@ -146,8 +146,9 @@ class TestRk4:
             integrate_rk4(CRITICAL, UNIT_START, bad, GRID)
 
     def test_divergence_reports_step_without_warnings(self):
-        # numpy scalar params make the stages numpy scalars; their overflow
-        # must surface as Divergence, not as a warning
+        # numpy scalar params are held as Python floats, so the stages are
+        # floats too; their overflow must surface as Divergence, not as a
+        # warning
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(Divergence) as info:

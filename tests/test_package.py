@@ -1,5 +1,6 @@
 """The package namespace: lazy exports, the numpy-free import boundary, and
-the dependencies each folder may import.
+the dependencies each folder may import, and the test settings, under
+which a failing hypothesis test is reported as a failure.
 
 `import gapdyn` and `import gapdyn.cli` load no numpy, and neither do the
 commands that need none (`classify`, `check`, usage errors).  A CSV of one
@@ -242,6 +243,50 @@ def test_only_errors_words_a_finiteness_check():
                 if wording.match(node.value):
                     found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+def test_every_check_keeps_its_value():
+    # errors._check returns its value as a Python number, and is the one
+    # place a checked scalar is converted, so outside errors each call of
+    # it is the value of an assignment or a return, and a record field goes
+    # through errors._check_field instead.
+    found = []
+    for path in sorted(Path(gapdyn.__file__).parent.glob("*.py")):
+        if path.name == "errors.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        kept = {id(node.value) for node in ast.walk(tree)
+                if isinstance(node, (ast.Assign, ast.Return))}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and _name(node.func) == "_check" and (
+                id(node) not in kept or any(
+                    isinstance(arg, ast.Attribute) and _name(arg.value) == "self"
+                    for arg in node.args)):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
+def test_a_failing_hypothesis_test_is_reported_as_a_failure(tmp_path):
+    # Under the project's warnings-as-errors, the tests after a failing
+    # @given test still run, and the session reports both outcomes.
+    probe = tmp_path / "test_probe.py"
+    probe.write_text(
+        "from hypothesis import given, settings, strategies as st\n\n\n"
+        "@settings(database=None, derandomize=True)\n"
+        "@given(st.integers())\n"
+        "def test_fails(x):\n"
+        "    assert x < 0\n\n\n"
+        "def test_passes():\n"
+        "    pass\n",
+        encoding="utf-8",
+    )
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         "-c", str(_ROOT / "pyproject.toml"), "--rootdir", str(tmp_path), str(probe)],
+        capture_output=True, text=True, cwd=tmp_path,
+    )
+    assert "INTERNALERROR" not in proc.stdout + proc.stderr
+    assert proc.stdout.splitlines()[-1].startswith("1 failed, 1 passed")
 
 
 def test_only_errors_words_an_integer_check():

@@ -163,8 +163,9 @@ class TestIntegrateBatch:
 
     @pytest.mark.parametrize("scheme", ["euler", "rk4"])
     def test_divergence_without_warnings(self, scheme):
-        # numpy scalar params, and rows that overflow: the overflow must
-        # surface as the scalar stepper's Divergence, not as a warning.
+        # numpy scalar params (held as Python floats) and (k,) rows that
+        # overflow: the overflow must surface as the scalar stepper's
+        # Divergence, not as a warning.
         grid = TimeGrid(0.1, 201)
         params = [OscillatorParams(np.float64(g), np.float64(1)) for g in (0.5, 50.0, 2.0)]
         init = OscState(1e300, 0.0)
