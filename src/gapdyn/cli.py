@@ -180,14 +180,14 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     # The forcing does not depend on gamma: it is realized once for all.
     grid = cfg.grid()
     with _allocating(f"{args.gamma_steps} gammas on a grid of n_steps={cfg.n_steps} nodes"):
-        gammas = np.linspace(gamma_from, gamma_to, args.gamma_steps)
+        gammas = np.linspace(gamma_from, gamma_to, args.gamma_steps).tolist()
         params = [OscillatorParams(gamma=g, alpha=cfg.alpha) for g in gammas]
         eps = realize(cfg.shock, grid)
         metrics = sweep_metrics(params, cfg.initial_state(), eps, grid, cfg.integrator)
         rows = ["gamma,settling_time,overshoot,zero_crossings,terminal_abs\n"]
         rows += [
             "%.17g,%.17g,%.17g,%d,%.17g\n" % row
-            for row in zip(gammas.tolist(), *(column.tolist() for column in metrics))
+            for row in zip(gammas, *(column.tolist() for column in metrics))
         ]
     sys.stdout.write("".join(rows))
     return 0
