@@ -61,8 +61,8 @@ class DsgePoint:
 
 
 def _pow(x: float, y: float) -> float:
-    """x ** y, a float for x > 0 and y a float or an int <= 0.  Where it
-    overflows, and Python's float power would raise, +inf as IEEE-754 rounds it."""
+    """x ** y for floats x > 0 and y.  Where it overflows, and Python's
+    float power would raise, +inf as IEEE-754 rounds it."""
     try:
         return x ** y
     except OverflowError:

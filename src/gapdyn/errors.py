@@ -9,13 +9,14 @@ The module also owns `_check`, the one finiteness and bounds rule for every
 scalar: a bad value reads `<name> must be finite, got nan` or `<name> must
 be > 0, got -1.0`, with the bound printed as its caller passes it, and one
 that is no real number (a bool, str, None, complex, Decimal or list) reads
-`<name> must be a number, got '1'`.  It returns a Python int or float, which
-every caller keeps, so a numpy scalar computes as a float does; a record
-keeps it through `_check_field` (`_check_array_field` for an array).
-`_check_int` is the one rule for every integer input: `<name> must be an
-integer >= 1, got 0`.  With no upper bound it counts float64 entries, so it
-is also refused past the count ceiling sys.maxsize // 8, the most entries
-whose bytes numpy's signed machine word can count.
+`<name> must be a number, got '1'`.  It returns a Python float, from an int
+or a numpy scalar too, which every caller keeps, so each formula runs in
+float arithmetic; a record keeps it through `_check_field`
+(`_check_array_field` for an array).  `_check_int` is the one rule for every
+integer input: `<name> must be an integer >= 1, got 0`; it returns a Python
+int, which every caller keeps.  With no upper bound it counts float64
+entries, so it is also refused past the count ceiling sys.maxsize // 8, the
+most entries whose bytes numpy's signed machine word can count.
 `_check_array` is the same rule for every array input, and it names the
 first bad entry: `<name> must be finite, got inf at index 0`, or reads
 `<name> must be an array of numbers` where an entry is no real number.
@@ -92,16 +93,17 @@ class BadEncoding(GapdynError, ValueError):
 def _check(name: str, value: float, low: float | None = None,
            low_strict: bool = False, high: float | None = None,
            high_strict: bool = False) -> float:
-    """`value` as an int if it is an Integral, else as a float, if it is a
-    real number (no bool, and no Decimal, which mixes with no float), finite
-    and within bounds; otherwise InvariantViolation."""
+    """`value` as a float, if it is a real number (no bool, and no Decimal,
+    which mixes with no float), finite and within bounds; otherwise
+    InvariantViolation, which words an int as the float it rounds to."""
     try:
-        if type(value) is not float and type(value) is not int:  # these skip the ABC checks
-            import numbers  # here, so that importing gapdyn loads no more modules
+        if type(value) is not float:
+            if type(value) is not int:  # an int skips the ABC checks
+                import numbers  # here, so that importing gapdyn loads no more modules
 
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise InvariantViolation(f"{name} must be a number, got {value!r}")
-            value = int(value) if isinstance(value, numbers.Integral) else float(value)
+                if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                    raise InvariantViolation(f"{name} must be a number, got {value!r}")
+            value = float(value)
         finite = math.isfinite(value)
     except OverflowError:  # past the float range: a huge int or Fraction, worded as given
         finite = False
@@ -122,15 +124,21 @@ def _check_field(record, name: str, low=None, low_strict=False, high=None, high_
     object.__setattr__(record, name, value)
 
 
-def _check_int(name: str, value: int, low: int, high: int | None = None) -> None:
-    """Raise InvariantViolation unless `value` is an int, not a bool, in
-    [low, high) (in [low, sys.maxsize // 8] when `high` is None)."""
-    integer = isinstance(value, int) and not isinstance(value, bool)
-    if not (integer and low <= value and (high is None or value < high)):
+def _check_int(name: str, value: int, low: int, high: int | None = None) -> int:
+    """`value` as an int, if it is an Integral but no bool, in [low, high)
+    (in [low, sys.maxsize // 8] when `high` is None); otherwise
+    InvariantViolation, which words a numpy integer as the int it becomes."""
+    if type(value) is not int:  # an int skips the ABC check
+        import numbers  # here, so that importing gapdyn loads no more modules
+
+        if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+            value = int(value)
+    if not (type(value) is int and low <= value and (high is None or value < high)):
         bound = f">= {low}" if high is None else f"in [{low}, {high})"
         raise InvariantViolation(f"{name} must be an integer {bound}, got {value!r}")
     if high is None and value > sys.maxsize // 8:
         raise InvariantViolation(f"{name} must be <= {sys.maxsize // 8}, got {value!r}")
+    return value
 
 
 def _check_array(name: str, values, size: int | None = None, min_size: int = 0):

@@ -48,7 +48,7 @@ class TimeGrid:
 
     def __post_init__(self) -> None:
         _check_field(self, "dt", low=0, low_strict=True)
-        _check_int("n_steps", self.n_steps, 1)
+        object.__setattr__(self, "n_steps", _check_int("n_steps", self.n_steps, 1))
 
     @property
     def t_end(self) -> float:

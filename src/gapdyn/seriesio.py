@@ -107,7 +107,7 @@ def read_series_csv(path: str | Path) -> ObservedSeries:
     The plain path holds the file's bytes and, past them, the lines of
     about _READ_BLOCK_BYTES of text at a time and the two float columns: a
     long series costs about 1.9 times its file.  The row reader holds the
-    whole text and Python lists of the rows, about 8 times the file.
+    whole text and the rows in machine arrays, about 5.7 times the file.
     """
     data = Path(path).read_bytes()
     series = _read_plain(path, data)
@@ -177,11 +177,11 @@ def _read_rows(path: str | Path, text: str) -> ObservedSeries:
     """read_series_csv row by row: csv cells and float(), rows numbered from
     1 in file order.  A row csv cannot split (a cell over its field size
     limit, say) raises BadNumber naming that row."""
+    from array import array  # here, so that only the row reader loads it
+
     from .estimation import ObservedSeries
 
-    times: list[float] = []
-    values: list[float] = []
-    rownums: list[int] = []
+    times, values, rownums = array("d"), array("d"), array("q")
     rownum = 0
     try:
         for rownum, row in enumerate(csv.reader(io.StringIO(text, newline="")), start=1):
@@ -204,7 +204,7 @@ def _read_rows(path: str | Path, text: str) -> ObservedSeries:
         raise MissingHeader(f"{path}: empty file")
     if len(values) < 2:
         raise InvariantViolation(f"{path}: need at least 2 data rows, got {len(values)}")
-    dt, i = _spacing(np.array(times))
+    dt, i = _spacing(np.frombuffer(times))
     if dt <= 0.0:
         raise NonUniformSpacing(f"{path}: time column must be strictly increasing")
     if i:

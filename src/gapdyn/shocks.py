@@ -66,7 +66,7 @@ class WhiteNoise:
 
     def __post_init__(self) -> None:
         _check_field(self, "sigma", low=0)
-        _check_int("seed", self.seed, 0, _SEED_LIMIT)
+        object.__setattr__(self, "seed", _check_int("seed", self.seed, 0, _SEED_LIMIT))
 
 
 @dataclass(frozen=True)
@@ -84,7 +84,7 @@ class Ar1:
     def __post_init__(self) -> None:
         _check_field(self, "rho", low=-1, low_strict=True, high=1, high_strict=True)
         _check_field(self, "sigma", low=0)
-        _check_int("seed", self.seed, 0, _SEED_LIMIT)
+        object.__setattr__(self, "seed", _check_int("seed", self.seed, 0, _SEED_LIMIT))
 
 
 ShockSpec = NoShock | Impulse | WhiteNoise | Ar1
@@ -140,8 +140,8 @@ def standard_normals(seed: int, n: int) -> np.ndarray:
     Pair k consumes raw words 2k and 2k+1, so a longer request extends a
     shorter one without disturbing its draws.
     """
-    _check_int("seed", seed, 0, _SEED_LIMIT)
-    _check_int("n", n, 0)
+    seed = _check_int("seed", seed, 0, _SEED_LIMIT)
+    n = _check_int("n", n, 0)
     with _allocating(f"n={n} draws"):
         pairs = (n + 1) // 2
         raw = _philox_words(seed, 2 * pairs)

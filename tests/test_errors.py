@@ -57,6 +57,7 @@ _VALID = [
 _FLOAT_FIELDS = [
     (obj, f.name) for obj in _VALID for f in fields(obj) if f.type == "float"
 ]
+_INT_FIELDS = [(obj, f.name) for obj in _VALID for f in fields(obj) if f.type == "int"]
 
 
 # An int past the float range is not finite either, nor a Fraction that
@@ -84,7 +85,32 @@ def test_a_numpy_scalar_field_holds_a_python_number(obj, name):
     if name != "theta":
         n = 0 if name == "rho" else 1
         held = getattr(replace(obj, **{name: np.int64(n)}), name)
-        assert type(held) is int and held == n
+        assert type(held) is float and held == n
+
+
+# A field holds the type it is annotated with, however the caller spelled
+# the number: every real kind gives a float field a float (np.float64 and
+# np.int64 above), and every integer kind gives an int field an int.  No
+# integer lies in theta's (0, 1).
+@pytest.mark.parametrize("number", [int, np.float32, Fraction])
+@pytest.mark.parametrize(
+    "obj, name", [(o, n) for o, n in _FLOAT_FIELDS if n != "theta"],
+    ids=[f"{type(o).__name__}.{n}" for o, n in _FLOAT_FIELDS if n != "theta"],
+)
+def test_a_float_field_holds_a_float(obj, name, number):
+    n = 0 if name == "rho" else 1
+    held = getattr(replace(obj, **{name: number(n)}), name)
+    assert type(held) is float and held == n
+
+
+@pytest.mark.parametrize("number", [int, np.int64, np.uint64, np.int8])
+@pytest.mark.parametrize(
+    "obj, name", _INT_FIELDS, ids=[f"{type(o).__name__}.{n}" for o, n in _INT_FIELDS]
+)
+def test_an_int_field_holds_an_int(obj, name, number):
+    n = getattr(obj, name)
+    held = getattr(replace(obj, **{name: number(n)}), name)
+    assert type(held) is int and held == n
 
 
 # bool is a subclass of int, yet True is not a number a model reads; nor
@@ -124,7 +150,10 @@ def test_bool_is_not_an_integer(call, text):
     (2**64, 2**64, "x must be an integer in [1, 18446744073709551616), got 18446744073709551616"),
     # a count that no float64 array can hold
     (sys.maxsize // 8 + 1, None, f"x must be <= {sys.maxsize // 8}, got {sys.maxsize // 8 + 1}"),
-], ids=["low", "float", "bool", "high", "ceiling"])
+    # a numpy integer is worded as the int it becomes; a numpy bool is no integer
+    (np.int64(0), None, "x must be an integer >= 1, got 0"),
+    (np.True_, None, "x must be an integer >= 1, got np.True_"),
+], ids=["low", "float", "bool", "high", "ceiling", "numpy-int", "numpy-bool"])
 def test_check_int_words_each_bound(value, high, text):
     with pytest.raises(InvariantViolation) as excinfo:
         _check_int("x", value, 1, high)
@@ -135,6 +164,12 @@ def test_check_int_accepts_both_ends():
     _check_int("x", 1, 1)
     _check_int("x", 2**64 - 1, 1, 2**64)
     _check_int("x", sys.maxsize // 8, 1)
+
+
+def test_check_int_returns_a_python_int():
+    held = _check_int("x", np.uint64(2**64 - 1), 1, 2**64)
+    assert type(held) is int and held == 2**64 - 1
+    assert standard_normals(np.int64(1), np.uint8(3)).tobytes() == standard_normals(1, 3).tobytes()
 
 
 _GRID = TimeGrid(dt=0.1, n_steps=3)
@@ -216,9 +251,11 @@ def test_records_copy_and_freeze_the_callers_arrays():
     ({"high": 1.0, "high_strict": True}, 1.0, "x must be < 1.0, got 1.0"),
     # a numpy scalar is worded as the Python number it becomes
     ({}, np.float64(math.nan), "x must be finite, got nan"),
-    ({"low": 0}, np.int64(-2), "x must be >= 0, got -2"),
+    ({"low": 0}, np.int64(-2), "x must be >= 0, got -2.0"),
+    # and an int as the float it rounds to
+    ({"low": 0}, -1, "x must be >= 0, got -1.0"),
 ], ids=["finite", "low-closed", "low-open", "high-closed", "high-open", "numpy-float",
-        "numpy-int"])
+        "numpy-int", "int"])
 def test_check_words_each_bound(kwargs, value, text):
     with pytest.raises(InvariantViolation) as excinfo:
         _check("x", value, **kwargs)
@@ -229,6 +266,12 @@ def test_check_accepts_a_closed_bound_and_the_interior():
     _check("x", 0.0, low=0)
     _check("x", 1.0, high=1)
     _check("x", 0.5, low=0, low_strict=True, high=1, high_strict=True)
+
+
+def test_check_returns_the_float_an_int_rounds_to():
+    # Past 2**53 an int and its float differ, and the float is what computes.
+    held = _check("x", 2**53 + 1, high=2.0**53)
+    assert type(held) is float and held == 2.0**53
 
 
 _BLOCK = DsgeBlockParams(beta=0.99, sigma_c=2.0)
@@ -326,10 +369,14 @@ _VALUES = {
     ),
 }
 
-# A numpy scalar of each kind a record field may be built from.
+# A numpy scalar of each kind a record field may be built from, and a
+# Python int anywhere in the float range, where int arithmetic would part
+# from float arithmetic: the ints of floats reach its ends far more often
+# than a bounded st.integers does.
 _NUMPY_SCALARS = st.one_of(
     st.floats().map(np.float64), st.floats(width=32).map(np.float32),
-    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64), st.integers(-(2**1023), 2**1023),
+    st.floats(allow_nan=False, allow_infinity=False).map(int),
 )
 
 
@@ -347,6 +394,18 @@ def _field_swaps(valid, value):
     return swaps
 
 
+def _read_properties(obj):
+    """Read each property of obj's class, such as OscillatorParams.discriminant,
+    TimeGrid.t_end or ScenarioConfig.n_steps: each returns or raises a
+    GapdynError."""
+    for attr, member in vars(type(obj)).items():
+        if isinstance(member, property):
+            try:
+                getattr(obj, attr)
+            except GapdynError:
+                pass
+
+
 _EXPORTED = sorted(
     name for name in gapdyn.__all__ if callable(value := getattr(gapdyn, name))
     and not (isinstance(value, type) and issubclass(value, GapdynError))
@@ -361,7 +420,8 @@ def test_every_bad_input_stays_in_the_taxonomy(data):
     # it returns or raises a GapdynError, never a bare Python error, and it
     # warns for no input, numpy scalars included (tier-1 makes a warning an
     # error).  Each record argument is also rebuilt, one float field at a
-    # time, from one drawn numpy scalar.
+    # time, from one drawn numpy scalar or large int.  The properties of
+    # each rebuilt record and of each returned one are read too.
     assert sorted(_CALLS) == _EXPORTED  # a new export needs an entry
     values = {kind: data.draw(strategy, label=kind) for kind, strategy in _VALUES.items()}
     scalar = data.draw(_NUMPY_SCALARS, label="numpy scalar")
@@ -369,8 +429,10 @@ def test_every_bad_input_stays_in_the_taxonomy(data):
         swaps = [{param: values[_kind(v)]} for param, v in valid.items() if _kind(v)]
         swaps += _field_swaps(valid, scalar)
         for swap in swaps or [{}]:
+            for record in swap.values():
+                _read_properties(record)
             try:
-                getattr(gapdyn, name)(**{**valid, **swap})
+                _read_properties(getattr(gapdyn, name)(**{**valid, **swap}))
             except GapdynError:
                 pass
 
@@ -390,23 +452,43 @@ def test_an_overflowing_power_warns_for_no_number_type(number):
     assert gapdyn.euler_residual(number(3.4e-211), 1.1, 0.03, params) == math.inf
 
 
-# Each call takes a numpy scalar through a record field into arithmetic that
-# overflows; tier-1 makes numpy's overflow warning an error, so each gives
-# the float result or fails.
-@pytest.mark.parametrize("call", [
-    lambda number: gapdyn.energy(_PARAMS, OscState(number(1e308), 0.0)),
-    lambda number: gapdyn.budget_residual(DsgePoint(r=0.5, b=number(1.7976931348623157e308))),
-    lambda number: gapdyn.steady_state_rate(DsgeBlockParams(beta=number(5e-324), sigma_c=2.0)),
-    lambda number: gapdyn.realize(WhiteNoise(sigma=number(1e308), seed=1), _GRID),
-    lambda number: gapdyn.solve_analytic(OscillatorParams(number(1e308), 2.0), _INIT, 0.5),
-    lambda number: gapdyn.discretize_exact(OscillatorParams(number(1e308), 2.0), 0.1),
-    lambda number: gapdyn.production(
+# Each call takes a number through a record field into arithmetic that
+# overflows: tier-1 makes numpy's overflow warning an error, and an int
+# kept as an int raised OverflowError where it met a float, so each gives
+# the float result or fails.  int(x) is x for each value but 5e-324, whose
+# int 0 is outside steady_state_rate's domain.
+_OVERFLOWS = {
+    "energy": lambda number: gapdyn.energy(_PARAMS, OscState(number(1e308), 0.0)),
+    "budget_residual":
+        lambda number: gapdyn.budget_residual(DsgePoint(r=0.5, b=number(1.7976931348623157e308))),
+    "steady_state_rate":
+        lambda number: gapdyn.steady_state_rate(DsgeBlockParams(beta=number(5e-324), sigma_c=2.0)),
+    "realize": lambda number: gapdyn.realize(WhiteNoise(sigma=number(1e308), seed=1), _GRID),
+    "solve_analytic":
+        lambda number: gapdyn.solve_analytic(OscillatorParams(number(1e308), 2.0), _INIT, 0.5),
+    "discretize_exact":
+        lambda number: gapdyn.discretize_exact(OscillatorParams(number(1e308), 2.0), 0.1),
+    "production": lambda number: gapdyn.production(
         2.0, 0.9, DsgeBlockParams(beta=0.99, sigma_c=2.0, a_tfp=number(1.7e308))),
-    lambda number: OscillatorParams(number(1e200), 1.0).discriminant,
-], ids=["energy", "budget_residual", "steady_state_rate", "realize", "solve_analytic",
-        "discretize_exact", "production", "discriminant"])
-def test_a_numpy_scalar_field_overflows_as_a_float(call):
-    assert repr(call(np.float64)) == repr(call(float))
+    "discriminant": lambda number: OscillatorParams(number(1e200), 1.0).discriminant,
+    "estimate_ar2":
+        lambda number: gapdyn.estimate_ar2(ObservedSeries(number(1e200), _SERIES.values)),
+    "estimate_mle":
+        lambda number: gapdyn.estimate_mle(ObservedSeries(number(1e200), _SERIES.values)),
+    "budget_residual-labor": lambda number: gapdyn.budget_residual(
+        DsgePoint(r=0, w=number(1e300), n=number(1e10))),
+    "profit": lambda number: gapdyn.profit(DsgePoint(r=0, p=number(1e300), y=number(1e300))),
+    "times": lambda number: TimeGrid(number(1.0), 3).times().dtype,
+}
+
+
+@pytest.mark.parametrize("call, number", [
+    pytest.param(call, number, id=name if number is np.float64 else f"{name}-int")
+    for name, call in _OVERFLOWS.items() for number in (np.float64, int)
+    if not (number is int and name == "steady_state_rate")
+])
+def test_a_numpy_scalar_field_overflows_as_a_float(call, number):
+    assert repr(call(number)) == repr(call(float))
 
 
 @pytest.mark.parametrize("n", _UNMAPPABLE)

@@ -246,10 +246,11 @@ def test_only_errors_words_a_finiteness_check():
 
 
 def test_every_check_keeps_its_value():
-    # errors._check returns its value as a Python number, and is the one
-    # place a checked scalar is converted, so outside errors each call of
-    # it is the value of an assignment or a return, and a record field goes
-    # through errors._check_field instead.
+    # errors._check returns its value as a Python float and errors._check_int
+    # as a Python int, and each is the one place a checked scalar is
+    # converted, so outside errors each call of either is the value of an
+    # assignment or a return, or what object.__setattr__ stores; a record's
+    # float field goes through errors._check_field instead.
     found = []
     for path in sorted(Path(gapdyn.__file__).parent.glob("*.py")):
         if path.name == "errors.py":
@@ -257,13 +258,47 @@ def test_every_check_keeps_its_value():
         tree = ast.parse(path.read_text(encoding="utf-8"))
         kept = {id(node.value) for node in ast.walk(tree)
                 if isinstance(node, (ast.Assign, ast.Return))}
+        kept |= {id(node.args[-1]) for node in ast.walk(tree)
+                 if isinstance(node, ast.Call) and _name(node.func) == "__setattr__"}
         for node in ast.walk(tree):
-            if isinstance(node, ast.Call) and _name(node.func) == "_check" and (
-                id(node) not in kept or any(
+            if isinstance(node, ast.Call) and _name(node.func) in ("_check", "_check_int") and (
+                id(node) not in kept or _name(node.func) == "_check" and any(
                     isinstance(arg, ast.Attribute) and _name(arg.value) == "self"
                     for arg in node.args)):
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+def test_a_checked_field_is_checked_as_annotated():
+    # The annotation is the rule: a record that checks its fields stores
+    # each float field through errors._check_field, which makes it a float,
+    # and each int field as errors._check_int's result, an int, and it
+    # checks no field through the other rule.  Results that the package
+    # builds (no __post_init__) check no field.
+    records = 0
+    for path, tree in _trees("src/gapdyn"):
+        for node in filter(_is_dataclass, ast.walk(tree)):
+            post = [f for f in node.body if isinstance(f, ast.FunctionDef)
+                    and f.name == "__post_init__"]
+            if not post:
+                continue
+            records += 1
+            annotated = {stmt.target.id: ast.unparse(stmt.annotation) for stmt in node.body
+                         if isinstance(stmt, ast.AnnAssign)
+                         and ast.unparse(stmt.annotation) in ("float", "int")}
+            checked = {}
+            for call in ast.walk(post[0]):
+                if not isinstance(call, ast.Call):
+                    continue
+                if _name(call.func) == "_check_field":
+                    checked[call.args[1].value] = "float"
+                elif (_name(call.func) == "__setattr__"
+                      and _name(getattr(call.args[2], "func", None)) == "_check_int"):
+                    field = call.args[1].value
+                    if ast.unparse(call.args[2].args[1]) == f"self.{field}":
+                        checked[field] = "int"
+            assert checked == annotated, f"{path.name}:{node.name}"
+    assert records >= 10
 
 
 def test_a_failing_hypothesis_test_is_reported_as_a_failure(tmp_path):
@@ -322,10 +357,7 @@ def test_every_record_field_is_read():
             for arg in node.args
         }
         for node in ast.walk(tree):
-            if isinstance(node, ast.ClassDef) and any(
-                _name(d.func if isinstance(d, ast.Call) else d) == "dataclass"
-                for d in node.decorator_list
-            ):
+            if _is_dataclass(node):
                 fields += [
                     (f"{path.name}:{node.name}.{stmt.target.id}", stmt.target.id)
                     for stmt in node.body
@@ -336,6 +368,13 @@ def test_every_record_field_is_read():
                 read.add(node.attr)
     assert len(fields) >= 50
     assert [where for where, name in fields if name not in read] == []
+
+
+def _is_dataclass(node):
+    """Whether the AST node is a class under @dataclass or @dataclass(...)."""
+    return isinstance(node, ast.ClassDef) and any(
+        _name(d.func if isinstance(d, ast.Call) else d) == "dataclass" for d in node.decorator_list
+    )
 
 
 def _trees(*places):
