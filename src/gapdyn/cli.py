@@ -26,7 +26,6 @@ loading numpy.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import math
 import sys
@@ -155,7 +154,7 @@ def _cmd_impulse(args: argparse.Namespace) -> int:
     # The impulse replaces the config's shock, so no seed is resolved.
     cfg = _load_config(args.config, seed_flag=None)
     shock = Impulse(at=args.at, magnitude=args.magnitude)
-    return _run_scenario(dataclasses.replace(cfg, shock=shock), args)
+    return _run_scenario(cfg._replace(shock=shock), args)
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
@@ -206,9 +205,8 @@ def _cmd_check(args: argparse.Namespace) -> int:
     params = DsgeBlockParams(beta=args.beta, sigma_c=args.sigma_c)
     rate = steady_state_rate(params)
     given = _parse_point(args.point or "")
-    keys = {f.name for f in dataclasses.fields(DsgePoint)}
     for key in given:
-        if key not in keys:
+        if key not in DsgePoint._fields:
             raise UnknownKey(f"unknown point key {key!r}")
     if "r" not in given and not math.isfinite(rate):
         raise InvariantViolation(f"beta={args.beta!r} overflows r = 1/beta - 1; --point r= sets r")
@@ -232,7 +230,7 @@ def _load_config(path: str, seed_flag: int | None) -> ScenarioConfig:
     if not hasattr(cfg.shock, "seed"):
         name = next(name for name, kind in _SHOCK_KINDS.items() if type(cfg.shock) is kind)
         raise BadValue(f"--seed does not apply to shock = {name}")
-    return dataclasses.replace(cfg, shock=dataclasses.replace(cfg.shock, seed=seed_flag))
+    return cfg._replace(shock=cfg.shock._replace(seed=seed_flag))
 
 
 def _run_scenario(cfg: ScenarioConfig, args: argparse.Namespace) -> int:

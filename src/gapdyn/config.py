@@ -20,16 +20,14 @@ Shock kinds and their parameter keys; a key of another kind is BadValue:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
 
-from .errors import BadValue, InvariantViolation, UnknownKey, _check_field
+from .errors import BadValue, InvariantViolation, UnknownKey, _check_field, _Record
 from .integrate import _STEPS, TimeGrid, _scheme
 from .oscillator import OscillatorParams, OscState
 from .shocks import Ar1, Impulse, NoShock, ShockSpec, WhiteNoise
 
 
-@dataclass(frozen=True)
-class ScenarioConfig:
+class ScenarioConfig(_Record):
     """One simulation scenario: dynamics, initial state, grid, and forcing.
 
     `integrator` names the stepping scheme, "euler" or "rk4".
@@ -41,7 +39,7 @@ class ScenarioConfig:
     ydot0: float = 0.0
     t_end: float = 20.0
     dt: float = 0.1
-    shock: ShockSpec = field(default_factory=NoShock)
+    shock: ShockSpec = NoShock()
     integrator: str = "euler"
 
     def __post_init__(self) -> None:
@@ -86,9 +84,11 @@ _SHOCK_KINDS = {"none": NoShock, "impulse": Impulse, "white-noise": WhiteNoise, 
 # Each key's default, and so its type, is that of the field it fills: a
 # ScenarioConfig field, or field f of a shock kind as key shock_f.  Kinds
 # that share a field must share its default, since shock_f keeps only one.
-_DEFAULTS = {f.name: f.default for f in fields(ScenarioConfig) if f.name != "shock"}
+_DEFAULTS = {name: getattr(ScenarioConfig, name) for name in ScenarioConfig._fields
+             if name != "shock"}
 _DEFAULTS.update(
-    (f"shock_{f.name}", f.default) for kind in _SHOCK_KINDS.values() for f in fields(kind)
+    (f"shock_{name}", getattr(kind, name))
+    for kind in _SHOCK_KINDS.values() for name in kind._fields
 )
 _ENUM_KEYS = {
     "integrator": tuple(_STEPS),
@@ -136,7 +136,7 @@ def parse_config(text: str) -> ScenarioConfig:
 
     name = entries.pop("shock", "none")
     kind = _SHOCK_KINDS[name]
-    taken = {f"shock_{f.name}" for f in fields(kind)}
+    taken = {f"shock_{name}" for name in kind._fields}
     # Entries keep line order, so the first stray key is on the lowest line.
     for key in entries:
         if key.startswith("shock_") and key not in taken:

@@ -9,13 +9,11 @@ holds exactly at that point.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .errors import _check, _check_field
+from .errors import _check, _check_field, _Record
 
 
-@dataclass(frozen=True)
-class DsgeBlockParams:
+class DsgeBlockParams(_Record):
     """Deep parameters: discount factor, risk aversion, capital share, TFP."""
 
     beta: float
@@ -30,8 +28,7 @@ class DsgeBlockParams:
         _check_field(self, "a_tfp", low=0.0, low_strict=True)
 
 
-@dataclass(frozen=True)
-class DsgePoint:
+class DsgePoint(_Record):
     """A candidate allocation at which the optimality residuals are evaluated.
     DsgePoint(r=x) is the unit allocation: at any finite r its budget
     balances and its profit is exactly zero."""

@@ -23,6 +23,9 @@ first bad entry: `<name> must be finite, got inf at index 0`, or reads
 `_allocating` is the one rule for an input too large for memory: a
 MemoryError from allocating one entry per count reads `cannot allocate a
 grid of n_steps=10 nodes`, naming the count.
+
+Every record of the package is a `_Record`, a frozen class whose fields are
+its annotations, built here, where every command already loads it.
 """
 
 import contextlib
@@ -118,8 +121,74 @@ def _check(name: str, value: float, low: float | None = None,
     return value
 
 
+class _Record:
+    """A frozen record, as a frozen dataclass is, at no import or per-class
+    code generation cost: its fields are the subclass's own annotations, in
+    order, and a class attribute is a field's default.  It is built by
+    position or keyword, then runs `__post_init__`; compares and hashes as
+    its field tuple, against its own type only; and reads back as
+    `Name(field=value, ...)`.  `_replace(**changes)`, copy and pickle build
+    a copy through the constructor, so it is checked again."""
+
+    def __init_subclass__(cls):
+        cls._fields = tuple(cls.__dict__.get("__annotations__", ()))
+        cls._defaults = {name: cls.__dict__[name] for name in cls._fields if name in cls.__dict__}
+
+    def __init__(self, *args, **kwargs):
+        # Each field is stored in field order through object.__setattr__,
+        # never through self.__dict__, which would turn off the interpreter's
+        # fast path for reading it.
+        cls = type(self)
+        names = cls._fields
+        if len(args) > len(names):
+            raise TypeError(f"{cls.__name__}() takes {len(names)} fields, got {len(args)}")
+        for name, value in zip(names, args):
+            object.__setattr__(self, name, value)
+        if len(args) < len(names):
+            try:
+                for name in names[len(args):]:
+                    value = kwargs.pop(name) if name in kwargs else cls._defaults[name]
+                    object.__setattr__(self, name, value)
+            except KeyError:
+                raise TypeError(f"{cls.__name__}() missing field {name!r}") from None
+        if kwargs:
+            name = next(iter(kwargs))
+            problem = "got field {!r} twice" if name in names else "has no field {!r}"
+            raise TypeError(f"{cls.__name__}() " + problem.format(name))
+        self.__post_init__()
+
+    def __post_init__(self) -> None:
+        pass
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        return self._values() == other._values() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def _replace(self, **changes):
+        return type(self)(**dict(zip(self._fields, self._values()), **changes))
+
+    def __reduce__(self):  # a copy or an unpickled record is built, so checked, again
+        return type(self), self._values()
+
+
 def _check_field(record, name: str, low=None, low_strict=False, high=None, high_strict=False):
-    """Store _check of field `name` of the frozen dataclass `record` in it."""
+    """Store _check of field `name` of the _Record `record` in it, through
+    object.__setattr__, since the record's own refuses every write."""
     value = _check(name, getattr(record, name), low, low_strict, high, high_strict)
     object.__setattr__(record, name, value)
 

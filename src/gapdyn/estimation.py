@@ -17,12 +17,11 @@ over each step samples to ARMA(2,1) with correlated innovations.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (Degenerate, InvariantViolation, NonStationary, _check, _check_array_field,
-                     _check_field)
+                     _check_field, _Record)
 from .oscillator import OscillatorParams, _flow_parts
 
 # Relative width of the discriminant band treated as a repeated root when
@@ -36,8 +35,7 @@ _EPS = 2.0**-52
 _EDGE_NUDGE = 1e-12
 
 
-@dataclass(frozen=True)
-class ObservedSeries:
+class ObservedSeries(_Record):
     """Uniformly sampled gap observations: sampling interval and values."""
 
     dt: float
@@ -48,8 +46,7 @@ class ObservedSeries:
         _check_array_field(self, "values", min_size=2)
 
 
-@dataclass(frozen=True)
-class EstimationResult:
+class EstimationResult(_Record):
     """A fit of (gamma, alpha); `method` names its estimator, "ar2" or "mle"."""
 
     gamma_hat: float

@@ -29,18 +29,17 @@ read-only copies, so the caller's arrays stay writable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
 from typing import Sequence
 
 import numpy as np
 
 from .errors import (Divergence, InvariantViolation, _allocating, _check_array,
-                     _check_array_field, _check_field, _check_int)
+                     _check_array_field, _check_field, _check_int, _Record)
 from .oscillator import OscillatorParams, OscState, solve_analytic
 
 
-@dataclass(frozen=True)
-class TimeGrid:
+class TimeGrid(_Record):
     """Uniform sampling grid: n_steps samples spaced dt apart, starting at 0."""
 
     dt: float
@@ -49,6 +48,10 @@ class TimeGrid:
     def __post_init__(self) -> None:
         _check_field(self, "dt", low=0, low_strict=True)
         object.__setattr__(self, "n_steps", _check_int("n_steps", self.n_steps, 1))
+        if not math.isfinite(self.t_end):
+            raise InvariantViolation(
+                f"(n_steps - 1) * dt must be finite, got n_steps={self.n_steps!r} dt={self.dt!r}"
+            )
 
     @property
     def t_end(self) -> float:
@@ -64,8 +67,7 @@ class TimeGrid:
         return _allocating(f"a grid of n_steps={self.n_steps} nodes")
 
 
-@dataclass(frozen=True)
-class Trajectory:
+class Trajectory(_Record):
     """Sampled path: gap level, its rate, and the applied forcing per node."""
 
     grid: TimeGrid
@@ -82,8 +84,7 @@ class Trajectory:
 _BAND = 0.05
 
 
-@dataclass(frozen=True)
-class RecoveryMetrics:
+class RecoveryMetrics(_Record):
     """How a trajectory returns into the |y| <= _BAND corridor around trend."""
 
     settling_time: float

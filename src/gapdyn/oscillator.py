@@ -15,17 +15,15 @@ gamma = c/m and alpha = k/m.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .errors import _check, _check_field
+from .errors import _check, _check_field, _Record
 
 # Width of the relative band around gamma^2 == 4*alpha inside which `classify`
 # labels a parameterization critically damped.  It only names the regime.
 _CRITICAL_REL_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class OscillatorParams:
+class OscillatorParams(_Record):
     """Reduced-form coefficients (gamma, alpha) of the second-order law."""
 
     gamma: float
@@ -54,8 +52,7 @@ class OscillatorParams:
             return math.copysign(math.inf, d)
 
 
-@dataclass(frozen=True)
-class OscState:
+class OscState(_Record):
     """Instantaneous gap level and its rate of change (y, ydot)."""
 
     y: float

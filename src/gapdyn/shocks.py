@@ -17,11 +17,11 @@ count: n for the draws of a noise process, else the grid's n_steps.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ImpulseOutsideGrid, InvariantViolation, _allocating, _check_field, _check_int
+from .errors import (ImpulseOutsideGrid, InvariantViolation, _allocating, _check_field,
+                     _check_int, _Record)
 from .integrate import _CHUNK, TimeGrid
 
 _SEED_LIMIT = 2**64
@@ -34,13 +34,11 @@ _LOW32 = np.uint64(0xFFFFFFFF)
 _SHIFT32 = np.uint64(32)
 
 
-@dataclass(frozen=True)
-class NoShock:
+class NoShock(_Record):
     """Zero forcing at every node."""
 
 
-@dataclass(frozen=True)
-class Impulse:
+class Impulse(_Record):
     """A one-time shock of size `magnitude` at the grid node nearest `at`."""
 
     at: float = 0.0
@@ -51,8 +49,7 @@ class Impulse:
         _check_field(self, "magnitude")
 
 
-@dataclass(frozen=True)
-class WhiteNoise:
+class WhiteNoise(_Record):
     """Independent Gaussian forcing with level sigma, drawn from `seed`.
 
     The draws are scaled by sigma/sqrt(dt): the per-step velocity impulse then
@@ -69,8 +66,7 @@ class WhiteNoise:
         object.__setattr__(self, "seed", _check_int("seed", self.seed, 0, _SEED_LIMIT))
 
 
-@dataclass(frozen=True)
-class Ar1:
+class Ar1(_Record):
     """First-order autoregressive forcing with persistence rho (|rho| < 1).
 
     The process is scaled so its stationary standard deviation is sigma, and

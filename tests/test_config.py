@@ -1,7 +1,6 @@
 """Scenario config grammar: defaults, shock wiring, and rejection paths."""
 
 import sys
-from dataclasses import fields
 
 import pytest
 
@@ -183,8 +182,9 @@ class TestShockWiring:
         # on its value and type (the type picks the key's parser).
         defaults = {}
         for kind in _SHOCK_KINDS.values():
-            for f in fields(kind):
-                defaults.setdefault(f.name, []).append((type(f.default), f.default))
+            for name in kind._fields:
+                default = getattr(kind, name)
+                defaults.setdefault(name, []).append((type(default), default))
         shared = {name: values for name, values in defaults.items() if len(values) > 1}
         assert sorted(shared) == ["seed", "sigma"]
         for name, values in shared.items():
@@ -193,8 +193,8 @@ class TestShockWiring:
     @pytest.mark.parametrize("name", sorted(_SHOCK_KINDS))
     def test_key_of_another_kind_is_rejected(self, name):
         # The chosen kind would ignore it, so the key would change nothing.
-        taken = {f.name for f in fields(_SHOCK_KINDS[name])}
-        stray = {f.name for kind in _SHOCK_KINDS.values() for f in fields(kind)} - taken
+        taken = set(_SHOCK_KINDS[name]._fields)
+        stray = {field for kind in _SHOCK_KINDS.values() for field in kind._fields} - taken
         assert stray
         for field in sorted(stray):
             want = f"^line 2: shock_{field} does not apply to shock = {name}$"

@@ -1,12 +1,14 @@
 """The one domain rule, errors._check: its wording, and every float field
 of the model's value classes checked through it; its integer twin,
 errors._check_int; and its array twin, errors._check_array, with every
-array input checked through it."""
+array input checked through it.  Every record is an errors._Record and
+keeps a frozen dataclass's contract."""
 
+import copy
 import math
 import os
+import pickle
 import sys
-from dataclasses import fields, is_dataclass, replace
 from decimal import Decimal
 from fractions import Fraction
 
@@ -35,7 +37,7 @@ from gapdyn import (
     integrate_rk4,
     write_svg,
 )
-from gapdyn.errors import _check, _check_int
+from gapdyn.errors import _check, _check_int, _Record
 from gapdyn.integrate import integrate_batch
 from gapdyn.shocks import standard_normals
 
@@ -55,9 +57,11 @@ _VALID = [
 ]
 
 _FLOAT_FIELDS = [
-    (obj, f.name) for obj in _VALID for f in fields(obj) if f.type == "float"
+    (obj, name) for obj in _VALID for name in obj._fields if obj.__annotations__[name] == "float"
 ]
-_INT_FIELDS = [(obj, f.name) for obj in _VALID for f in fields(obj) if f.type == "int"]
+_INT_FIELDS = [
+    (obj, name) for obj in _VALID for name in obj._fields if obj.__annotations__[name] == "int"
+]
 
 
 # An int past the float range is not finite either, nor a Fraction that
@@ -69,7 +73,7 @@ _INT_FIELDS = [(obj, f.name) for obj in _VALID for f in fields(obj) if f.type ==
 )
 def test_non_finite_field_is_worded_once(obj, name, value):
     with pytest.raises(InvariantViolation) as excinfo:
-        replace(obj, **{name: value})
+        obj._replace(**{name: value})
     assert str(excinfo.value) == f"{name} must be finite, got {value!r}"
 
 
@@ -78,13 +82,13 @@ def test_non_finite_field_is_worded_once(obj, name, value):
 )
 def test_a_numpy_scalar_field_holds_a_python_number(obj, name):
     x = getattr(obj, name)
-    held = getattr(replace(obj, **{name: np.float64(x)}), name)
+    held = getattr(obj._replace(**{name: np.float64(x)}), name)
     assert type(held) is float and held == x
     # An integer in the field's domain: rho's (-1, 1) holds 0, and no
     # integer lies in theta's (0, 1).
     if name != "theta":
         n = 0 if name == "rho" else 1
-        held = getattr(replace(obj, **{name: np.int64(n)}), name)
+        held = getattr(obj._replace(**{name: np.int64(n)}), name)
         assert type(held) is float and held == n
 
 
@@ -99,7 +103,7 @@ def test_a_numpy_scalar_field_holds_a_python_number(obj, name):
 )
 def test_a_float_field_holds_a_float(obj, name, number):
     n = 0 if name == "rho" else 1
-    held = getattr(replace(obj, **{name: number(n)}), name)
+    held = getattr(obj._replace(**{name: number(n)}), name)
     assert type(held) is float and held == n
 
 
@@ -109,7 +113,7 @@ def test_a_float_field_holds_a_float(obj, name, number):
 )
 def test_an_int_field_holds_an_int(obj, name, number):
     n = getattr(obj, name)
-    held = getattr(replace(obj, **{name: number(n)}), name)
+    held = getattr(obj._replace(**{name: number(n)}), name)
     assert type(held) is int and held == n
 
 
@@ -123,8 +127,75 @@ def test_an_int_field_holds_an_int(obj, name, number):
 )
 def test_bool_field_is_refused(obj, name, value):
     with pytest.raises(InvariantViolation) as excinfo:
-        replace(obj, **{name: value})
+        obj._replace(**{name: value})
     assert str(excinfo.value) == f"{name} must be a number, got {value!r}"
+
+
+# Each record's text, as it read when the records were frozen dataclasses.
+_REPRS = {
+    "OscillatorParams": "OscillatorParams(gamma=0.5, alpha=2.0)",
+    "OscState": "OscState(y=1.0, ydot=0.0)",
+    "Impulse": "Impulse(at=0.0, magnitude=1.0)",
+    "WhiteNoise": "WhiteNoise(sigma=0.1, seed=0)",
+    "Ar1": "Ar1(rho=0.9, sigma=0.1, seed=0)",
+    "TimeGrid": "TimeGrid(dt=0.1, n_steps=3)",
+    "ScenarioConfig": "ScenarioConfig(gamma=2.0, alpha=1.0, y0=1.0, ydot0=0.0, t_end=20.0, "
+                      "dt=0.1, shock=NoShock(), integrator='euler')",
+    "DsgeBlockParams": "DsgeBlockParams(beta=0.99, sigma_c=2.0, theta=0.3, a_tfp=1.0)",
+    "DsgePoint": "DsgePoint(r=0.03, c=1.2, b=0.5, b_next=0.4, w=1.1, n=0.9, k=2.0, y=1.3, "
+                 "p=1.0, r_k=0.05)",
+    "ObservedSeries": "ObservedSeries(dt=0.1, values=array([1. , 0.5]))",
+}
+
+
+def _same_fields(a, b):
+    """Whether records a and b hold equal fields of the same types, arrays
+    equal entry by entry and read-only."""
+    for name in a._fields:
+        x, y = getattr(a, name), getattr(b, name)
+        if isinstance(x, np.ndarray):
+            if not (np.array_equal(x, y) and x.dtype == y.dtype and not y.flags.writeable):
+                return False
+        elif not (type(x) is type(y) and x == y):
+            return False
+    return type(a) is type(b)
+
+
+# A record is an errors._Record, with a frozen dataclass's contract: its
+# text, equality and hash by field values, no writes, and copies that are
+# built, so checked, again.
+@pytest.mark.parametrize("obj", _VALID, ids=[type(o).__name__ for o in _VALID])
+def test_a_record_keeps_the_frozen_record_contract(obj):
+    assert repr(obj) == _REPRS[type(obj).__name__]
+    values = [getattr(obj, name) for name in obj._fields]
+    if not any(isinstance(v, np.ndarray) for v in values):  # an array compares entry-wise
+        for twin in (type(obj)(*values), type(obj)(**dict(zip(obj._fields, values))),
+                     obj._replace()):
+            assert twin == obj and not twin != obj and hash(twin) == hash(obj)
+        other = Impulse if isinstance(obj, OscState) else OscState
+        assert obj != tuple(values) and obj != other(*values[:2])
+    for name, value in zip(obj._fields, values):
+        with pytest.raises(AttributeError):
+            setattr(obj, name, value)
+        with pytest.raises(AttributeError):
+            delattr(obj, name)
+        with pytest.raises(InvariantViolation):
+            obj._replace(**{name: "x"})
+    with pytest.raises(TypeError):
+        obj._replace(no_such_field=1.0)
+    assert all(getattr(obj, name) is value for name, value in zip(obj._fields, values))
+    assert _same_fields(obj, copy.copy(obj))
+    assert _same_fields(obj, copy.deepcopy(obj))
+    assert _same_fields(obj, pickle.loads(pickle.dumps(obj)))
+
+
+def test_a_trajectory_copy_holds_read_only_copies():
+    traj = integrate_euler(OscillatorParams(0.5, 2.0), OscState(1.0, 0.0), np.zeros(3), _GRID)
+    for twin in (copy.copy(traj), pickle.loads(pickle.dumps(traj))):
+        assert twin.grid == traj.grid
+        for name in ("y", "ydot", "forcing"):
+            got, want = getattr(twin, name), getattr(traj, name)
+            assert np.array_equal(got, want) and not got.flags.writeable
 
 
 # The integer inputs; the float fields are in the table above.
@@ -385,10 +456,10 @@ def _field_swaps(valid, value):
     float field set to `value`, where the record takes it."""
     swaps = []
     for param, record in valid.items():
-        for f in fields(record) if is_dataclass(record) else ():
-            if f.type == "float":
+        for name in record._fields if isinstance(record, _Record) else ():
+            if record.__annotations__[name] == "float":
                 try:
-                    swaps.append({param: replace(record, **{f.name: value})})
+                    swaps.append({param: record._replace(**{name: value})})
                 except GapdynError:
                     pass
     return swaps
@@ -442,6 +513,18 @@ def test_an_overflowing_grid_ratio_warns_for_no_number_type(number):
     # numpy's scalar divide warns where float division overflows quietly.
     with pytest.raises(InvariantViolation, match="t_end / dt must be finite"):
         ScenarioConfig(t_end=number(1e308))
+
+
+@pytest.mark.parametrize("number", [float, np.float64])
+def test_a_grid_whose_last_time_overflows_is_refused(number):
+    # (3 - 1) * 8.98846567431158e+307 passes the float range, where times()
+    # and analytic_trajectory would warn in numpy's multiply.
+    dt = number(8.98846567431158e+307)
+    with pytest.raises(InvariantViolation) as excinfo:
+        TimeGrid(dt, 3)
+    assert str(excinfo.value) == (
+        "(n_steps - 1) * dt must be finite, got n_steps=3 dt=8.98846567431158e+307")
+    assert TimeGrid(dt, 2).times().tolist() == [0.0, dt]
 
 
 @pytest.mark.parametrize("number", [float, np.float64])

@@ -13,7 +13,6 @@ import argparse
 import contextlib
 import io
 import math
-from dataclasses import fields
 
 import pytest
 
@@ -152,7 +151,7 @@ def test_table_covers_every_input():
         if action.option_strings and not isinstance(action, argparse._HelpAction)
     }
     config_keys = {f"config {key}" for key in {*_DEFAULTS, *_ENUM_KEYS}}
-    point_keys = {f"point {f.name}" for f in fields(DsgePoint)}
+    point_keys = {f"point {name}" for name in DsgePoint._fields}
     inputs, table = options | config_keys | point_keys, {row[0] for row in _ROWS}
     # (inputs without a row, rows naming no input)
     assert (sorted(inputs - table), sorted(table - inputs)) == ([], [])

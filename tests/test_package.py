@@ -2,8 +2,9 @@
 the dependencies each folder may import, and the test settings, under
 which a failing hypothesis test is reported as a failure.
 
-`import gapdyn` and `import gapdyn.cli` load no numpy, and neither do the
-commands that need none (`classify`, `check`, usage errors).  A CSV of one
+`import gapdyn` and `import gapdyn.cli` load no numpy, dataclasses or
+inspect, and neither do the commands that need no numpy (`classify`,
+`check`, usage errors).  A CSV of one
 block leaves the numpy formatter's tables unbuilt.  Boundary checks
 run in fresh interpreters, since this one has long imported everything.
 """
@@ -24,7 +25,10 @@ from gapdyn.cli import main
 
 _SRC = str(Path(gapdyn.__file__).resolve().parents[1])
 _ROOT = Path(__file__).resolve().parents[1]
-_NUMPY_LOADED = "sorted(m for m in sys.modules if m == 'numpy' or m.startswith('numpy.'))"
+# What a numpy-free start-up leaves unloaded: numpy, and dataclasses and
+# inspect, whose imports alone cost a short command about 7 ms.
+_HEAVY_LOADED = ("sorted(m for m in sys.modules if m in ('dataclasses', 'inspect')"
+                 " or m == 'numpy' or m.startswith('numpy.'))")
 
 
 def _fresh(code: str) -> subprocess.CompletedProcess:
@@ -90,7 +94,7 @@ class TestLazyExports:
             "    except AttributeError:\n"
             "        continue\n"
             "    raise SystemExit(f'{module.__name__}.{name} resolved')\n"
-            f"print({_NUMPY_LOADED})\n"
+            f"print({_HEAVY_LOADED})\n"
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "[]\n"
@@ -119,7 +123,7 @@ class TestErrorTaxonomy:
 
 class TestImportBoundary:
     def test_import_loads_no_numpy(self):
-        proc = _fresh(f"import sys, gapdyn, gapdyn.cli; print({_NUMPY_LOADED})")
+        proc = _fresh(f"import sys, gapdyn, gapdyn.cli; print({_HEAVY_LOADED})")
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "[]\n"
 
@@ -137,7 +141,7 @@ class TestImportBoundary:
             "import sys\n"
             "from gapdyn.cli import main\n"
             f"code = main({argv!r})\n"
-            f"print(code, {_NUMPY_LOADED}, file=sys.stderr)\n"
+            f"print(code, {_HEAVY_LOADED}, file=sys.stderr)\n"
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stderr.splitlines()[-1] == f"{code} []"
@@ -147,7 +151,7 @@ class TestImportBoundary:
             "import sys\n"
             "from gapdyn import OscillatorParams, OscState, solve_analytic\n"
             "s = solve_analytic(OscillatorParams(0.5, 1.0), OscState(1.0, 0.0), 2.0)\n"
-            f"print(s.y != 1.0, {_NUMPY_LOADED})\n"
+            f"print(s.y != 1.0, {_HEAVY_LOADED})\n"
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "True []\n"
@@ -277,7 +281,7 @@ def test_a_checked_field_is_checked_as_annotated():
     # builds (no __post_init__) check no field.
     records = 0
     for path, tree in _trees("src/gapdyn"):
-        for node in filter(_is_dataclass, ast.walk(tree)):
+        for node in filter(_is_record, ast.walk(tree)):
             post = [f for f in node.body if isinstance(f, ast.FunctionDef)
                     and f.name == "__post_init__"]
             if not post:
@@ -345,7 +349,7 @@ def _name(node):
 
 def test_every_record_field_is_read():
     # A record field that nothing reads is an input that changes nothing, so
-    # every @dataclass field is loaded as `x.<field>` somewhere outside an
+    # every _Record field is loaded as `x.<field>` somewhere outside an
     # errors._check call, which only tests its domain.  Reads are matched by
     # name, not by the type of x.
     fields, read = [], set()
@@ -357,7 +361,7 @@ def test_every_record_field_is_read():
             for arg in node.args
         }
         for node in ast.walk(tree):
-            if _is_dataclass(node):
+            if _is_record(node):
                 fields += [
                     (f"{path.name}:{node.name}.{stmt.target.id}", stmt.target.id)
                     for stmt in node.body
@@ -370,11 +374,9 @@ def test_every_record_field_is_read():
     assert [where for where, name in fields if name not in read] == []
 
 
-def _is_dataclass(node):
-    """Whether the AST node is a class under @dataclass or @dataclass(...)."""
-    return isinstance(node, ast.ClassDef) and any(
-        _name(d.func if isinstance(d, ast.Call) else d) == "dataclass" for d in node.decorator_list
-    )
+def _is_record(node):
+    """Whether the AST node is a class whose bases include errors._Record."""
+    return isinstance(node, ast.ClassDef) and any(_name(b) == "_Record" for b in node.bases)
 
 
 def _trees(*places):
